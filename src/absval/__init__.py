@@ -12,6 +12,7 @@ from .core import (
     DimensionMismatch,
     HermitianEigen,
     NotSelfAdjoint,
+    NumericalError,
     TolerancePolicy,
     adjoint,
     approx_eq,

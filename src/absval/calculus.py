@@ -17,18 +17,24 @@ from .core import (
     DEFAULT_POLICY,
     ConvergenceError,
     NotSelfAdjoint,
+    NumericalError,
     TolerancePolicy,
     adjoint,
+    eigh_exact,
+    extreme_eigenvalues,
+    failing,
     frobenius,
     hermitian_eigen,
+    select,
     symmetrize,
+    trial_sqrt,
 )
 
 # Hard ceiling on the condition number accepted by inverse().
 MAX_CONDITION = 1e8
 
 
-class NotPositiveSemidefinite(ValueError):
+class NotPositiveSemidefinite(NumericalError, ValueError):
     """Input claimed PSD has an eigenvalue below tolerance; ``witness`` holds it."""
 
     def __init__(self, message: str, witness: float):
@@ -36,7 +42,7 @@ class NotPositiveSemidefinite(ValueError):
         self.witness = witness
 
 
-class NumericallySingular(ValueError):
+class NumericallySingular(NumericalError, ValueError):
     """Condition estimate exceeds MAX_CONDITION."""
 
 
@@ -46,7 +52,8 @@ class LoewnerVerdict:
 
     ``witness_lambda_min`` is the smallest eigenvalue of B - A; ``margin`` is
     that eigenvalue plus the tolerance actually applied, so a negative margin
-    means the comparison failed and by how much.
+    means the comparison failed and by how much.  For a stack of pairs each
+    field holds one entry per pair.
     """
 
     holds: bool
@@ -54,30 +61,37 @@ class LoewnerVerdict:
     margin: float
 
     def __bool__(self) -> bool:
-        return self.holds
+        return bool(self.holds)
 
 
-def _psd_eigenvalues(p: np.ndarray, pol: TolerancePolicy):
+def _psd_eigenvalues(p: np.ndarray, pol: TolerancePolicy, gated: bool = True):
     """Eigendecompose a claimed-PSD matrix and clamp round-off negatives.
 
     Eigenvalues in [-tol, 0) are clamped to 0; anything below -tol is a real
-    indefiniteness and raises, carrying the offending eigenvalue.
+    indefiniteness and raises, carrying the offending eigenvalue.  Only a
+    matrix that is exactly Hermitian by construction skips the
+    self-adjointness gate (``gated=False``).
     """
-    eig = hermitian_eigen(p, pol)
+    eig = hermitian_eigen(p, pol) if gated else eigh_exact(p)
     w = eig.eigenvalues
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    tol = pol.rel * max(1.0, lam_max) + pol.abs
-    if lam_min < -tol:
+    lam_min, lam_max = extreme_eigenvalues(w)
+    witness = failing(lam_min < -pol.bound(lam_max), lam_min)
+    if witness is not None:
         raise NotPositiveSemidefinite(
-            f"matrix is not positive semidefinite: lambda_min = {lam_min:.3e}", lam_min
+            f"matrix is not positive semidefinite: lambda_min = {witness:.3e}", witness
         )
     return np.clip(w, 0.0, None), eig.eigenvectors
+
+
+def _spectral(f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U diag(f) U*, symmetrized."""
+    return symmetrize((u * f[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def psd_sqrt(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Principal square root of a PSD matrix via eigendecomposition."""
     w, u = _psd_eigenvalues(p, pol)
-    return symmetrize((u * np.sqrt(w)) @ u.conj().T)
+    return _spectral(np.sqrt(w), u)
 
 
 def psd_sqrt_iterative(
@@ -125,8 +139,13 @@ def psd_sqrt_iterative(
 
 
 def abs_value(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Absolute value sqrt(a* a): the unique PSD matrix whose square is a* a."""
-    return psd_sqrt(symmetrize(adjoint(a) @ a), pol)
+    """Absolute value sqrt(a* a): the unique PSD matrix whose square is a* a.
+
+    The symmetrized Gram matrix is exactly Hermitian, so it goes to the
+    eigensolver without the self-adjointness gate; the PSD gate stays.
+    """
+    w, u = _psd_eigenvalues(symmetrize(adjoint(a) @ a), pol, gated=False)
+    return _spectral(np.sqrt(w), u)
 
 
 def psd_power(p: np.ndarray, alpha: float, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -137,13 +156,14 @@ def psd_power(p: np.ndarray, alpha: float, pol: TolerancePolicy = DEFAULT_POLICY
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     w, u = _psd_eigenvalues(p, pol)
-    return symmetrize((u * w**alpha) @ u.conj().T)
+    return _spectral(w**alpha, u)
 
 
 def _require_self_adjoint(a: np.ndarray, pol: TolerancePolicy, label: str):
-    asym = frobenius(a - a.conj().T)
-    if asym > pol.rel * max(1.0, frobenius(a)) + pol.abs:
-        raise NotSelfAdjoint(f"{label} operand is not self-adjoint: ||x - x*||_F = {asym:.3e}")
+    asym = frobenius(a - a.conj().swapaxes(-1, -2))
+    witness = failing(asym > pol.bound(frobenius(a)), asym)
+    if witness is not None:
+        raise NotSelfAdjoint(f"{label} operand is not self-adjoint: ||x - x*||_F = {witness:.3e}")
 
 
 def loewner_leq(
@@ -152,23 +172,24 @@ def loewner_leq(
     """Decide a <= b in the semidefinite order, keeping the witness eigenvalue."""
     _require_self_adjoint(a, pol, "left")
     _require_self_adjoint(b, pol, "right")
-    witness = float(np.linalg.eigvalsh(symmetrize(b - a))[0])
-    tol = pol.rel * max(1.0, frobenius(a), frobenius(b)) + pol.abs
+    witness = extreme_eigenvalues(np.linalg.eigvalsh(symmetrize(b - a)))[0]
+    tol = pol.bound(frobenius(a), frobenius(b))
     return LoewnerVerdict(holds=witness >= -tol, witness_lambda_min=witness, margin=witness + tol)
 
 
-def condition_estimate(a: np.ndarray) -> float:
+def condition_estimate(a: np.ndarray):
     """Ratio of extreme singular values, from the eigenvalues of a* a.
 
     Returns +inf when the smallest eigenvalue is nonpositive, i.e. the matrix
     is singular to working precision.
     """
     gram = symmetrize(adjoint(a) @ a)
-    w = np.linalg.eigvalsh(gram)
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    if lam_max <= 0.0 or lam_min <= 0.0:
-        return float("inf")
-    return float(np.sqrt(lam_max / lam_min))
+    lam_min, lam_max = extreme_eigenvalues(np.linalg.eigvalsh(gram))
+    singular = (lam_max <= 0.0) | (lam_min <= 0.0)
+    if type(singular) is bool:
+        return float("inf") if singular else trial_sqrt(lam_max / lam_min)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return select(singular, np.inf, trial_sqrt(lam_max / lam_min))
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -177,8 +198,9 @@ def inverse(a: np.ndarray) -> np.ndarray:
     Anything beyond MAX_CONDITION is refused rather than silently amplified.
     """
     condition = condition_estimate(a)
-    if condition > MAX_CONDITION:
+    witness = failing(condition > MAX_CONDITION, condition)
+    if witness is not None:
         raise NumericallySingular(
-            f"matrix is numerically singular: condition estimate {condition:.3e}"
+            f"matrix is numerically singular: condition estimate {witness:.3e}"
         )
     return np.linalg.inv(a)

@@ -9,9 +9,11 @@ aggregates a replayable report.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -25,6 +27,9 @@ from .core import (
     frobenius,
     operator_norm,
     rel_residual,
+    select,
+    trial_max,
+    trial_min,
 )
 from .calculus import (
     MAX_CONDITION,
@@ -101,10 +106,15 @@ class ClaimResult:
 # hypothesis / conclusion building blocks
 
 
+def _all(flags):
+    """Conjunction of per-trial flags."""
+    return reduce(operator.and_, flags)
+
+
 def _hypothesis(**parts: PredicateResult):
-    flags = {name: bool(res) for name, res in parts.items()}
-    residuals = {f"hyp_{name}": float(res.residual) for name, res in parts.items()}
-    return all(flags.values()), flags, residuals
+    flags = {name: res.holds for name, res in parts.items()}
+    residuals = {f"hyp_{name}": res.residual for name, res in parts.items()}
+    return _all(flags.values()), flags, residuals
 
 
 def _loewner_pred(a, b, pol) -> PredicateResult:
@@ -132,7 +142,7 @@ def _concl_loewner(x, y, pol):
 def _concl_opnorm_leq(x, y, pol, scale_of):
     """Norm conclusion ||x|| <= ||y|| with additive slack tol*max(1, scales)."""
     lhs, rhs = operator_norm(x), operator_norm(y)
-    slack = pol.rel * max(1.0, *(operator_norm(m) for m in scale_of)) + pol.abs
+    slack = pol.bound(*(operator_norm(m) for m in scale_of))
     return lhs <= rhs + slack, lhs - rhs, {"lhs_norm": lhs, "rhs_norm": rhs}
 
 
@@ -209,16 +219,15 @@ def _pairwise_commute(mats, pol) -> PredicateResult:
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             res = commutes(mats[i], mats[j], pol)
-            ok = ok and res.holds
-            worst = max(worst, res.residual)
+            ok = ok & res.holds
+            worst = trial_max(worst, res.residual)
     return PredicateResult(ok, worst)
 
 
 def _all_but_one_normal(mats, pol) -> PredicateResult:
     results = [is_normal(m, pol) for m in mats]
-    non_normal = [r for r in results if not r.holds]
-    residual = max((r.residual for r in results), default=0.0)
-    return PredicateResult(len(non_normal) <= 1, residual)
+    normal = sum(r.holds for r in results)
+    return PredicateResult(normal >= len(results) - 1, trial_max(*(r.residual for r in results)))
 
 
 def _hyp_family_one_nonnormal(mats, pol):
@@ -251,7 +260,7 @@ def _hyp_family_hypo(mats, pol):
         pairwise_commute=_pairwise_commute(mats, pol),
         all_but_one_normal=_all_but_one_normal(mats, pol),
         all_hyponormal=PredicateResult(
-            all(r.holds for r in hypo), min((r.residual for r in hypo), default=0.0)
+            _all(r.holds for r in hypo), trial_min(*(r.residual for r in hypo))
         ),
     )
 
@@ -261,7 +270,7 @@ def _hyp_family_normal(mats, pol):
     return _hypothesis(
         pairwise_commute=_pairwise_commute(mats, pol),
         all_normal=PredicateResult(
-            all(r.holds for r in normal), max((r.residual for r in normal), default=0.0)
+            _all(r.holds for r in normal), trial_max(*(r.residual for r in normal))
         ),
     )
 
@@ -316,8 +325,8 @@ def _concl_loewner_heinz(mats, pol):
     extras = {}
     for alpha in _LH_ALPHAS:
         v = loewner_leq(psd_power(b, alpha, pol), psd_power(a, alpha, pol), pol)
-        ok = ok and v.holds
-        worst = max(worst, -v.witness_lambda_min)
+        ok = ok & v.holds
+        worst = trial_max(worst, -v.witness_lambda_min)
         extras[f"witness_alpha_{alpha}"] = v.witness_lambda_min
     return ok, worst, extras
 
@@ -336,11 +345,11 @@ def _concl_fuglede(mats, pol):
         "comm_bstar": frobenius(a @ bstar - bstar @ a),
         "comm_both": frobenius(astar @ bstar - bstar @ astar),
     }
-    tol = pol.rel * max(1.0, frobenius(a) * frobenius(b)) + pol.abs
+    tol = pol.bound(frobenius(a) * frobenius(b))
     flags = [r <= tol for r in residuals.values()]
-    ok = len(set(flags)) == 1
-    spread = 0.0 if ok else max(residuals.values()) - min(residuals.values())
-    return ok, spread, residuals
+    ok = _all(f == flags[0] for f in flags[1:])
+    spread = trial_max(*residuals.values()) - trial_min(*residuals.values())
+    return ok, select(ok, 0.0, spread), residuals
 
 
 def _concl_abs_commute(mats, pol):
@@ -359,14 +368,17 @@ def _concl_prodsa_cor(mats, pol):
     aa, ab = abs_value(a, pol), abs_value(b, pol)
     p = aa @ ab
     sa = is_self_adjoint(p, pol)
-    ok = sa.holds and approx_eq(p, ab @ aa, pol)
-    residual = max(sa.residual, rel_residual(p, ab @ aa))
+    ok = sa.holds & approx_eq(p, ab @ aa, pol)
+    residual = trial_max(sa.residual, rel_residual(p, ab @ aa))
     extras = {"self_adjoint_residual": sa.residual}
-    if is_positive(a, pol) and is_positive(b, pol):
+    both_positive = is_positive(a, pol).holds & is_positive(b, pol).holds
+    if np.any(both_positive):
+        # on a stack, trials outside the positive case keep their verdict
+        # and carry NaN in place of the product's lambda_min
         pos = is_positive(a @ b, pol)
-        ok = ok and pos.holds
-        residual = max(residual, -pos.residual)
-        extras["product_lambda_min"] = pos.residual
+        ok = ok & select(both_positive, pos.holds, True)
+        residual = select(both_positive, trial_max(residual, -pos.residual), residual)
+        extras["product_lambda_min"] = select(both_positive, pos.residual, np.nan)
     return ok, residual, extras
 
 
@@ -378,8 +390,8 @@ def _concl_eight_products(mats, pol):
     worst = 0.0
     ok = True
     for v in values[1:]:
-        ok = ok and approx_eq(values[0], v, pol)
-        worst = max(worst, rel_residual(values[0], v))
+        ok = ok & approx_eq(values[0], v, pol)
+        worst = trial_max(worst, rel_residual(values[0], v))
     return ok, worst, {}
 
 
@@ -393,9 +405,9 @@ def _concl_inverse_abs(mats, pol):
     (a,) = mats
     kappa = condition_estimate(a)
     prod = abs_value(inverse(a), pol) @ abs_value(a, pol)
-    r = frobenius(prod - np.eye(a.shape[0]))
-    tol = pol.rel * max(1.0, kappa) + pol.abs
-    return r <= tol, r / max(1.0, kappa), {"identity_residual": r, "condition": kappa}
+    r = frobenius(prod - np.eye(a.shape[-1]))
+    extras = {"identity_residual": r, "condition": kappa}
+    return r <= pol.bound(kappa), r / trial_max(1.0, kappa), extras
 
 
 def _concl_nfold_product(mats, pol):
@@ -413,8 +425,7 @@ _POWZ_EXPONENTS = (-3, -2, -1, 0, 1, 2, 3)
 
 def _concl_integer_powers(mats, pol):
     (a,) = mats
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(a.shape[-1], dtype=complex)
     abs_a = abs_value(a, pol)
     a_inv = inverse(a)
     abs_inv = inverse(abs_a)
@@ -427,8 +438,9 @@ def _concl_integer_powers(mats, pol):
         for _ in range(abs(exponent)):
             power = power @ base
             abs_power = abs_power @ abs_base
-        ok = ok and approx_eq(abs_value(power, pol), abs_power, pol)
-        worst = max(worst, rel_residual(abs_value(power, pol), abs_power))
+        abs_of_power = abs_value(power, pol)
+        ok = ok & approx_eq(abs_of_power, abs_power, pol)
+        worst = trial_max(worst, rel_residual(abs_of_power, abs_power))
     return ok, worst, {}
 
 
@@ -1089,9 +1101,24 @@ def _seed_record(seed: Seed, dim: int) -> dict:
     }
 
 
+# Cap on the bytes of input matrices evaluated in one stacked call.  A stack's
+# live intermediates peak at about 15 times its inputs (C-EIGHT), so the cap
+# bounds the memory a block adds; at 64 KiB a stack holds 32 trials of two
+# 8x8 matrices, and every trial of a 250-trial block at n = 2.
+STACK_BYTES = 64 * 1024
+
+
 def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol: TolerancePolicy):
     """Run a contiguous block of trials for one (claim, dim); returns a plain
-    dict so process pools can ship it back cheaply."""
+    dict so process pools can ship it back cheaply.
+
+    Trials are generated one by one from their own seeds, grouped by matrix
+    shapes, and evaluated as ``(B, n, n)`` stacks of at most ``STACK_BYTES``
+    of input.  Only an all-PASS stack is counted from its arrays; a stack
+    that raises or holds any other verdict is re-run trial by trial through
+    :func:`check_claim`, as is a group of one trial, so every record comes
+    from the single-matrix path.
+    """
     claim = catalog()[claim_id]
     stats = {
         "trials": 0,
@@ -1101,12 +1128,48 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
         "errors": [],
         "worst": None,  # (residual, dim, trial, seed_record)
     }
+    pending = {}  # matrix shapes -> [(seed, matrices), ...]
     for trial in range(start, start + count):
         seed = Seed(master, f"{claim_id}:{dim}", trial)
         stats["trials"] += 1
         try:
             mats = sample(claim.ensemble, dim, seed)
-            result = check_claim(ClaimInstance(claim_id, mats, seed), pol)
+        except Exception as exc:
+            stats["errors"].append({**_seed_record(seed, dim), "message": str(exc)})
+            continue
+        shapes = tuple(m.shape for m in mats)
+        group = pending.setdefault(shapes, [])
+        group.append((seed, mats))
+        if (len(group) + 1) * sum(m.nbytes for m in mats) > STACK_BYTES:  # the next would not fit
+            _run_group(claim, dim, pending.pop(shapes), pol, stats)
+    for group in pending.values():
+        _run_group(claim, dim, group, pol, stats)
+    return claim_id, stats
+
+
+def _stack_passes(claim: Claim, group: list, pol: TolerancePolicy):
+    """Conclusion residuals of a stacked group, or None unless every trial passes."""
+    stack = tuple(np.stack(slot) for slot in zip(*(mats for _, mats in group)))
+    try:
+        hyp_ok = claim.hypothesis(stack, pol)[0]
+        concl_ok, residual, _ = claim.conclusion(stack, pol)
+    except Exception:
+        return None
+    if not np.all(hyp_ok & concl_ok):
+        return None
+    return np.broadcast_to(residual, (len(group),)).tolist()
+
+
+def _run_group(claim: Claim, dim: int, group: list, pol: TolerancePolicy, stats: dict):
+    residuals = _stack_passes(claim, group, pol) if len(group) > 1 else None
+    if residuals is not None:
+        stats["passes"] += len(group)
+        for (seed, _), residual in zip(group, residuals):
+            _track_worst(stats, residual, dim, seed)
+        return
+    for seed, mats in group:
+        try:
+            result = check_claim(ClaimInstance(claim.id, mats, seed), pol)
         except Exception as exc:
             stats["errors"].append({**_seed_record(seed, dim), "message": str(exc)})
             continue
@@ -1116,12 +1179,14 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
             stats["violations"].append({**_seed_record(seed, dim), "residuals": result.residuals})
         else:
             stats["hypothesis_failures"] += 1
-        residual = result.residuals.get("conclusion")
-        if residual is not None and np.isfinite(residual):
-            key = (residual, dim, trial)
-            if stats["worst"] is None or key > stats["worst"][:3]:
-                stats["worst"] = (residual, dim, trial, _seed_record(seed, dim))
-    return claim_id, stats
+        _track_worst(stats, result.residuals.get("conclusion"), dim, seed)
+
+
+def _track_worst(stats: dict, residual, dim: int, seed: Seed):
+    if residual is not None and np.isfinite(residual):
+        key = (residual, dim, seed.trial)
+        if stats["worst"] is None or key > stats["worst"][:3]:
+            stats["worst"] = (residual, dim, seed.trial, _seed_record(seed, dim))
 
 
 def _merge_block(agg: ClaimStats, block: dict):

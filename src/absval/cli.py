@@ -1,7 +1,7 @@
 """Command-line harness: configure suites, bind user matrices, emit reports.
 
 Exit codes: 0 clean run, 1 any violation (or registry mismatch, or numerical
-error), 2 usage error.
+error), 2 usage error (arguments, unreadable files, malformed literals).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .core import TolerancePolicy, matrix_from_literal
+from .core import NumericalError, TolerancePolicy, matrix_from_literal
 from .claims import (
     HYPOTHESIS_FAIL,
     VIOLATION,
@@ -235,6 +235,9 @@ def main(argv=None) -> int:
         return 0
     try:
         report, code = execute(cfg)
+    except NumericalError as exc:  # before ValueError: several are ValueErrors too
+        sys.stderr.write(f"absval: {exc}\n")
+        return 1
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"absval: {exc}\n")
         return 2

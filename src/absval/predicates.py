@@ -12,30 +12,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, DimensionMismatch, TolerancePolicy, adjoint, frobenius, symmetrize
+from .core import (
+    DEFAULT_POLICY,
+    DimensionMismatch,
+    TolerancePolicy,
+    adjoint,
+    extreme_eigenvalues,
+    frobenius,
+    select,
+    symmetrize,
+)
 from .calculus import loewner_leq
 
 
 @dataclass(frozen=True)
 class PredicateResult:
+    """``holds`` and ``residual`` are a bool and a float for one matrix, and
+    arrays with one entry per trial for a stack."""
+
     holds: bool
     residual: float
 
     def __bool__(self) -> bool:
-        return self.holds
+        return bool(self.holds)
 
 
 def is_self_adjoint(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
     """a == a* up to tolerance; residual is ||a - a*||_F."""
-    r = frobenius(a - a.conj().T)
-    return PredicateResult(r <= pol.rel * max(1.0, frobenius(a)) + pol.abs, r)
+    r = frobenius(a - a.conj().swapaxes(-1, -2))
+    return PredicateResult(r <= pol.bound(frobenius(a)), r)
 
 
 def is_normal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
     """a a* == a* a up to tolerance; residual is the commutator norm."""
     star = adjoint(a)
     r = frobenius(a @ star - star @ a)
-    return PredicateResult(r <= pol.rel * max(1.0, frobenius(a) ** 2) + pol.abs, r)
+    return PredicateResult(r <= pol.bound(frobenius(a) ** 2), r)
 
 
 def is_hyponormal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
@@ -47,18 +59,19 @@ def is_hyponormal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> Predi
 
 def is_positive(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
     """Self-adjoint with nonnegative spectrum; residual is lambda_min."""
-    if not is_self_adjoint(a, pol):
+    sa = is_self_adjoint(a, pol).holds
+    if sa is False:  # one matrix, not self-adjoint: no spectrum to check
         return PredicateResult(False, float("-inf"))
-    w = np.linalg.eigvalsh(symmetrize(a))
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    tol = pol.rel * max(1.0, lam_max) + pol.abs
-    return PredicateResult(lam_min >= -tol, lam_min)
+    lam_min, lam_max = extreme_eigenvalues(np.linalg.eigvalsh(symmetrize(a)))
+    return PredicateResult(
+        sa & (lam_min >= -pol.bound(lam_max)), select(sa, lam_min, float("-inf"))
+    )
 
 
 def is_anti_symmetric(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
     """a* == -a up to tolerance; residual is ||a + a*||_F."""
-    r = frobenius(a + a.conj().T)
-    return PredicateResult(r <= pol.rel * max(1.0, frobenius(a)) + pol.abs, r)
+    r = frobenius(a + a.conj().swapaxes(-1, -2))
+    return PredicateResult(r <= pol.bound(frobenius(a)), r)
 
 
 def commutes(a: np.ndarray, b: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
@@ -66,7 +79,7 @@ def commutes(a: np.ndarray, b: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot compare commutation of shapes {a.shape} and {b.shape}")
     r = frobenius(a @ b - b @ a)
-    return PredicateResult(r <= pol.rel * max(1.0, frobenius(a) * frobenius(b)) + pol.abs, r)
+    return PredicateResult(r <= pol.bound(frobenius(a) * frobenius(b)), r)
 
 
 @dataclass(frozen=True)
@@ -92,11 +105,11 @@ def class_report(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> ClassR
     hypo = is_hyponormal(a, pol)
     pos = is_positive(a, pol)
     anti = is_anti_symmetric(a, pol)
-    normal = nm.holds or sa.holds
+    normal = nm.holds | sa.holds
     return ClassReport(
         self_adjoint=sa.holds,
         normal=normal,
-        hyponormal=hypo.holds or normal,
+        hyponormal=hypo.holds | normal,
         positive=pos.holds,
         anti_symmetric=anti.holds,
         residuals={

@@ -221,6 +221,38 @@ class TestUserMatrices:
         assert main(["--claims", "C-TRI", "--matrix-file", a, "--matrix-file", missing]) == 2
 
 
+class TestNumericalErrorsExitOne:
+    """A numerical failure is exit 1 with a one-line message, never exit 2
+    (usage) and never a traceback."""
+
+    def test_gate_mismatch_exits_one(self, capsys, tmp_path):
+        # ROADMAP item 2: the hypothesis holds at rel = 1e-3, then
+        # psd_sqrt(A @ B) fails the self-adjointness gate
+        a = write_matrix(tmp_path / "a.json", as_matrix([[10, 1e-3], [1e-3, 0.01]]))
+        b = write_matrix(tmp_path / "b.json", as_matrix([[0.01, 1e-3], [1e-3, 10]]))
+        code, out, err = run_cli(
+            capsys, "--claims", "L-SQRT-FACTOR", "--tol-rel", "1e-3",
+            "--matrix-file", a, "--matrix-file", b,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "absval: input is not self-adjoint: ||h - h*||_F = 2.826e-02\n"
+
+    def test_convergence_error_exits_one(self, capsys, tmp_path, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        ma, mb = gen_commuting_normal_family(3, 2, 5)
+        a = write_matrix(tmp_path / "a.json", ma)
+        b = write_matrix(tmp_path / "b.json", mb)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        code, out, err = run_cli(
+            capsys, "--claims", "C-PRODNORM", "--matrix-file", a, "--matrix-file", b
+        )
+        assert code == 1
+        assert err.startswith("absval: eigensolver did not converge")
+
+
 class TestParallelFlagAndEntryPoint:
     def test_jobs_flag_produces_same_claims_section(self, capsys):
         args = ["--claims", "C-TRI,C-EIGHT", "--dims", "2,3", "--trials", "20",

@@ -1,0 +1,296 @@
+"""Stacked evaluation: each slice of a ``(B, n, n)`` call equals the plain
+``(n, n)`` call bit for bit.
+
+The suite runner evaluates trials in stacks (``claims.STACK_BYTES``) and
+counts passing trials straight from the stacked arrays, so a stacked value
+that differed from the single-matrix value in any bit would silently change
+reports and seed replay.  These tests make a numpy/LAPACK build that breaks
+slice identity fail loudly instead.
+"""
+
+import dataclasses
+import json
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+from absval import (
+    Seed,
+    TolerancePolicy,
+    abs_value,
+    adjoint,
+    approx_eq,
+    as_matrix,
+    catalog,
+    class_report,
+    commutes,
+    condition_estimate,
+    frobenius,
+    gen_anti_symmetric,
+    gen_commuting_normal_family,
+    gen_general,
+    gen_ordered_psd_pair,
+    gen_self_adjoint,
+    hermitian_eigen,
+    inverse,
+    is_anti_symmetric,
+    is_hyponormal,
+    is_normal,
+    is_positive,
+    is_self_adjoint,
+    loewner_leq,
+    multiply,
+    operator_norm,
+    psd_power,
+    psd_sqrt,
+    rel_residual,
+    run_suite,
+    sample,
+    symmetrize,
+)
+from absval import claims as claims_module
+from absval.core import eigh_exact
+
+DIMS = (2, 3, 4, 8)
+DEPTH = 12
+THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]
+
+
+def assert_slice(stacked, i, single, where):
+    """``stacked``'s slice ``i`` equals ``single`` bit for bit, recursively
+    through dataclasses, dicts and tuples.  A single matrix gives Python
+    scalars, as it always has."""
+    if dataclasses.is_dataclass(single):
+        for f in dataclasses.fields(single):
+            assert_slice(getattr(stacked, f.name), i, getattr(single, f.name), f"{where}.{f.name}")
+    elif isinstance(single, dict):
+        for key, value in single.items():
+            assert_slice(stacked[key], i, value, f"{where}[{key!r}]")
+        for key in stacked.keys() - single.keys():  # per-trial extras absent on this trial
+            assert np.isnan(stacked[key][i]), f"{where}[{key!r}]"
+    elif isinstance(single, (tuple, list)):
+        assert len(stacked) == len(single), where
+        for k, (s, v) in enumerate(zip(stacked, single)):
+            assert_slice(s, i, v, f"{where}[{k}]")
+    elif isinstance(single, np.ndarray):
+        got = stacked[i]
+        assert got.dtype == single.dtype and got.shape == single.shape, where
+        assert got.tobytes() == single.tobytes(), where
+    else:
+        assert type(single) in (bool, float), f"{where}: {type(single).__name__}"
+        got = np.asarray(stacked)
+        got = got[i] if got.ndim else got
+        assert got.tobytes() == np.asarray(single).tobytes(), f"{where}: {got!r} != {single!r}"
+
+
+def assert_stack_matches(fn, *operand_lists, where=""):
+    """Call ``fn`` once on stacked operands and once per slice; compare."""
+    stacked = fn(*(np.stack(ops) for ops in operand_lists))
+    for i, ops in enumerate(zip(*operand_lists)):
+        assert_slice(stacked, i, fn(*ops), f"{where} slice {i}")
+
+
+def _operands(n, depth=DEPTH):
+    seeds = [Seed(31, f"stacked:{n}", t) for t in range(depth)]
+    g = [gen_general(n, s) for s in seeds]
+    h = [gen_general(n, Seed(32, s.claim_tag, s.trial)) for s in seeds]
+    sa = [gen_self_adjoint(n, Seed(33, s.claim_tag, s.trial)) for s in seeds]
+    psd = [symmetrize(adjoint(x) @ x) for x in g]
+    pairs = [
+        gen_ordered_psd_pair(n, Seed(34, s.claim_tag, s.trial), commuting=False) for s in seeds
+    ]
+    normal = [gen_commuting_normal_family(n, 1, s)[0] for s in seeds]
+    anti = [gen_anti_symmetric(n, s) for s in seeds]
+    def alternate(odd, even=g):  # both verdicts within one stack
+        return [odd[t] if t % 2 else even[t] for t in range(depth)]
+
+    mixed = alternate(sa)  # self-adjoint or not
+    signed = alternate(psd, sa)  # PSD or indefinite
+    near = [x + 1e-10 * y for x, y in zip(g, h)]
+    singular = [np.zeros((n, n), dtype=complex) if t == 0 else g[t] for t in range(depth)]
+    return {
+        "adjoint": (adjoint, g),
+        "multiply": (multiply, g, h),
+        "frobenius": (frobenius, g),
+        "symmetrize": (symmetrize, g),
+        "approx_eq": (approx_eq, g, near),
+        "approx_eq_far": (approx_eq, g, h),
+        "rel_residual": (rel_residual, g, near),
+        "operator_norm": (operator_norm, g),
+        "hermitian_eigen": (hermitian_eigen, sa),
+        "reconstruct": (lambda x: hermitian_eigen(x).reconstruct(), sa),
+        "eigh_exact": (lambda x: eigh_exact(symmetrize(x)), g),
+        "bound": (lambda x, y: TolerancePolicy().bound(frobenius(x), frobenius(y)), g, h),
+        "psd_sqrt": (psd_sqrt, psd),
+        "abs_value": (abs_value, g),
+        "psd_power": (lambda x: psd_power(x, 0.3), psd),
+        "loewner_leq": (loewner_leq, [b for _, b in pairs], [a for a, _ in pairs]),
+        "loewner_leq_mixed": (loewner_leq, sa, psd),
+        "condition_estimate": (condition_estimate, singular),
+        "inverse": (inverse, g),
+        "is_self_adjoint": (is_self_adjoint, mixed),
+        "is_normal": (is_normal, alternate(normal)),
+        "is_hyponormal": (is_hyponormal, alternate(normal)),
+        "is_positive": (is_positive, signed),
+        "is_positive_mixed": (is_positive, mixed),
+        "is_anti_symmetric": (is_anti_symmetric, alternate(anti)),
+        "commutes": (commutes, g, h),
+        "commutes_normal": (commutes, normal, [x @ x for x in normal]),
+        "class_report": (class_report, mixed),
+    }
+
+
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("depth", (1, DEPTH))
+def test_every_primitive_stacks_bit_for_bit(n, depth):
+    for name, (fn, *operands) in _operands(n, depth).items():
+        assert_stack_matches(fn, *operands, where=f"{name} n={n}")
+
+
+def _groups(claim, n, depth=DEPTH):
+    """Trials of one (claim, dim), grouped by matrix shapes as the runner does."""
+    groups = defaultdict(list)
+    for t in range(depth):
+        mats = sample(claim.ensemble, n, Seed(99, f"{claim.id}:{n}", t))
+        groups[tuple(m.shape for m in mats)].append(mats)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+@pytest.mark.parametrize("cid", THEOREM_IDS)
+def test_every_claim_stacks_bit_for_bit(cid):
+    claim = catalog()[cid]
+    pol = TolerancePolicy(rel=1e-8, abs=1e-12)
+    for n in DIMS:
+        for group in _groups(claim, n):
+            stack = tuple(np.stack(slot) for slot in zip(*group))
+            hyp, concl = claim.hypothesis(stack, pol), claim.conclusion(stack, pol)
+            for i, mats in enumerate(group):
+                assert_slice(hyp, i, claim.hypothesis(mats, pol), f"{cid} n={n} hypothesis")
+                assert_slice(concl, i, claim.conclusion(mats, pol), f"{cid} n={n} conclusion")
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_frobenius_follows_memory_order(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    views = {
+        "C-ordered": x,
+        "transposed": x.swapaxes(-1, -2),
+        "adjoint view": x.conj().swapaxes(-1, -2),
+        "strided": x[::3],
+        "real": x.real.copy(),
+        "real transposed": x.real.copy().swapaxes(-1, -2),
+    }
+    for name, v in views.items():
+        stacked = frobenius(v)
+        for i in range(v.shape[0]):
+            expected = np.linalg.norm(v[i])
+            assert stacked[i] == expected, f"{name} slice {i}"
+            assert frobenius(v[i]) == expected and type(frobenius(v[i])) is float, name
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (7, 3, 3), (2, 5, 8, 8)])
+def test_symmetrize_is_exactly_hermitian(shape):
+    # abs_value skips the self-adjointness gate on its symmetrized Gram
+    # matrix: the gate's asymmetry reads exactly 0 there, and symmetrizing
+    # again changes no bit
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = symmetrize(x)
+    assert np.array_equal(s, s.conj().swapaxes(-1, -2))
+    assert np.all(frobenius(s - s.conj().swapaxes(-1, -2)) == 0.0)
+    assert symmetrize(s).tobytes() == s.tobytes()
+    for a in x.reshape((-1,) + shape[-2:]):
+        gated = psd_sqrt(symmetrize(adjoint(a) @ a))  # the gated route abs_value used to take
+        assert abs_value(a).tobytes() == gated.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the runner: fallback to single trials, records, caps
+
+# ROADMAP item 2's instance: the hypothesis holds at rel = 1e-3, while
+# psd_sqrt(A @ B) fails the self-adjointness gate.
+GATE_FAILING = (
+    as_matrix([[10, 1e-3], [1e-3, 0.01]]),
+    as_matrix([[0.01, 1e-3], [1e-3, 10]]),
+)
+
+
+@pytest.fixture
+def stack_log(monkeypatch):
+    """Record every stacked evaluation: (claim, depth, bytes, all passed)."""
+    log = []
+    real = claims_module._stack_passes
+
+    def recording(claim, group, pol):
+        residuals = real(claim, group, pol)
+        nbytes = sum(m.nbytes for _, mats in group for m in mats)
+        log.append((claim.id, len(group), nbytes, residuals is not None))
+        return residuals
+
+    monkeypatch.setattr(claims_module, "_stack_passes", recording)
+    return log
+
+
+def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, stack_log):
+    bad_trial = 5
+    real_sample = claims_module.sample
+
+    def sample_with_bad_trial(spec, n, seed):
+        return GATE_FAILING if seed.trial == bad_trial else real_sample(spec, n, seed)
+
+    monkeypatch.setattr(claims_module, "sample", sample_with_bad_trial)
+    loose = TolerancePolicy(rel=1e-3)
+    _, block = claims_module._run_block("L-SQRT-FACTOR", 2, 0, DEPTH, 77, loose)
+    _, single = claims_module._run_block("L-SQRT-FACTOR", 2, bad_trial, 1, 77, loose)
+    assert stack_log == [("L-SQRT-FACTOR", DEPTH, DEPTH * 2 * 64, False)]
+    (record,) = single["errors"]
+    assert record["trial"] == bad_trial and record["dim"] == 2
+    assert "not self-adjoint" in record["message"]
+    assert block["errors"] == single["errors"]
+    assert block["passes"] == DEPTH - 1 and block["trials"] == DEPTH
+
+
+FORCED_CLAIMS = ["C-EIGHT", "C-NFOLD", "C-POWZ", "L-FUG", "C-PRODSA-COR", "T-LH", "C-ABSCOMM"]
+
+
+def _report_json(pol):
+    report = run_suite(FORCED_CLAIMS, (2, 3, 8), 40, 5, pol)
+    return json.dumps([c.to_dict() for c in report.claims], sort_keys=True), report
+
+
+@pytest.mark.parametrize("rel", (1e-14, 1e-15))
+def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, stack_log, rel):
+    pol = TolerancePolicy(rel=rel, abs=1e-300)
+    full, report = _report_json(pol)
+    assert any(c.violations for c in report.claims)
+    assert any(ok for *_, ok in stack_log) and not all(ok for *_, ok in stack_log)
+    depths = {depth for _, depth, _, _ in stack_log}
+
+    monkeypatch.setattr(claims_module, "STACK_BYTES", 2048)  # 16 deep at n = 2, none at n = 8
+    stack_log.clear()
+    partial, _ = _report_json(pol)
+    assert stack_log and {depth for _, depth, _, _ in stack_log} != depths
+
+    monkeypatch.setattr(claims_module, "STACK_BYTES", 1)  # every trial on its own
+    stack_log.clear()
+    single, _ = _report_json(pol)
+    assert stack_log == []
+    assert full == partial == single
+
+
+def test_stacks_stay_within_the_byte_cap(stack_log):
+    run_suite(["C-EIGHT", "C-NFOLD", "C-TRIN"], (2, 8), 250, 3, TolerancePolicy(rel=1e-8))
+    assert all(nbytes <= claims_module.STACK_BYTES for _, _, nbytes, _ in stack_log)
+    deepest = defaultdict(int)  # (claim, bytes per trial) -> deepest stack
+    for cid, depth, nbytes, _ in stack_log:
+        deepest[cid, nbytes // depth] = max(deepest[cid, nbytes // depth], depth)
+    assert deepest["C-EIGHT", 2 * 64] == 250  # a whole block at n = 2
+    assert deepest["C-EIGHT", 2 * 1024] == claims_module.STACK_BYTES // 2048
+
+
+def test_one_trial_blocks_are_not_stacked(stack_log):
+    report = run_suite(THEOREM_IDS, DIMS, 1, 11)
+    assert report.verdict == "pass"
+    assert stack_log == []
