@@ -21,6 +21,7 @@ from .core import (
     TolerancePolicy,
     adjoint,
     eigh_exact,
+    exceeds,
     extreme_eigenvalues,
     failing,
     frobenius,
@@ -75,7 +76,7 @@ def _psd_eigenvalues(p: np.ndarray, pol: TolerancePolicy, gated: bool = True):
     eig = hermitian_eigen(p, pol) if gated else eigh_exact(p)
     w = eig.eigenvalues
     lam_min, lam_max = extreme_eigenvalues(w)
-    witness = failing(lam_min < -pol.bound(lam_max), lam_min)
+    witness = failing(exceeds(-lam_min, pol.bound(lam_max)), lam_min)
     if witness is not None:
         raise NotPositiveSemidefinite(
             f"matrix is not positive semidefinite: lambda_min = {witness:.3e}", witness
@@ -161,7 +162,7 @@ def psd_power(p: np.ndarray, alpha: float, pol: TolerancePolicy = DEFAULT_POLICY
 
 def _require_self_adjoint(a: np.ndarray, pol: TolerancePolicy, label: str):
     asym = frobenius(a - a.conj().swapaxes(-1, -2))
-    witness = failing(asym > pol.bound(frobenius(a)), asym)
+    witness = failing(exceeds(asym, pol.bound(frobenius(a))), asym)
     if witness is not None:
         raise NotSelfAdjoint(f"{label} operand is not self-adjoint: ||x - x*||_F = {witness:.3e}")
 

@@ -9,6 +9,7 @@ aggregates a replayable report.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,11 +23,9 @@ from .core import (
     DEFAULT_POLICY,
     TolerancePolicy,
     adjoint,
-    approx_eq,
     as_matrix,
     frobenius,
     operator_norm,
-    rel_residual,
     select,
     trial_max,
     trial_min,
@@ -49,7 +48,7 @@ from .predicates import (
     is_positive,
     is_self_adjoint,
 )
-from .generators import EnsembleSpec, Seed, gen_general, sample
+from .generators import EnsembleSpec, Seed, gen_general, sample_block
 
 ALWAYS_HOLDS = "ALWAYS_HOLDS"
 REGISTRY_VIOLATION = "REGISTRY_VIOLATION"
@@ -127,9 +126,15 @@ def _invertible_pred(a) -> PredicateResult:
     return PredicateResult(kappa <= MAX_CONDITION, kappa)
 
 
+def _equal(x, y, pol):
+    """``(approx_eq(x, y, pol), rel_residual(x, y))`` from one set of norms."""
+    gap, nx, ny = frobenius(x - y), frobenius(x), frobenius(y)
+    return gap <= pol.bound(nx, ny), gap / trial_max(1.0, nx, ny)
+
+
 def _concl_equal(x, y, pol):
     """Equality conclusion; residual is the shared relative Frobenius residual."""
-    return approx_eq(x, y, pol), rel_residual(x, y), {}
+    return *_equal(x, y, pol), {}
 
 
 def _concl_loewner(x, y, pol):
@@ -368,8 +373,9 @@ def _concl_prodsa_cor(mats, pol):
     aa, ab = abs_value(a, pol), abs_value(b, pol)
     p = aa @ ab
     sa = is_self_adjoint(p, pol)
-    ok = sa.holds & approx_eq(p, ab @ aa, pol)
-    residual = trial_max(sa.residual, rel_residual(p, ab @ aa))
+    commute_ok, commute_residual = _equal(p, ab @ aa, pol)
+    ok = sa.holds & commute_ok
+    residual = trial_max(sa.residual, commute_residual)
     extras = {"self_adjoint_residual": sa.residual}
     both_positive = is_positive(a, pol).holds & is_positive(b, pol).holds
     if np.any(both_positive):
@@ -390,8 +396,9 @@ def _concl_eight_products(mats, pol):
     worst = 0.0
     ok = True
     for v in values[1:]:
-        ok = ok & approx_eq(values[0], v, pol)
-        worst = trial_max(worst, rel_residual(values[0], v))
+        same, residual = _equal(values[0], v, pol)
+        ok = ok & same
+        worst = trial_max(worst, residual)
     return ok, worst, {}
 
 
@@ -438,9 +445,9 @@ def _concl_integer_powers(mats, pol):
         for _ in range(abs(exponent)):
             power = power @ base
             abs_power = abs_power @ abs_base
-        abs_of_power = abs_value(power, pol)
-        ok = ok & approx_eq(abs_of_power, abs_power, pol)
-        worst = trial_max(worst, rel_residual(abs_of_power, abs_power))
+        same, residual = _equal(abs_value(power, pol), abs_power, pol)
+        ok = ok & same
+        worst = trial_max(worst, residual)
     return ok, worst, {}
 
 
@@ -1112,44 +1119,37 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     """Run a contiguous block of trials for one (claim, dim); returns a plain
     dict so process pools can ship it back cheaply.
 
-    Trials are generated one by one from their own seeds, grouped by matrix
-    shapes, and evaluated as ``(B, n, n)`` stacks of at most ``STACK_BYTES``
-    of input.  Only an all-PASS stack is counted from its arrays; a stack
-    that raises or holds any other verdict is re-run trial by trial through
-    :func:`check_claim`, as is a group of one trial, so every record comes
-    from the single-matrix path.
+    :func:`sample_block` derives the block's seeds in one pass, draws each
+    trial from its own seed and builds the matrices as ``(B, n, n)`` stacks
+    of at most ``STACK_BYTES``, each slice bit-for-bit what :func:`sample`
+    gives that trial.  Only an all-PASS stack is counted from its arrays; a
+    stack that raises or holds any other verdict is re-run trial by trial
+    through :func:`check_claim`, as is a stack of one trial, so every record
+    comes from the single-matrix path.
     """
     claim = catalog()[claim_id]
     stats = {
-        "trials": 0,
+        "trials": count,
         "passes": 0,
         "violations": [],
         "hypothesis_failures": 0,
         "errors": [],
-        "worst": None,  # (residual, dim, trial, seed_record)
+        "worst": None,  # (residual, dim, trial, seed); the seed becomes its record at the end
     }
-    pending = {}  # matrix shapes -> [(seed, matrices), ...]
-    for trial in range(start, start + count):
-        seed = Seed(master, f"{claim_id}:{dim}", trial)
-        stats["trials"] += 1
-        try:
-            mats = sample(claim.ensemble, dim, seed)
-        except Exception as exc:
-            stats["errors"].append({**_seed_record(seed, dim), "message": str(exc)})
-            continue
-        shapes = tuple(m.shape for m in mats)
-        group = pending.setdefault(shapes, [])
-        group.append((seed, mats))
-        if (len(group) + 1) * sum(m.nbytes for m in mats) > STACK_BYTES:  # the next would not fit
-            _run_group(claim, dim, pending.pop(shapes), pol, stats)
-    for group in pending.values():
-        _run_group(claim, dim, group, pol, stats)
+    tag = f"{claim_id}:{dim}"
+    for seeds, stack in sample_block(claim.ensemble, dim, master, tag, start, count, STACK_BYTES):
+        if isinstance(stack, Exception):
+            stats["errors"].append({**_seed_record(seeds[0], dim), "message": str(stack)})
+        else:
+            _run_group(claim, dim, seeds, stack, pol, stats)
+    if stats["worst"] is not None:  # one record per block: it derives the replay seed
+        *key, seed = stats["worst"]
+        stats["worst"] = (*key, _seed_record(seed, dim))
     return claim_id, stats
 
 
-def _stack_passes(claim: Claim, group: list, pol: TolerancePolicy):
-    """Conclusion residuals of a stacked group, or None unless every trial passes."""
-    stack = tuple(np.stack(slot) for slot in zip(*(mats for _, mats in group)))
+def _stack_passes(claim: Claim, stack: tuple, pol: TolerancePolicy):
+    """Conclusion residuals of a stack of trials, or None unless every trial passes."""
     try:
         hyp_ok = claim.hypothesis(stack, pol)[0]
         concl_ok, residual, _ = claim.conclusion(stack, pol)
@@ -1157,18 +1157,19 @@ def _stack_passes(claim: Claim, group: list, pol: TolerancePolicy):
         return None
     if not np.all(hyp_ok & concl_ok):
         return None
-    return np.broadcast_to(residual, (len(group),)).tolist()
+    return np.broadcast_to(residual, (len(stack[0]),)).tolist()
 
 
-def _run_group(claim: Claim, dim: int, group: list, pol: TolerancePolicy, stats: dict):
-    residuals = _stack_passes(claim, group, pol) if len(group) > 1 else None
+def _run_group(claim: Claim, dim: int, seeds: list, stack: tuple, pol: TolerancePolicy, stats: dict):
+    residuals = _stack_passes(claim, stack, pol) if len(seeds) > 1 else None
     if residuals is not None:
-        stats["passes"] += len(group)
-        for (seed, _), residual in zip(group, residuals):
+        stats["passes"] += len(seeds)
+        for seed, residual in zip(seeds, residuals):
             _track_worst(stats, residual, dim, seed)
         return
-    for seed, mats in group:
+    for i, seed in enumerate(seeds):
         try:
+            mats = tuple([m[i] for m in stack])
             result = check_claim(ClaimInstance(claim.id, mats, seed), pol)
         except Exception as exc:
             stats["errors"].append({**_seed_record(seed, dim), "message": str(exc)})
@@ -1183,10 +1184,10 @@ def _run_group(claim: Claim, dim: int, group: list, pol: TolerancePolicy, stats:
 
 
 def _track_worst(stats: dict, residual, dim: int, seed: Seed):
-    if residual is not None and np.isfinite(residual):
+    if residual is not None and math.isfinite(residual):
         key = (residual, dim, seed.trial)
         if stats["worst"] is None or key > stats["worst"][:3]:
-            stats["worst"] = (residual, dim, seed.trial, _seed_record(seed, dim))
+            stats["worst"] = (residual, dim, seed.trial, seed)
 
 
 def _merge_block(agg: ClaimStats, block: dict):

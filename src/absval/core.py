@@ -74,6 +74,14 @@ def select(cond, if_true, if_false):
     return if_true if cond else if_false
 
 
+def exceeds(x, bound):
+    """``x > bound``, per trial, failing closed: NaN exceeds every bound and
+    every value exceeds a NaN bound, so a gate never admits a non-finite
+    intermediate."""
+    within = x <= bound
+    return ~within if type(within) is np.ndarray else not within
+
+
 def failing(bad, values):
     """The value of the first trial flagged ``bad``, as a float; None if no trial is."""
     if type(bad) is np.ndarray:
@@ -211,7 +219,7 @@ def hermitian_eigen(h: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> Her
     absorbed silently.
     """
     asym = frobenius(h - h.conj().swapaxes(-1, -2))
-    witness = failing(asym > pol.bound(frobenius(h)), asym)
+    witness = failing(exceeds(asym, pol.bound(frobenius(h))), asym)
     if witness is not None:
         raise NotSelfAdjoint(f"input is not self-adjoint: ||h - h*||_F = {witness:.3e}")
     return eigh_exact(symmetrize(h))

@@ -220,3 +220,34 @@ class TestOrderAndRootLemmas:
         for seed in range(50):
             a, b = gen_ordered_psd_pair(3, seed, commuting=True)
             assert loewner_leq(b @ b, a @ a).holds
+
+
+class TestGatesFailClosed:
+    """A NaN never passes an admission gate: NaN > bound is False, so each
+    gate asks whether the value is within its bound instead."""
+
+    NAN = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+
+    @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+    def test_nan_fails_each_gate(self):
+        from absval import hermitian_eigen
+
+        with pytest.raises(NotSelfAdjoint):
+            hermitian_eigen(self.NAN)
+        with pytest.raises(NotSelfAdjoint):
+            loewner_leq(self.NAN, np.eye(2))
+        with pytest.raises(NotSelfAdjoint):
+            loewner_leq(np.eye(2), self.NAN)
+        with pytest.raises(NotPositiveSemidefinite, match="nan"):
+            abs_value(self.NAN)  # no self-adjointness gate: the PSD gate catches it
+
+    @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+    def test_nan_slice_fails_a_stack(self):
+        good = np.stack([np.eye(2, dtype=complex)] * 3)
+        assert np.all(loewner_leq(good, 2 * good).holds)
+        bad = good.copy()
+        bad[1] = self.NAN
+        with pytest.raises(NotSelfAdjoint, match="nan"):
+            loewner_leq(bad, 2 * good)
+        with pytest.raises(NotSelfAdjoint, match="nan"):
+            psd_sqrt(bad)

@@ -238,6 +238,16 @@ class TestNumericalErrorsExitOne:
         assert out == ""
         assert err == "absval: input is not self-adjoint: ||h - h*||_F = 2.826e-02\n"
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_intermediate_exits_one(self, capsys, tmp_path):
+        # A* = -A holds, but A @ A overflows: the NaN it leaves must fail the
+        # self-adjointness gate instead of slipping through a comparison
+        a = write_matrix(tmp_path / "a.json", as_matrix([[0, 1e200], [-1e200, 0]]))
+        code, out, err = run_cli(capsys, "--claims", "L-ANTI", "--matrix-file", a)
+        assert code == 1
+        assert out == ""
+        assert err == "absval: left operand is not self-adjoint: ||x - x*||_F = nan\n"
+
     def test_convergence_error_exits_one(self, capsys, tmp_path, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -1,12 +1,18 @@
 """Seeded ensembles: hypotheses hold by construction, streams replay exactly."""
 
+import dataclasses
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from absval import (
     EnsembleSpec,
     Seed,
+    TolerancePolicy,
     adjoint,
+    catalog,
     commutes,
     condition_estimate,
     frobenius,
@@ -27,6 +33,9 @@ from absval import (
     loewner_leq,
     sample,
 )
+from absval import claims as claims_module
+from absval import generators
+from absval.generators import sample_block
 
 
 class TestSeedStreams:
@@ -215,3 +224,165 @@ class TestGeneralAndSpecs:
         first = sample(spec, 3, Seed(5, "det", 2))
         second = sample(spec, 3, Seed(5, "det", 2))
         assert all(x.tobytes() == y.tobytes() for x, y in zip(first, second))
+
+
+# ---------------------------------------------------------------------------
+# seed derivation and block builds: bit-for-bit what sample gives one trial
+
+MASTERS = (0, 7, 2**32 + 1, 2**63 + 5)  # of one (0, 7) and two (2**32 + 1, 2**63 + 5) 32-bit words
+BLOCK_DIMS = (2, 3, 4, 8)
+SPECS = sorted({c.ensemble for c in catalog().values() if c.ensemble is not None}, key=repr)
+
+
+def reference_generator(master, tag, trial):
+    """The stream as numpy's own SeedSequence seeds it."""
+    digest = hashlib.sha256(tag.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    replay = master
+    if trial:
+        replay = int(np.random.SeedSequence([master, trial]).generate_state(1, np.uint64)[0])
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([replay] + words)))
+
+
+class TestSeedDerivation:
+    TAGS = ("", "x", "C-TRI:3", "probe:L-ANTI:8")
+    WIDE_MASTERS = MASTERS + (1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3, 20170228)
+
+    def test_int_route_matches_seed_sequence(self):
+        checked = 0
+        for master in self.WIDE_MASTERS:
+            for tag in self.TAGS:
+                for trial in (*range(60), 2**32 - 1, 2**32 + 5):
+                    got = Seed(master, tag, trial).generator().bit_generator.state
+                    assert got == reference_generator(master, tag, trial).bit_generator.state
+                    checked += 1
+        assert checked > 2000
+
+    @pytest.mark.parametrize("start,count", [(0, 60), (250, 37), (2**32 - 2, 5)])
+    def test_block_route_matches_seed_sequence(self, start, count):
+        for master in self.WIDE_MASTERS:
+            for tag in self.TAGS:
+                rngs = list(generators._block_generators(master, tag, start, count))
+                assert len(rngs) == count
+                for trial, rng in zip(range(start, start + count), rngs):
+                    ref = reference_generator(master, tag, trial)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_mixed_word_counts_in_one_pass(self):
+        # replay masters of one and two 32-bit words, derived in one call
+        values = np.array([0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 12345], dtype=np.uint64)
+        words = list(generators._tag_words("C-EIGHT:4"))
+        got = generators._derived([], values, words, 8)
+        for v, row in zip(values, got):
+            ref = np.random.SeedSequence([int(v)] + words).generate_state(4, np.uint64)
+            assert row.tobytes() == ref.tobytes()
+
+    def test_replay_master_matches_seed_sequence(self):
+        for master in self.WIDE_MASTERS:
+            for trial in (1, 2, 99, 2**32 + 5):
+                ref = np.random.SeedSequence([master, trial]).generate_state(1, np.uint64)[0]
+                assert Seed(master, "t", trial).replay_master == int(ref)
+
+
+def block_slices(spec, n, master, tag, count, max_bytes=claims_module.STACK_BYTES):
+    """Every yielded stack of a block, checked slice by slice against sample."""
+    depths = []
+    for seeds, stack in sample_block(spec, n, master, tag, 0, count, max_bytes):
+        assert not isinstance(stack, Exception), (seeds, stack)
+        depths.append(len(seeds))
+        for i, seed in enumerate(seeds):
+            single = sample(spec, n, seed)
+            assert len(stack) == len(single)
+            for m, s in zip(stack, single):
+                assert m[i].dtype == s.dtype and m[i].shape == s.shape
+                assert m[i].tobytes() == s.tobytes(), (spec, n, seed)
+        yield seeds, stack
+    assert sum(depths) == count
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-k{s.k}-{s.invertible}-{s.commuting}")
+def test_every_block_slice_is_sample(spec):
+    for n in BLOCK_DIMS:
+        for master in MASTERS:
+            # trials 0 .. 11: trial 0 is the one whose seed is not folded
+            yields = list(block_slices(spec, n, master, f"block:{n}", 12))
+            assert any(len(seeds) > 1 for seeds, _ in yields)  # stacks, not single trials
+
+
+def test_block_stacks_respect_the_byte_cap():
+    spec = EnsembleSpec(kind="commuting_normal_family", k=3)
+    for seeds, stack in block_slices(spec, 8, 5, "cap", 40, max_bytes=8192):
+        assert len(seeds) == 1 or sum(m.nbytes for m in stack) <= 8192
+
+
+def test_nfold_blocks_mix_family_sizes():
+    spec = catalog()["C-NFOLD"].ensemble
+    for n in BLOCK_DIMS:
+        sizes = Counter()
+        for seeds, stack in block_slices(spec, n, 20170228, f"C-NFOLD:{n}", 40):
+            sizes[len(stack)] += len(seeds)
+        assert set(sizes) == {3, 4} and sum(sizes.values()) == 40
+
+
+def test_fuglede_blocks_take_both_branches():
+    spec = EnsembleSpec(kind="fuglede_pair")
+    for n in BLOCK_DIMS:
+        verdicts = Counter()
+        for seeds, (a, b) in block_slices(spec, n, 3, f"L-FUG:{n}", 40):
+            for i in range(len(seeds)):
+                verdicts[bool(commutes(a[i], b[i]))] += 1
+        assert verdicts[True] > 1 and verdicts[False] > 1
+
+
+class _ZeroC:
+    """A generator whose third and fourth standard_normal draws (the
+    sandwich's C) are zeros; records the calls made."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def standard_normal(self, size):
+        self.calls.append("standard_normal")
+        x = self.rng.standard_normal(size)
+        return np.zeros_like(x) if self.calls.count("standard_normal") in (3, 4) else x
+
+    def uniform(self, *args):
+        self.calls.append("uniform")
+        return self.rng.uniform(*args)
+
+
+def test_sandwich_draws_its_slack_only_for_nonzero_c():
+    spec = EnsembleSpec(kind="sandwich_pair")
+    draw, build = generators._KINDS["sandwich_pair"]
+    for n in BLOCK_DIMS:
+        zero = _ZeroC(Seed(1, "zero").generator())
+        drawn = draw(zero, n, spec)
+        assert zero.calls == ["standard_normal"] * 4  # no slack drawn
+        t, s = build(spec, *drawn)
+        assert not t.any() and is_positive(s)
+        # a stack mixing both branches: each slice is its one-trial build
+        rows = [draw(Seed(1, "mixed", t).generator(), n, spec) for t in range(5)]
+        rows.insert(2, drawn)
+        stacked = build(spec, *(np.stack(slot) for slot in zip(*rows)))
+        for i, row in enumerate(rows):
+            for m, single in zip(stacked, build(spec, *row)):
+                assert m[i].tobytes() == single.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_draw_gives_the_one_trial_error_record(monkeypatch):
+    # at scale 1e308 about half of all 2x2 draws overflow
+    claim = catalog()["L-ANTI"]
+    huge = dataclasses.replace(claim, ensemble=EnsembleSpec(kind="anti_symmetric", scale=1e308))
+    monkeypatch.setitem(catalog(), "L-ANTI", huge)
+    pol = TolerancePolicy(rel=1e-8)
+    _, block = claims_module._run_block("L-ANTI", 2, 0, 24, 9, pol)
+    singles = [claims_module._run_block("L-ANTI", 2, t, 1, 9, pol)[1] for t in range(24)]
+    finite = [r for r in block["errors"] if r["message"] == "matrix entries must be finite"]
+    assert 0 < len(finite) < 24
+    assert block["errors"] == [r for s in singles for r in s["errors"]]
+    assert block["passes"] == sum(s["passes"] for s in singles)
+    for seeds, stack in sample_block(huge.ensemble, 2, 9, "L-ANTI:2", 0, 24, 1 << 16):
+        if isinstance(stack, Exception):
+            with pytest.raises(ValueError, match=str(stack)):
+                sample(huge.ensemble, 2, seeds[0])

@@ -223,10 +223,10 @@ def stack_log(monkeypatch):
     log = []
     real = claims_module._stack_passes
 
-    def recording(claim, group, pol):
-        residuals = real(claim, group, pol)
-        nbytes = sum(m.nbytes for _, mats in group for m in mats)
-        log.append((claim.id, len(group), nbytes, residuals is not None))
+    def recording(claim, stack, pol):
+        residuals = real(claim, stack, pol)
+        nbytes = sum(m.nbytes for m in stack)
+        log.append((claim.id, len(stack[0]), nbytes, residuals is not None))
         return residuals
 
     monkeypatch.setattr(claims_module, "_stack_passes", recording)
@@ -235,12 +235,18 @@ def stack_log(monkeypatch):
 
 def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, stack_log):
     bad_trial = 5
-    real_sample = claims_module.sample
+    real_sample_block = claims_module.sample_block
 
-    def sample_with_bad_trial(spec, n, seed):
-        return GATE_FAILING if seed.trial == bad_trial else real_sample(spec, n, seed)
+    def sample_block_with_bad_trial(*args):
+        for seeds, stack in real_sample_block(*args):
+            trials = [seed.trial for seed in seeds]
+            if bad_trial in trials:
+                stack = tuple(m.copy() for m in stack)
+                for m, bad in zip(stack, GATE_FAILING):
+                    m[trials.index(bad_trial)] = bad
+            yield seeds, stack
 
-    monkeypatch.setattr(claims_module, "sample", sample_with_bad_trial)
+    monkeypatch.setattr(claims_module, "sample_block", sample_block_with_bad_trial)
     loose = TolerancePolicy(rel=1e-3)
     _, block = claims_module._run_block("L-SQRT-FACTOR", 2, 0, DEPTH, 77, loose)
     _, single = claims_module._run_block("L-SQRT-FACTOR", 2, bad_trial, 1, 77, loose)
