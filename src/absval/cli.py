@@ -12,7 +12,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
+from . import __version__
 from .core import NumericalError, TolerancePolicy, matrix_from_literal
 from .claims import (
     HYPOTHESIS_FAIL,
@@ -24,8 +26,6 @@ from .claims import (
     check_claim,
     run_suite,
 )
-
-__version__ = "0.1.0"
 
 
 @dataclass
@@ -75,8 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use: building one costs more
+    than a replay's parsing, and ``parse_args`` leaves the parser as it found
+    it (``append`` copies its default list before appending)."""
+    return build_parser()
+
+
 def parse_config(argv) -> RunConfig:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     table = catalog()
     if args.claims.strip().lower() == "all":

@@ -105,8 +105,11 @@ class TolerancePolicy:
     abs: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel > 0 and self.abs > 0):
-            raise ValueError(f"tolerances must be positive, got rel={self.rel}, abs={self.abs}")
+        # an infinite bound would pass every gate and conclusion vacuously
+        if not all(math.isfinite(t) and t > 0 for t in (self.rel, self.abs)):
+            raise ValueError(
+                f"tolerances must be positive and finite, got rel={self.rel}, abs={self.abs}"
+            )
 
     def bound(self, *scales):
         """The threshold ``rel * max(1, *scales) + abs``, per trial."""

@@ -322,6 +322,8 @@ def _build_positive_pair(re, im, d1, d2):
 def _draw_one_nonnormal(rng, n, k, scale):
     """The unitary, the index of the non-normal member, then per member its
     diagonal and, for the non-normal one, its off-diagonal entry."""
+    if n < 2:
+        raise ValueError("non-normal commuting families need n >= 2")
     drawn = list(_draw_gaussian(rng, n))
     special = int(rng.integers(k))
     drawn.append(special)
@@ -450,7 +452,7 @@ def _build_fuglede(drawn, scale):
 def _draw_nfold(rng, n, spec):
     # k == 1 (unset) means: draw a family of 3 or 4 per trial
     k = spec.k if spec.k >= 2 else int(3 + rng.integers(2))
-    return _draw_one_nonnormal(rng, max(n, 2), k, spec.scale)
+    return _draw_one_nonnormal(rng, n, k, spec.scale)
 
 
 def _draw_negative_cross(rng, n, scale):
@@ -671,8 +673,6 @@ def gen_commuting_family_one_nonnormal(
     two basis vectors; every other member's diagonal is constant on that
     block, which is exactly what pairwise commutation requires.  Needs n >= 2.
     """
-    if n < 2:
-        raise ValueError("non-normal commuting families need n >= 2")
     drawn = _draw_one_nonnormal(_as_generator(seed), n, k, scale)
     return _checked(*_build_one_nonnormal(drawn, scale))
 

@@ -165,6 +165,14 @@ class TestRunSuite:
         report = run_suite(["C-PRODSA"], dims=[5, 6], trials=4, master_seed=1)
         assert report.claims[0].trials == 4  # one pinned dim, not two requested
 
+    def test_nfold_rejects_dimension_one(self):
+        # a family with one non-normal member needs a 2x2 block: each dim-1
+        # trial is an error record under its own seed, not a 2x2 pass
+        stats = run_suite(["C-NFOLD"], [1], 3, 0).claims[0]
+        assert stats.passes == 0 and len(stats.errors) == 3
+        assert [e["dim"] for e in stats.errors] == [1, 1, 1]
+        assert [e["trial"] for e in stats.errors] == [0, 1, 2]
+
     def test_forced_violations_and_replay(self):
         report = run_suite(["C-EIGHT"], dims=[8], trials=5, master_seed=7, pol=TIGHT)
         assert report.verdict == "fail"

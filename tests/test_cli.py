@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import absval
 from absval import as_matrix, gen_commuting_normal_family, matrix_to_literal
-from absval.cli import emit_report, main, parse_config
+from absval.cli import build_parser, emit_report, main, parse_config
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,10 @@ class TestParseConfig:
             ["--dims", "0"],
             ["--dims", "two"],
             ["--tol-rel", "-1"],
+            ["--tol-rel", "inf"],
+            ["--tol-abs", "inf"],
+            ["--tol-rel", "nan"],
+            ["--tol-abs", "nan"],
             ["--seed", "-3"],
             ["--jobs", "0"],
         ],
@@ -85,7 +90,7 @@ class TestListAndFormats:
         report = json.loads(out)
         assert list(report) == ["config", "claims", "wall_time_seconds", "verdict"]
         assert report["verdict"] == "pass"
-        assert report["config"]["version"]
+        assert report["config"]["version"] == absval.__version__
         assert report["config"]["trials"] == 5
         (claim,) = report["claims"]
         assert list(claim) == [
@@ -101,6 +106,39 @@ class TestListAndFormats:
         ]
         assert claim["id"] == "C-TRI"
         assert claim["passes"] == claim["trials"] == 5
+
+
+class TestSharedParser:
+    """parse_config reuses one parser per process; no call may leave state
+    behind for the next."""
+
+    def test_matrix_files_do_not_leak(self, tmp_path):
+        a = write_matrix(tmp_path / "a.json", np.eye(2, dtype=complex))
+        assert parse_config(["--claims", "L-ANTI", "--matrix-file", a]).matrix_files == [a]
+        plain = parse_config(["--claims", "L-ANTI"])
+        assert plain.matrix_files == []
+        plain.matrix_files.append(a)  # must not reach the shared parser's default
+        assert parse_config(["--claims", "L-ANTI"]).matrix_files == []
+        assert parse_config(["--claims", "L-ANTI", "--matrix-file", a]).matrix_files == [a]
+
+    def test_valid_call_after_usage_error(self, capsys):
+        argv = ["--claims", "C-TRI", "--dims", "2", "--trials", "5", "--format", "json"]
+        _, expected, _ = run_cli(capsys, *argv)
+        assert main(["--claims", "C-BOGUS"]) == 2
+        assert main(["--tol-rel", "inf"]) == 2
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["claims"] == json.loads(expected)["claims"]
+
+    def test_run_after_list(self, capsys):
+        code, out, _ = run_cli(capsys, "--list")
+        assert code == 0 and "C-TRI" in out
+        code, out, _ = run_cli(capsys, "--claims", "CE-0", "--format", "json")
+        assert code == 0
+        assert [c["id"] for c in json.loads(out)["claims"]] == ["CE-0"]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestRegistryRuns:

@@ -1,5 +1,7 @@
 """Core matrix primitives: adjoint, products, norms, Hermitian eigen."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,3 +180,11 @@ class TestValidationAndLiterals:
             TolerancePolicy(rel=0.0)
         with pytest.raises(ValueError):
             TolerancePolicy(abs=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rel": math.inf}, {"abs": math.inf}, {"rel": math.nan}, {"abs": math.nan}],
+    )
+    def test_policy_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            TolerancePolicy(**kwargs)
