@@ -10,7 +10,6 @@ from .core import (
     ConvergenceError,
     DEFAULT_POLICY,
     DimensionMismatch,
-    HermitianEigen,
     NotSelfAdjoint,
     NumericalError,
     TolerancePolicy,
@@ -21,7 +20,6 @@ from .core import (
     hermitian_eigen,
     matrix_from_literal,
     matrix_to_literal,
-    multiply,
     operator_norm,
     rel_residual,
     symmetrize,

@@ -73,15 +73,14 @@ def _psd_eigenvalues(p: np.ndarray, pol: TolerancePolicy, gated: bool = True):
     matrix that is exactly Hermitian by construction skips the
     self-adjointness gate (``gated=False``).
     """
-    eig = hermitian_eigen(p, pol) if gated else eigh_exact(p)
-    w = eig.eigenvalues
+    w, u = hermitian_eigen(p, pol) if gated else eigh_exact(p)
     lam_min, lam_max = extreme_eigenvalues(w)
     witness = failing(exceeds(-lam_min, pol.bound(lam_max)), lam_min)
     if witness is not None:
         raise NotPositiveSemidefinite(
             f"matrix is not positive semidefinite: lambda_min = {witness:.3e}", witness
         )
-    return np.clip(w, 0.0, None), eig.eigenvectors
+    return np.clip(w, 0.0, None), u
 
 
 def _spectral(f: np.ndarray, u: np.ndarray) -> np.ndarray:

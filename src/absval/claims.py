@@ -13,7 +13,7 @@ import math
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable
 
@@ -149,10 +149,6 @@ def _concl_opnorm_leq(x, y, pol, scale_of):
     lhs, rhs = operator_norm(x), operator_norm(y)
     slack = pol.bound(*(operator_norm(m) for m in scale_of))
     return lhs <= rhs + slack, lhs - rhs, {"lhs_norm": lhs, "rhs_norm": rhs}
-
-
-def _zero_like(a):
-    return np.zeros_like(a)
 
 
 # --- hypotheses ------------------------------------------------------------
@@ -297,7 +293,7 @@ def _hyp_negcross(mats, pol):
     return _hypothesis(
         commutes=commutes(a, b, pol),
         normal_a=is_normal(a, pol),
-        cross_nonpositive=_loewner_pred(cross, _zero_like(cross), pol),
+        cross_nonpositive=_loewner_pred(cross, np.zeros_like(cross), pol),
     )
 
 
@@ -454,7 +450,7 @@ def _concl_integer_powers(mats, pol):
 def _concl_square_nonpositive(mats, pol):
     (a,) = mats
     sq = a @ a
-    return _concl_loewner(sq, _zero_like(sq), pol)
+    return _concl_loewner(sq, np.zeros_like(sq), pol)
 
 
 def _concl_re_below_abs(mats, pol):
@@ -530,10 +526,6 @@ def _concl_absdiff_plus(mats, pol):
 # catalog
 
 
-def _family(kind: str, **kwargs) -> EnsembleSpec:
-    return EnsembleSpec(kind=kind, **kwargs)
-
-
 _CATALOG: dict[str, Claim] | None = None
 
 
@@ -543,7 +535,7 @@ def _build_catalog() -> dict[str, Claim]:
             "L-SQRT-PROD",
             "commuting A, B >= 0 imply AB >= 0",
             2,
-            _family("commuting_positive_pair"),
+            EnsembleSpec("commuting_positive_pair"),
             _hyp_commuting_positive,
             _concl_product_positive,
         ),
@@ -551,7 +543,7 @@ def _build_catalog() -> dict[str, Claim]:
             "L-SQRT-FACTOR",
             "commuting A, B >= 0 imply sqrt(AB) = sqrt(A) sqrt(B)",
             2,
-            _family("commuting_positive_pair"),
+            EnsembleSpec("commuting_positive_pair"),
             _hyp_commuting_positive,
             _concl_sqrt_factor,
         ),
@@ -559,7 +551,7 @@ def _build_catalog() -> dict[str, Claim]:
             "L-SQRT-SUM",
             "commuting A, B >= 0 imply sqrt(A+B) <= sqrt(A) + sqrt(B)",
             2,
-            _family("commuting_positive_pair"),
+            EnsembleSpec("commuting_positive_pair"),
             _hyp_commuting_positive,
             _concl_sqrt_sum,
         ),
@@ -567,7 +559,7 @@ def _build_catalog() -> dict[str, Claim]:
             "T-LH",
             "A >= B >= 0 implies A^t >= B^t for t in {0.25, 0.5, 0.75}",
             2,
-            _family("ordered_psd_pair"),
+            EnsembleSpec("ordered_psd_pair"),
             _hyp_ordered_psd,
             _concl_loewner_heinz,
         ),
@@ -575,7 +567,7 @@ def _build_catalog() -> dict[str, Claim]:
             "R-SQMONO",
             "A >= B >= 0 with AB = BA implies A^2 >= B^2",
             2,
-            _family("ordered_psd_pair", commuting=True),
+            EnsembleSpec("ordered_psd_pair", commuting=True),
             _hyp_ordered_psd_commuting,
             _concl_square_mono,
         ),
@@ -583,7 +575,7 @@ def _build_catalog() -> dict[str, Claim]:
             "L-FUG",
             "for normal A the four conditions AB=BA, A*B=BA*, AB*=B*A, A*B*=B*A* agree",
             2,
-            _family("fuglede_pair"),
+            EnsembleSpec("fuglede_pair"),
             _hyp_normal_a,
             _concl_fuglede,
         ),
@@ -591,7 +583,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-ABSCOMM",
             "AB = BA with A normal implies |A||B| = |B||A|",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a,
             _concl_abs_commute,
         ),
@@ -599,7 +591,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-PRODSA",
             "self-adjoint A, B with AB normal satisfy |AB| = |A||B|",
             2,
-            _family("sa_pair_normal_product", dim=2),
+            EnsembleSpec("sa_pair_normal_product", dim=2),
             _hyp_sa_pair_normal_product,
             _concl_abs_product,
         ),
@@ -607,7 +599,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-PRODSA-COR",
             "self-adjoint A, B with AB normal: |A||B| is self-adjoint, and AB >= 0 when A, B >= 0",
             2,
-            _family("sa_pair_normal_product", dim=2),
+            EnsembleSpec("sa_pair_normal_product", dim=2),
             _hyp_sa_pair_normal_product,
             _concl_prodsa_cor,
         ),
@@ -615,7 +607,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-PRODNORM",
             "AB = BA with A normal implies |AB| = |A||B|",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a,
             _concl_abs_product,
         ),
@@ -623,7 +615,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-EIGHT",
             "commuting normal A, B: the eight products AB, A*B, ..., BA share one absolute value",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_both_normal,
             _concl_eight_products,
         ),
@@ -631,7 +623,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-INV1",
             "AB = BA, A normal, B invertible imply |A B^-1| = |A| |B^-1|",
             2,
-            _family("commuting_normal_family", k=2, invertible=True),
+            EnsembleSpec("commuting_normal_family", k=2, invertible=True),
             _hyp_commuting_normal_a_invertible_b,
             _concl_inv_product,
         ),
@@ -639,7 +631,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-INV2",
             "normal invertible A satisfies |A^-1| = |A|^-1",
             1,
-            _family("normal", invertible=True),
+            EnsembleSpec("normal", invertible=True),
             _hyp_normal_invertible,
             _concl_inverse_abs,
         ),
@@ -647,7 +639,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-NFOLD",
             "pairwise commuting family with all but one member normal: |prod A_i| = prod |A_i|",
             -1,
-            _family("commuting_family_one_nonnormal"),
+            EnsembleSpec("commuting_family_one_nonnormal"),
             _hyp_family_one_nonnormal,
             _concl_nfold_product,
         ),
@@ -655,7 +647,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-POWZ",
             "normal invertible A satisfies |A^n| = |A|^n for n in -3..3",
             1,
-            _family("normal", invertible=True),
+            EnsembleSpec("normal", invertible=True),
             _hyp_normal_invertible,
             _concl_integer_powers,
         ),
@@ -663,7 +655,7 @@ def _build_catalog() -> dict[str, Claim]:
             "L-ANTI",
             "A* = -A implies A^2 <= 0",
             1,
-            _family("anti_symmetric"),
+            EnsembleSpec("anti_symmetric"),
             _hyp_anti_symmetric,
             _concl_square_nonpositive,
         ),
@@ -671,7 +663,7 @@ def _build_catalog() -> dict[str, Claim]:
             "L-REPART",
             "hyponormal T satisfies (T + T*)/2 <= |T|",
             1,
-            _family("normal"),
+            EnsembleSpec("normal"),
             _hyp_hyponormal,
             _concl_re_below_abs,
             note=_COLLAPSE_NOTE,
@@ -680,7 +672,7 @@ def _build_catalog() -> dict[str, Claim]:
             "L-HYPROD",
             "A normal, B hyponormal, AB = BA imply A*B hyponormal",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a_hypo_b,
             _concl_adjoint_product_hyponormal,
             note=_COLLAPSE_NOTE,
@@ -689,7 +681,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-TRI",
             "AB = BA, A normal, B hyponormal imply |A + B| <= |A| + |B|",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a_hypo_b,
             _concl_triangle_sum,
             note=_COLLAPSE_NOTE,
@@ -698,7 +690,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-REIM",
             "normal T satisfies |T| <= |Re T| + |Im T|",
             1,
-            _family("normal"),
+            EnsembleSpec("normal"),
             _hyp_normal_a,
             _concl_re_im_split,
         ),
@@ -706,7 +698,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-TRIMINUS",
             "AB = BA, A normal, B hyponormal imply |A - B| <= |A| + |B|",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a_hypo_b,
             _concl_triangle_diff,
             note=_COLLAPSE_NOTE,
@@ -716,7 +708,7 @@ def _build_catalog() -> dict[str, Claim]:
             "pairwise commuting family, normal except one hyponormal member: "
             "|sum A_i| <= sum |A_i|",
             3,
-            _family("commuting_normal_family", k=3),
+            EnsembleSpec("commuting_normal_family", k=3),
             _hyp_family_hypo,
             _concl_triangle_n,
             note=_COLLAPSE_NOTE,
@@ -725,7 +717,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-SUMNORM",
             "a pairwise commuting normal family has a normal sum",
             3,
-            _family("commuting_normal_family", k=3),
+            EnsembleSpec("commuting_normal_family", k=3),
             _hyp_family_normal,
             _concl_sum_normal,
         ),
@@ -733,7 +725,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-NORMDIFF+",
             "AB = BA with A, B normal implies || |A| - |B| || <= ||A + B||",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_both_normal,
             _concl_normdiff_plus,
         ),
@@ -741,7 +733,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-NORMDIFF-",
             "AB = BA with A, B normal implies || |A| - |B| || <= ||A - B||",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_both_normal,
             _concl_normdiff_minus,
         ),
@@ -749,7 +741,7 @@ def _build_catalog() -> dict[str, Claim]:
             "L-SANDWICH",
             "self-adjoint T, S with -S <= T <= S satisfy ||T|| <= ||S||",
             2,
-            _family("sandwich_pair"),
+            EnsembleSpec("sandwich_pair"),
             _hyp_sandwich,
             _concl_sandwich_norm,
         ),
@@ -757,7 +749,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-ABSDIFF-",
             "AB = BA, A normal, B hyponormal imply ||A| - |B|| <= |A - B|",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a_hypo_b,
             _concl_absdiff_minus,
             note=_COLLAPSE_NOTE,
@@ -766,7 +758,7 @@ def _build_catalog() -> dict[str, Claim]:
             "C-ABSDIFF+",
             "AB = BA, A normal, B hyponormal imply ||A| - |B|| <= |A + B|",
             2,
-            _family("commuting_normal_family", k=2),
+            EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a_hypo_b,
             _concl_absdiff_plus,
             note=_COLLAPSE_NOTE,
@@ -775,17 +767,28 @@ def _build_catalog() -> dict[str, Claim]:
             "C-NEGCROSS",
             "AB = BA, A normal, A*B + B*A <= 0 imply |A + B| <= |A| + |B|",
             2,
-            _family("negative_cross_pair"),
+            EnsembleSpec("negative_cross_pair"),
             _hyp_negcross,
             _concl_triangle_sum,
         ),
     ]
-    claims.extend(_registry_claims())
     table = {}
     for claim in claims:
         if claim.id in table:
             raise RuntimeError(f"duplicate claim id {claim.id}")
         table[claim.id] = claim
+    # a counterexample is checked with the hypothesis and conclusion of the
+    # claim it witnesses against, on its own fixed matrices
+    for inst in registry():
+        table[inst.ce_id] = replace(
+            table[inst.target_claim],
+            id=inst.ce_id,
+            description=inst.description,
+            arity=len(inst.matrices),
+            ensemble=None,
+            expect=REGISTRY_VIOLATION,
+            note="",
+        )
     return table
 
 
@@ -802,10 +805,15 @@ def catalog() -> dict[str, Claim]:
 
 @dataclass(frozen=True)
 class RegistryInstance:
-    """A fixed counterexample with its known verdict structure."""
+    """A fixed counterexample with its known verdict structure.
+
+    ``target_claim`` names the catalog claim it witnesses against: the one
+    whose hypothesis, once dropped, lets this instance break its conclusion.
+    """
 
     ce_id: str
     target_claim: str
+    description: str
     matrices: tuple
     expected_flags: dict
     expected_values: dict
@@ -813,24 +821,20 @@ class RegistryInstance:
     caveat: str = ""
 
 
-def _m(rows) -> np.ndarray:
-    return as_matrix(rows)
-
-
 _SQRT5 = float(np.sqrt(5.0))
 _SQRT2 = float(np.sqrt(2.0))
 
 
 def _registry_instances() -> tuple[RegistryInstance, ...]:
-    ce0_a = _m([[1, 1], [0, 1]])
-    ce0_b = _m([[0, 1], [0, 0]])
-    ce1_a = _m([[2, 0], [0, -1]])
-    ce1_b = _m([[0, 1], [1, 0]])
-    ce2_a = _m([[0, 1], [2, 0]])
-    ce2_b = _m([[0, 2], [1, 0]])
-    ce3_a = _m([[0, 2], [1, 0]])
-    ce4_a = _m([[-1, 1], [1, -1]])
-    ce4_b = _m([[2, 0], [0, 0]])
+    ce0_a = as_matrix([[1, 1], [0, 1]])
+    ce0_b = as_matrix([[0, 1], [0, 0]])
+    ce1_a = as_matrix([[2, 0], [0, -1]])
+    ce1_b = as_matrix([[0, 1], [1, 0]])
+    ce2_a = as_matrix([[0, 1], [2, 0]])
+    ce2_b = as_matrix([[0, 2], [1, 0]])
+    ce3_a = as_matrix([[0, 2], [1, 0]])
+    ce4_a = as_matrix([[-1, 1], [1, -1]])
+    ce4_b = as_matrix([[2, 0], [0, 0]])
 
     def pair_values(mats, pol):
         a, b = mats
@@ -857,35 +861,38 @@ def _registry_instances() -> tuple[RegistryInstance, ...]:
         RegistryInstance(
             "CE-0",
             "C-ABSCOMM",
+            "commuting non-normal pair with |A||B| != |B||A|",
             (ce0_a, ce0_b),
             {"commutes": True, "normal_a": False},
             {
-                "abs_a": _m([[2, 1], [1, 3]]) / _SQRT5,
-                "abs_b": _m([[0, 0], [0, 1]]),
+                "abs_a": as_matrix([[2, 1], [1, 3]]) / _SQRT5,
+                "abs_b": as_matrix([[0, 0], [0, 1]]),
             },
             pair_values,
         ),
         RegistryInstance(
             "CE-1",
             "C-PRODSA",
+            "self-adjoint pair with non-normal product: |AB| != |A||B|",
             (ce1_a, ce1_b),
             {"self_adjoint_a": True, "self_adjoint_b": True, "normal_product": False},
             {
-                "abs_a": _m([[2, 0], [0, 1]]),
-                "abs_b": _m([[1, 0], [0, 1]]),
-                "abs_product": _m([[1, 0], [0, 2]]),
+                "abs_a": as_matrix([[2, 0], [0, 1]]),
+                "abs_b": as_matrix([[1, 0], [0, 1]]),
+                "abs_product": as_matrix([[1, 0], [0, 2]]),
             },
             pair_values,
         ),
         RegistryInstance(
             "CE-2",
             "C-PRODNORM",
+            "non-normal pair with self-adjoint product: |AB| != |A||B|",
             (ce2_a, ce2_b),
             {"commutes": False, "normal_a": False},
             {
-                "abs_a": _m([[2, 0], [0, 1]]),
-                "abs_b": _m([[1, 0], [0, 2]]),
-                "abs_product": _m([[1, 0], [0, 4]]),
+                "abs_a": as_matrix([[2, 0], [0, 1]]),
+                "abs_b": as_matrix([[1, 0], [0, 2]]),
+                "abs_product": as_matrix([[1, 0], [0, 4]]),
             },
             pair_values,
             caveat=(
@@ -897,11 +904,12 @@ def _registry_instances() -> tuple[RegistryInstance, ...]:
         RegistryInstance(
             "CE-3",
             "C-POWZ",
+            "non-normal A with |A^2| != |A|^2",
             (ce3_a,),
             {"normal_a": False, "invertible_a": True},
             {
-                "abs_square": _m([[2, 0], [0, 2]]),
-                "abs_a_squared": _m([[1, 0], [0, 4]]),
+                "abs_square": as_matrix([[2, 0], [0, 2]]),
+                "abs_a_squared": as_matrix([[1, 0], [0, 4]]),
             },
             square_values,
             caveat=(
@@ -914,12 +922,13 @@ def _registry_instances() -> tuple[RegistryInstance, ...]:
         RegistryInstance(
             "CE-4",
             "C-TRI",
+            "non-commuting self-adjoint pair violating |A+B| <= |A|+|B|",
             (ce4_a, ce4_b),
             {"commutes": False, "normal_a": True, "hyponormal_b": True},
             {
-                "abs_a": _m([[1, -1], [-1, 1]]),
-                "abs_b": _m([[2, 0], [0, 0]]),
-                "abs_sum": _SQRT2 * _m([[1, 0], [0, 1]]),
+                "abs_a": as_matrix([[1, -1], [-1, 1]]),
+                "abs_b": as_matrix([[2, 0], [0, 0]]),
+                "abs_sum": _SQRT2 * as_matrix([[1, 0], [0, 1]]),
             },
             sum_values,
         ),
@@ -934,51 +943,6 @@ def registry() -> tuple[RegistryInstance, ...]:
     if _REGISTRY is None:
         _REGISTRY = _registry_instances()
     return _REGISTRY
-
-
-_CE_DESCRIPTIONS = {
-    "CE-0": "commuting non-normal pair with |A||B| != |B||A|",
-    "CE-1": "self-adjoint pair with non-normal product: |AB| != |A||B|",
-    "CE-2": "non-normal pair with self-adjoint product: |AB| != |A||B|",
-    "CE-3": "non-normal A with |A^2| != |A|^2",
-    "CE-4": "non-commuting self-adjoint pair violating |A+B| <= |A|+|B|",
-}
-
-
-def _registry_claims() -> list[Claim]:
-    out = []
-    for inst in registry():
-        target_id = inst.target_claim
-        out.append(
-            Claim(
-                id=inst.ce_id,
-                description=_CE_DESCRIPTIONS[inst.ce_id],
-                arity=len(inst.matrices),
-                ensemble=None,
-                hypothesis=_TARGET_HYPOTHESES[target_id],
-                conclusion=_TARGET_CONCLUSIONS[target_id],
-                expect=REGISTRY_VIOLATION,
-            )
-        )
-    return out
-
-
-# Registry claims reuse the hypothesis/conclusion of the statement they
-# witness against; resolved by name to keep catalog construction one-pass.
-_TARGET_HYPOTHESES = {
-    "C-ABSCOMM": _hyp_commuting_normal_a,
-    "C-PRODSA": _hyp_sa_pair_normal_product,
-    "C-PRODNORM": _hyp_commuting_normal_a,
-    "C-POWZ": _hyp_normal_invertible,
-    "C-TRI": _hyp_commuting_normal_a_hypo_b,
-}
-_TARGET_CONCLUSIONS = {
-    "C-ABSCOMM": _concl_abs_commute,
-    "C-PRODSA": _concl_abs_product,
-    "C-PRODNORM": _concl_abs_product,
-    "C-POWZ": _concl_integer_powers,
-    "C-TRI": _concl_triangle_sum,
-}
 
 
 @dataclass(frozen=True)
@@ -1082,6 +1046,31 @@ class ClaimStats:
             "note": self.note,
         }
 
+    def record(self, verdict: str, residuals: dict, where: dict, /, **details) -> None:
+        """Count one checked trial: a PASS or a HYPOTHESIS_FAIL by number, a
+        VIOLATION as ``where`` it came from (seed, claim_tag, dim, trial),
+        its residuals and ``details`` (positional-only parameters leave any
+        name, ``verdict`` too, free for a detail).  Keeps the worst finite
+        conclusion residual."""
+        if verdict == PASS:
+            self.passes += 1
+        elif verdict == VIOLATION:
+            self.violations.append({**where, "residuals": residuals, **details})
+        else:
+            self.hypothesis_failures += 1
+        self._keep_worst(residuals.get("conclusion"), where)
+
+    def _keep_worst(self, residual, where: dict) -> None:
+        """Take a finite residual as the worst if it ranks above the current
+        one by (residual, dim, trial)."""
+        if residual is None or not math.isfinite(residual):
+            return
+        worst = self.worst_residual_seed
+        if worst is None or (residual, where["dim"], where["trial"]) > (
+            self.worst_residual, worst["dim"], worst["trial"]
+        ):
+            self.worst_residual, self.worst_residual_seed = residual, where
+
 
 @dataclass
 class SuiteReport:
@@ -1100,12 +1089,10 @@ class SuiteReport:
 
 
 def _seed_record(seed: Seed, dim: int) -> dict:
-    return {
-        "seed": seed.replay_master,
-        "claim_tag": seed.claim_tag,
-        "dim": dim,
-        "trial": seed.trial,
-    }
+    """The record of a seeded trial.  Its "seed" holds the :class:`Seed`
+    itself until :func:`_run_block` swaps in the replay seed, a hash fold
+    that only the records a block keeps pay for."""
+    return {"seed": seed, "claim_tag": seed.claim_tag, "dim": dim, "trial": seed.trial}
 
 
 # Cap on the bytes of input matrices evaluated in one stacked call.  A stack's
@@ -1116,8 +1103,8 @@ STACK_BYTES = 64 * 1024
 
 
 def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol: TolerancePolicy):
-    """Run a contiguous block of trials for one (claim, dim); returns a plain
-    dict so process pools can ship it back cheaply.
+    """Run a contiguous block of trials for one (claim, dim) into a
+    :class:`ClaimStats`, which process pools ship back whole.
 
     :func:`sample_block` derives the block's seeds in one pass, draws each
     trial from its own seed and builds the matrices as ``(B, n, n)`` stacks
@@ -1128,23 +1115,18 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     comes from the single-matrix path.
     """
     claim = catalog()[claim_id]
-    stats = {
-        "trials": count,
-        "passes": 0,
-        "violations": [],
-        "hypothesis_failures": 0,
-        "errors": [],
-        "worst": None,  # (residual, dim, trial, seed); the seed becomes its record at the end
-    }
+    stats = ClaimStats(claim_id, trials=count)
     tag = f"{claim_id}:{dim}"
     for seeds, stack in sample_block(claim.ensemble, dim, master, tag, start, count, STACK_BYTES):
         if isinstance(stack, Exception):
-            stats["errors"].append({**_seed_record(seeds[0], dim), "message": str(stack)})
+            stats.errors.append({**_seed_record(seeds[0], dim), "message": str(stack)})
         else:
             _run_group(claim, dim, seeds, stack, pol, stats)
-    if stats["worst"] is not None:  # one record per block: it derives the replay seed
-        *key, seed = stats["worst"]
-        stats["worst"] = (*key, _seed_record(seed, dim))
+    kept = [*stats.violations, *stats.errors]
+    if stats.worst_residual_seed is not None:  # the block's one worst-trial record
+        kept.append(stats.worst_residual_seed)
+    for record in kept:
+        record["seed"] = record["seed"].replay_master
     return claim_id, stats
 
 
@@ -1160,51 +1142,33 @@ def _stack_passes(claim: Claim, stack: tuple, pol: TolerancePolicy):
     return np.broadcast_to(residual, (len(stack[0]),)).tolist()
 
 
-def _run_group(claim: Claim, dim: int, seeds: list, stack: tuple, pol: TolerancePolicy, stats: dict):
+def _run_group(
+    claim: Claim, dim: int, seeds: list, stack: tuple, pol: TolerancePolicy, stats: ClaimStats
+):
     residuals = _stack_passes(claim, stack, pol) if len(seeds) > 1 else None
     if residuals is not None:
-        stats["passes"] += len(seeds)
+        stats.passes += len(seeds)
         for seed, residual in zip(seeds, residuals):
-            _track_worst(stats, residual, dim, seed)
+            stats._keep_worst(residual, _seed_record(seed, dim))
         return
     for i, seed in enumerate(seeds):
+        where = _seed_record(seed, dim)
         try:
             mats = tuple([m[i] for m in stack])
             result = check_claim(ClaimInstance(claim.id, mats, seed), pol)
         except Exception as exc:
-            stats["errors"].append({**_seed_record(seed, dim), "message": str(exc)})
+            stats.errors.append({**where, "message": str(exc)})
             continue
-        if result.verdict == PASS:
-            stats["passes"] += 1
-        elif result.verdict == VIOLATION:
-            stats["violations"].append({**_seed_record(seed, dim), "residuals": result.residuals})
-        else:
-            stats["hypothesis_failures"] += 1
-        _track_worst(stats, result.residuals.get("conclusion"), dim, seed)
+        stats.record(result.verdict, result.residuals, where)
 
 
-def _track_worst(stats: dict, residual, dim: int, seed: Seed):
-    if residual is not None and math.isfinite(residual):
-        key = (residual, dim, seed.trial)
-        if stats["worst"] is None or key > stats["worst"][:3]:
-            stats["worst"] = (residual, dim, seed.trial, seed)
-
-
-def _merge_block(agg: ClaimStats, block: dict):
-    agg.trials += block["trials"]
-    agg.passes += block["passes"]
-    agg.violations.extend(block["violations"])
-    agg.hypothesis_failures += block["hypothesis_failures"]
-    agg.errors.extend(block["errors"])
-    if block["worst"] is not None:
-        current = (
-            None
-            if agg.worst_residual_seed is None
-            else (agg.worst_residual, agg.worst_residual_seed["dim"], agg.worst_residual_seed["trial"])
-        )
-        if current is None or block["worst"][:3] > current:
-            agg.worst_residual = block["worst"][0]
-            agg.worst_residual_seed = block["worst"][3]
+def _merge_block(agg: ClaimStats, block: ClaimStats):
+    agg.trials += block.trials
+    agg.passes += block.passes
+    agg.violations.extend(block.violations)
+    agg.hypothesis_failures += block.hypothesis_failures
+    agg.errors.extend(block.errors)
+    agg._keep_worst(block.worst_residual, block.worst_residual_seed)  # -inf when none
 
 
 def run_suite(
@@ -1261,23 +1225,12 @@ def run_suite(
         st = stats[cid]
         st.trials = 1
         st.note = reg.caveat
-        residual = reg.result.residuals.get("conclusion", float("nan"))
-        if np.isfinite(residual):
-            st.worst_residual = residual
-            st.worst_residual_seed = {"seed": "REGISTRY", "claim_tag": cid, "dim": None, "trial": 0}
-        if reg.ok:
-            st.passes = 1
-        else:
-            st.violations.append(
-                {
-                    "seed": "REGISTRY",
-                    "claim_tag": cid,
-                    "dim": None,
-                    "trial": 0,
-                    "residuals": reg.result.residuals,
-                    "mismatches": list(reg.mismatches),
-                }
-            )
+        st.record(
+            PASS if reg.ok else VIOLATION,
+            reg.result.residuals,
+            {"seed": "REGISTRY", "claim_tag": cid, "dim": None, "trial": 0},
+            mismatches=list(reg.mismatches),
+        )
 
     for st in stats.values():
         st.violations.sort(key=lambda v: (v["claim_tag"], v["dim"] if v["dim"] else 0, v["trial"]))

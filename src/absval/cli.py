@@ -17,8 +17,6 @@ from functools import cache
 from . import __version__
 from .core import NumericalError, TolerancePolicy, matrix_from_literal
 from .claims import (
-    HYPOTHESIS_FAIL,
-    VIOLATION,
     ClaimInstance,
     ClaimStats,
     SuiteReport,
@@ -157,53 +155,35 @@ def format_catalog() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_user_matrices(cfg: RunConfig) -> SuiteReport:
-    claim_id = cfg.claims[0]
-    started = time.perf_counter()
-    matrices = []
-    for path in cfg.matrix_files:
-        with open(path, encoding="utf-8") as fh:
-            matrices.append(matrix_from_literal(json.load(fh)))
-    result = check_claim(ClaimInstance(claim_id, tuple(matrices)), cfg.policy)
-    stats = ClaimStats(claim_id=claim_id, trials=1, note=catalog()[claim_id].note)
-    record = {
-        "seed": "USER",
-        "claim_tag": claim_id,
-        "dim": matrices[0].shape[0],
-        "trial": 0,
-        "residuals": result.residuals,
-        "verdict": result.verdict,
-        "hypothesis_flags": result.hypothesis_flags,
-    }
-    if result.verdict == VIOLATION:
-        stats.violations.append(record)
-    elif result.verdict == HYPOTHESIS_FAIL:
-        stats.hypothesis_failures = 1
-    else:
-        stats.passes = 1
-    residual = result.residuals.get("conclusion")
-    if residual is not None and math.isfinite(residual):
-        stats.worst_residual = residual
-        stats.worst_residual_seed = {k: record[k] for k in ("seed", "claim_tag", "dim", "trial")}
-    config = {
-        "claims": [claim_id],
-        "matrix_files": list(cfg.matrix_files),
-        "trials": 1,
-        "tol_rel": cfg.policy.rel,
-        "tol_abs": cfg.policy.abs,
-    }
-    return SuiteReport(
-        config=config,
-        claims=[stats],
-        wall_time=time.perf_counter() - started,
-        verdict="fail" if stats.violations else "pass",
-    )
-
-
 def execute(cfg: RunConfig) -> tuple[SuiteReport, int]:
-    """Run the configured suite; exit code 0 only for a clean pass."""
+    """Run the configured suite, or check the one claim on the user's
+    matrices; exit code 0 only for a clean pass."""
     if cfg.matrix_files:
-        report = _run_user_matrices(cfg)
+        started = time.perf_counter()
+        claim_id = cfg.claims[0]
+        matrices = []
+        for path in cfg.matrix_files:
+            with open(path, encoding="utf-8") as fh:
+                matrices.append(matrix_from_literal(json.load(fh)))
+        result = check_claim(ClaimInstance(claim_id, tuple(matrices)), cfg.policy)
+        stats = ClaimStats(claim_id, trials=1, note=catalog()[claim_id].note)
+        stats.record(
+            result.verdict,
+            result.residuals,
+            {"seed": "USER", "claim_tag": claim_id, "dim": matrices[0].shape[0], "trial": 0},
+            verdict=result.verdict,
+            hypothesis_flags=result.hypothesis_flags,
+        )
+        config = {
+            "claims": [claim_id],
+            "matrix_files": list(cfg.matrix_files),
+            "trials": 1,
+            "tol_rel": cfg.policy.rel,
+            "tol_abs": cfg.policy.abs,
+        }
+        report = SuiteReport(
+            config, [stats], time.perf_counter() - started, "fail" if stats.violations else "pass"
+        )
     else:
         report = run_suite(
             cfg.claims, cfg.dims, cfg.trials, cfg.master_seed, cfg.policy, jobs=cfg.jobs

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: adjoint, products, norms, Hermitian eigen.
+"""Dense complex matrix primitives: adjoint, norms, Hermitian eigendecomposition.
 
 Every matrix in this package is a square ``numpy.ndarray`` of complex128,
 validated once on construction (see :func:`as_matrix`) and treated as
@@ -105,10 +105,12 @@ class TolerancePolicy:
     abs: float = 1e-12
 
     def __post_init__(self):
-        # an infinite bound would pass every gate and conclusion vacuously
-        if not all(math.isfinite(t) and t > 0 for t in (self.rel, self.abs)):
+        # at a tolerance of 1 or more a unit-scale comparison admits anything
+        # (N = [[0, 1], [0, 0]] passes as anti-symmetric at rel = 2), and an
+        # infinite or NaN one makes every gate and conclusion vacuous
+        if not all(0 < t < 1 for t in (self.rel, self.abs)):
             raise ValueError(
-                f"tolerances must be positive and finite, got rel={self.rel}, abs={self.abs}"
+                f"tolerances must lie in (0, 1), got rel={self.rel}, abs={self.abs}"
             )
 
     def bound(self, *scales):
@@ -139,13 +141,6 @@ def as_matrix(entries) -> np.ndarray:
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  An exact involution: adjoint(adjoint(a)) == a bitwise."""
     return np.ascontiguousarray(a.conj().swapaxes(-1, -2))
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ b`` with an explicit dimension check."""
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def frobenius(a: np.ndarray):
@@ -197,25 +192,10 @@ def operator_norm(a: np.ndarray):
     return trial_sqrt(trial_max(lam, 0.0))
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    orthonormal eigenvectors as columns, so ``U diag(w) U*`` reconstructs
-    the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
-
-
-def hermitian_eigen(h: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> HermitianEigen:
-    """Eigendecomposition for self-adjoint input.
+def hermitian_eigen(h: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
+    """Eigendecomposition ``(w, u)`` of self-adjoint input, as ``np.linalg.eigh``
+    returns it: real ascending eigenvalues ``w`` and orthonormal eigenvectors
+    as the columns of ``u``, so ``u diag(w) u*`` reconstructs the input.
 
     The input is symmetrized before factorization, but asymmetry beyond the
     policy's tolerance is the caller's error and raises rather than being
@@ -228,16 +208,15 @@ def hermitian_eigen(h: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> Her
     return eigh_exact(symmetrize(h))
 
 
-def eigh_exact(h: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of input that is exactly Hermitian, such as the
-    output of :func:`symmetrize`; no gate, no further symmetrization."""
+def eigh_exact(h: np.ndarray):
+    """Eigendecomposition ``(w, u)`` of input that is exactly Hermitian, such
+    as the output of :func:`symmetrize`; no gate, no further symmetrization."""
     try:
-        w, u = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigensolver did not converge: {exc}", float(np.max(frobenius(h)))
         ) from exc
-    return HermitianEigen(w, u)
 
 
 def matrix_to_literal(a: np.ndarray) -> dict:

@@ -277,19 +277,14 @@ def _unitary(re, im):
     return q * _per_column(d / np.abs(d))
 
 
-def _draw_diagonal(rng, n, scale, invertible, real):
+def _draw_diagonal(rng, n, scale, invertible):
     """Diagonal entries from a disk of radius scale, or an annulus
     0.1*scale <= |z| <= scale when invertibility is required: two drawn arrays."""
-    if real:
-        mag = rng.uniform(0.1 * scale, scale, n) if invertible else rng.uniform(0.0, scale, n)
-        return mag, rng.choice([-1.0, 1.0], n)
     turns = rng.uniform(0.0, 1.0, n)
     return turns, rng.uniform(0.1 * scale, scale, n) if invertible else rng.uniform(0.0, 1.0, n)
 
 
-def _diagonal(first, second, scale, invertible, real):
-    if real:
-        return first * second
+def _diagonal(first, second, scale, invertible):
     mag = second if invertible else scale * np.sqrt(second)
     return mag * np.exp(2j * np.pi * first)
 
@@ -299,17 +294,17 @@ def _conjugate(u, d):
     return (u * _per_column(d)) @ u.conj().swapaxes(-1, -2)
 
 
-def _draw_family(rng, n, k, scale, invertible, real=False):
+def _draw_family(rng, n, k, scale, invertible):
     drawn = list(_draw_gaussian(rng, n))
     for _ in range(k):
-        drawn += _draw_diagonal(rng, n, scale, invertible, real)
+        drawn += _draw_diagonal(rng, n, scale, invertible)
     return tuple(drawn)
 
 
-def _build_family(drawn, scale, invertible, real=False):
+def _build_family(drawn, scale, invertible):
     u = _unitary(*drawn[:2])
     return tuple(
-        _conjugate(u, _diagonal(drawn[i], drawn[i + 1], scale, invertible, real))
+        _conjugate(u, _diagonal(drawn[i], drawn[i + 1], scale, invertible))
         for i in range(2, len(drawn), 2)
     )
 
@@ -329,7 +324,7 @@ def _draw_one_nonnormal(rng, n, k, scale):
     drawn.append(special)
     corner = None
     for i in range(k):
-        drawn += _draw_diagonal(rng, n, scale, False, False)
+        drawn += _draw_diagonal(rng, n, scale, False)
         if i == special:
             corner = (rng.uniform(0.3 * scale, scale), rng.uniform())
     return tuple(drawn) + corner
@@ -346,7 +341,7 @@ def _build_one_nonnormal(drawn, scale):
     n = u.shape[-1]
     out = []
     for member, i in enumerate(range(3, len(drawn) - 2, 2)):
-        d = _diagonal(drawn[i], drawn[i + 1], scale, False, False)
+        d = _diagonal(drawn[i], drawn[i + 1], scale, False)
         d[..., 1] = d[..., 0]
         inner = np.zeros(d.shape + (n,), dtype=complex)
         inner[..., range(n), range(n)] = d
@@ -435,17 +430,17 @@ def _draw_fuglede(rng, n, scale):
     """A's unitary and diagonal, then a branch: B's diagonal on A's basis
     (a drawn ``(n,)`` pair) or B's Gaussian (an ``(n, n)`` pair).  The two
     branches draw different shapes, so the runner stacks them apart."""
-    drawn = (*_draw_gaussian(rng, n), *_draw_diagonal(rng, n, scale, False, False))
+    drawn = (*_draw_gaussian(rng, n), *_draw_diagonal(rng, n, scale, False))
     if int(rng.integers(2)):
-        return drawn + _draw_diagonal(rng, n, scale, False, False)
+        return drawn + _draw_diagonal(rng, n, scale, False)
     return drawn + _draw_gaussian(rng, n)
 
 
 def _build_fuglede(drawn, scale):
     u = _unitary(*drawn[:2])
-    a = _conjugate(u, _diagonal(drawn[2], drawn[3], scale, False, False))
+    a = _conjugate(u, _diagonal(drawn[2], drawn[3], scale, False))
     if np.ndim(drawn[4]) == np.ndim(drawn[2]):  # the commuting branch
-        return a, _conjugate(u, _diagonal(drawn[4], drawn[5], scale, False, False))
+        return a, _conjugate(u, _diagonal(drawn[4], drawn[5], scale, False))
     return a, _general(drawn[4], drawn[5], scale)
 
 
@@ -653,15 +648,11 @@ def gen_commuting_normal_family(
     seed,
     scale: float = 1.0,
     invertible: bool = False,
-    real_diagonal: bool = False,
 ) -> tuple[np.ndarray, ...]:
-    """k pairwise-commuting normal matrices sharing one random eigenbasis.
-
-    Real diagonals give a self-adjoint family; the invertible flag keeps all
-    eigenvalue moduli away from zero.
-    """
-    drawn = _draw_family(_as_generator(seed), n, k, scale, invertible, real_diagonal)
-    return _checked(*_build_family(drawn, scale, invertible, real_diagonal))
+    """k pairwise-commuting normal matrices sharing one random eigenbasis;
+    the invertible flag keeps all eigenvalue moduli away from zero."""
+    spec = EnsembleSpec("commuting_normal_family", k=k, scale=scale, invertible=invertible)
+    return sample(spec, n, seed)
 
 
 def gen_commuting_family_one_nonnormal(

@@ -17,7 +17,7 @@ from absval import (
     registry,
     run_suite,
 )
-from absval.claims import ClaimInstance, HYPOTHESIS_FAIL, PASS, REGISTRY_VIOLATION
+from absval.claims import ALWAYS_HOLDS, ClaimInstance, HYPOTHESIS_FAIL, PASS, REGISTRY_VIOLATION
 
 EXPECTED_IDS = [
     "L-SQRT-PROD",
@@ -74,6 +74,17 @@ class TestCatalog:
 
     def test_every_registry_claim_has_an_instance(self):
         assert {inst.ce_id for inst in registry()} == {"CE-0", "CE-1", "CE-2", "CE-3", "CE-4"}
+
+    def test_registry_claims_derive_from_their_targets(self):
+        table = catalog()
+        for inst in registry():
+            claim, target = table[inst.ce_id], table[inst.target_claim]
+            assert target.expect == ALWAYS_HOLDS
+            assert claim.hypothesis is target.hypothesis
+            assert claim.conclusion is target.conclusion
+            assert claim.note == ""  # C-TRI's collapse note stays with C-TRI
+            assert claim.arity == len(inst.matrices)
+            assert claim.description == inst.description
 
     def test_collapse_note_attached(self):
         table = catalog()

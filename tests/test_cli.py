@@ -56,6 +56,8 @@ class TestParseConfig:
             ["--tol-abs", "inf"],
             ["--tol-rel", "nan"],
             ["--tol-abs", "nan"],
+            ["--tol-rel", "2"],
+            ["--tol-abs", "2"],
             ["--seed", "-3"],
             ["--jobs", "0"],
         ],
@@ -196,6 +198,10 @@ class TestForcedViolationAndReplay:
         assert replayed["residuals"] == violation["residuals"]
 
 
+# key order as the report emits it: seed, claim_tag, dim, trial
+USER_SEED = {"seed": "USER", "claim_tag": None, "dim": None, "trial": 0}
+
+
 class TestUserMatrices:
     def test_hypothesis_failure_exits_zero(self, capsys, tmp_path):
         a = write_matrix(tmp_path / "a.json", as_matrix([[-1, 1], [1, -1]]))
@@ -236,6 +242,74 @@ class TestUserMatrices:
         violation = report["claims"][0]["violations"][0]
         assert violation["seed"] == "USER"
         assert violation["hypothesis_flags"] == {"commutes": True, "normal_a": True}
+
+    @pytest.mark.parametrize(
+        "claim, slots, extra, expected",
+        [
+            pytest.param(
+                "C-TRI",
+                lambda: (as_matrix([[-1, 1], [1, -1]]), as_matrix([[2, 0], [0, 0]])),
+                [],
+                {
+                    "id": "C-TRI", "trials": 1, "passes": 0, "violations": [],
+                    "hypothesis_failures": 1, "errors": [],
+                    "worst_residual": 0.8284271247461903,
+                    "worst_residual_seed": USER_SEED | {"claim_tag": "C-TRI", "dim": 2},
+                    "note": "hyponormal slot instantiated with normal witnesses: in finite "
+                    "dimension a hyponormal matrix is already normal",
+                },
+                id="hypothesis-failure",
+            ),
+            pytest.param(
+                "C-PRODNORM",
+                lambda: gen_commuting_normal_family(3, 2, 5),
+                [],
+                {
+                    "id": "C-PRODNORM", "trials": 1, "passes": 1, "violations": [],
+                    "hypothesis_failures": 0, "errors": [],
+                    "worst_residual": 1.8882089152724877e-15,
+                    "worst_residual_seed": USER_SEED | {"claim_tag": "C-PRODNORM", "dim": 3},
+                    "note": "",
+                },
+                id="pass",
+            ),
+            pytest.param(
+                "C-PRODNORM",
+                lambda: (
+                    as_matrix(1000.0 * np.eye(3)),
+                    as_matrix([[1, 2, 0], [2, 5, 1], [0, 1, 3]]),
+                ),
+                ["--tol-rel", "1e-17", "--tol-abs", "1e-300"],
+                {
+                    "id": "C-PRODNORM", "trials": 1, "passes": 0,
+                    "violations": [
+                        USER_SEED | {
+                            "claim_tag": "C-PRODNORM", "dim": 3,
+                            "residuals": {
+                                "hyp_commutes": 0.0, "hyp_normal_a": 0.0,
+                                "conclusion": 7.625055259862144e-16,
+                            },
+                            "verdict": "VIOLATION",
+                            "hypothesis_flags": {"commutes": True, "normal_a": True},
+                        }
+                    ],
+                    "hypothesis_failures": 0, "errors": [],
+                    "worst_residual": 7.625055259862144e-16,
+                    "worst_residual_seed": USER_SEED | {"claim_tag": "C-PRODNORM", "dim": 3},
+                    "note": "",
+                },
+                id="forced-violation",
+            ),
+        ],
+    )
+    def test_whole_claim_entry(self, capsys, tmp_path, claim, slots, extra, expected):
+        """The runs above, their whole claim entry pinned, keys in emitted order."""
+        a, b = (write_matrix(tmp_path / f"{i}.json", m) for i, m in enumerate(slots()))
+        _, out, _ = run_cli(
+            capsys, "--claims", claim, "--matrix-file", a, "--matrix-file", b, *extra,
+            "--format", "json",
+        )
+        assert json.dumps(json.loads(out)["claims"][0]) == json.dumps(expected)
 
     def test_file_count_must_match_arity(self, capsys, tmp_path):
         a = write_matrix(tmp_path / "a.json", np.eye(2, dtype=complex))

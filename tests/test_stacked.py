@@ -40,7 +40,6 @@ from absval import (
     is_positive,
     is_self_adjoint,
     loewner_leq,
-    multiply,
     operator_norm,
     psd_power,
     psd_sqrt,
@@ -111,7 +110,6 @@ def _operands(n, depth=DEPTH):
     singular = [np.zeros((n, n), dtype=complex) if t == 0 else g[t] for t in range(depth)]
     return {
         "adjoint": (adjoint, g),
-        "multiply": (multiply, g, h),
         "frobenius": (frobenius, g),
         "symmetrize": (symmetrize, g),
         "approx_eq": (approx_eq, g, near),
@@ -119,7 +117,6 @@ def _operands(n, depth=DEPTH):
         "rel_residual": (rel_residual, g, near),
         "operator_norm": (operator_norm, g),
         "hermitian_eigen": (hermitian_eigen, sa),
-        "reconstruct": (lambda x: hermitian_eigen(x).reconstruct(), sa),
         "eigh_exact": (lambda x: eigh_exact(symmetrize(x)), g),
         "bound": (lambda x, y: TolerancePolicy().bound(frobenius(x), frobenius(y)), g, h),
         "psd_sqrt": (psd_sqrt, psd),
@@ -251,11 +248,11 @@ def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, sta
     _, block = claims_module._run_block("L-SQRT-FACTOR", 2, 0, DEPTH, 77, loose)
     _, single = claims_module._run_block("L-SQRT-FACTOR", 2, bad_trial, 1, 77, loose)
     assert stack_log == [("L-SQRT-FACTOR", DEPTH, DEPTH * 2 * 64, False)]
-    (record,) = single["errors"]
+    (record,) = single.errors
     assert record["trial"] == bad_trial and record["dim"] == 2
     assert "not self-adjoint" in record["message"]
-    assert block["errors"] == single["errors"]
-    assert block["passes"] == DEPTH - 1 and block["trials"] == DEPTH
+    assert block.errors == single.errors
+    assert block.passes == DEPTH - 1 and block.trials == DEPTH
 
 
 FORCED_CLAIMS = ["C-EIGHT", "C-NFOLD", "C-POWZ", "L-FUG", "C-PRODSA-COR", "T-LH", "C-ABSCOMM"]
