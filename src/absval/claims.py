@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -48,7 +49,7 @@ from .predicates import (
     is_positive,
     is_self_adjoint,
 )
-from .generators import EnsembleSpec, Seed, gen_general, sample_block
+from .generators import EnsembleSpec, Seed, _block_generators, sample_block, sample_general
 
 ALWAYS_HOLDS = "ALWAYS_HOLDS"
 REGISTRY_VIOLATION = "REGISTRY_VIOLATION"
@@ -1195,6 +1196,11 @@ def run_suite(
     unknown = [c for c in claim_ids if c not in table]
     if unknown:
         raise KeyError(f"unknown claim ids: {unknown}")
+    # a repeated claim or dim would count the same trials twice
+    for name, values in (("claim ids", claim_ids), ("dims", dims)):
+        if len(set(values)) < len(values):
+            repeated = [v for v, times in Counter(values).items() if times > 1]
+            raise ValueError(f"duplicate {name}: {repeated}")
     started = time.perf_counter()
     stats = {cid: ClaimStats(claim_id=cid, note=table[cid].note) for cid in claim_ids}
 
@@ -1280,27 +1286,51 @@ def probe_conclusions(
     arbitrary input is not testing anything.  Conclusions that cannot even be
     evaluated off-hypothesis (e.g. square roots of indefinite matrices) are
     counted as errors, not failures.
+
+    Trial ``t`` of a claim draws its ``arity`` matrices (3 for a family
+    claim) in turn from ``Seed(master_seed, "probe:{id}:{dim}", t)``.  The
+    seeds of every (claim, trial) pair are derived in one pass; a claim's
+    trials are built and evaluated as ``(B, n, n)`` stacks of at most
+    ``STACK_BYTES`` of matrices, and 1x1 trials one at a time, as
+    :func:`sample_block` builds them.  A stack whose conclusion raises is
+    evaluated again trial by trial, so each trial counts as it would alone.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     table = catalog()
+    tags = [f"probe:{cid}:{dim}" for cid in claim_ids]
+    rngs = _block_generators(master_seed, tags, 0, count)
     out = []
-    for cid in claim_ids:
+    for cid, tag in zip(claim_ids, tags):
         claim = table[cid]
         arity = claim.arity if claim.arity > 0 else 3
-        failures = errors = evaluated = 0
-        first = None
-        for trial in range(count):
-            seed = Seed(master_seed, f"probe:{cid}:{dim}", trial)
-            rng = seed.generator()
-            mats = tuple(gen_general(dim, rng) for _ in range(arity))
-            try:
-                ok, _, _ = claim.conclusion(mats, pol)
-            except Exception:
-                errors += 1
-                continue
-            evaluated += 1
-            if not ok:
-                failures += 1
-                if first is None:
-                    first = seed.replay_master
-        out.append(ProbeStats(cid, evaluated, failures, errors, first))
+        depth = 1 if dim == 1 else max(1, STACK_BYTES // (arity * dim * dim * 16))
+        verdicts = []  # per trial: the conclusion's verdict, None where it raised
+        for start in range(0, count, depth):
+            size = min(depth, count - start)
+            stack = sample_general(dim, arity, [next(rngs) for _ in range(size)])
+            verdicts += _probe_verdicts(claim, stack, size, pol)
+        failures = [t for t, ok in enumerate(verdicts) if ok is False]
+        first = Seed(master_seed, tag, failures[0]).replay_master if failures else None
+        errors = verdicts.count(None)
+        out.append(ProbeStats(cid, count - errors, len(failures), errors, first))
     return out
+
+
+def _probe_verdicts(claim: Claim, stack: tuple, size: int, pol: TolerancePolicy) -> list:
+    """The conclusion's verdict on each of ``size`` trials, None for a trial
+    whose conclusion raises; a stack that raises is run trial by trial."""
+    if size > 1:
+        try:
+            ok = claim.conclusion(stack, pol)[0]
+            return np.broadcast_to(ok, (size,)).tolist()
+        except Exception:
+            pass
+    verdicts = []
+    for i in range(size):
+        try:
+            mats = stack if size == 1 else tuple([m[i] for m in stack])
+            verdicts.append(bool(claim.conclusion(mats, pol)[0]))
+        except Exception:
+            verdicts.append(None)
+    return verdicts

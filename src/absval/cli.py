@@ -46,6 +46,8 @@ def _parse_int_list(text: str, flag: str, parser: argparse.ArgumentParser):
         parser.error(f"{flag} expects a comma-separated list of integers, got {text!r}")
     if not values or any(v < 1 for v in values):
         parser.error(f"{flag} expects positive integers, got {text!r}")
+    if len(set(values)) < len(values):
+        parser.error(f"{flag} repeats a value: {text!r}")
     return values
 
 
@@ -93,6 +95,8 @@ def parse_config(argv) -> RunConfig:
         unknown = [c for c in claim_ids if c not in table]
         if unknown:
             parser.error(f"unknown claim ids: {', '.join(unknown)} (use --list)")
+        if len(set(claim_ids)) < len(claim_ids):
+            parser.error(f"--claims repeats a claim id: {args.claims!r}")
     dims = _parse_int_list(args.dims, "--dims", parser)
     if args.trials < 1:
         parser.error("--trials must be >= 1")

@@ -17,6 +17,8 @@ Every ensemble kind is two phases, held in one table (``_KINDS``):
 
 :func:`sample` is the one-trial case; :func:`sample_block` derives the seeds
 of a whole block of trials at once, draws trial by trial and builds stacks.
+:func:`sample_general` builds the unconstrained family of the conclusion
+probe from generators derived beforehand.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .core import DimensionMismatch, as_matrix, symmetrize, adjoint, operator_no
 # depend on the data, only on the number of entropy words.
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -96,8 +99,9 @@ def _int_words(value: int) -> list[int]:
 def _derived(prefix: list, values: np.ndarray, suffix: list, n_words: int) -> np.ndarray:
     """``_pool_words(prefix + _int_words(v) + suffix, n_words)`` for every
     uint64 ``v`` in ``values``, packed into ``(len(values), n_words // 2)``
-    64-bit words.  Values are grouped by their word count, which decides the
-    hash constants."""
+    64-bit words.  A ``suffix`` word is one int for every entry, or a uint64
+    array with one word per entry.  Values are grouped by their word count,
+    which decides the hash constants."""
     out = np.empty((len(values), n_words // 2), dtype=np.uint64)
     wide = values > _MASK32
     for two_words in (False, True):
@@ -105,7 +109,8 @@ def _derived(prefix: list, values: np.ndarray, suffix: list, n_words: int) -> np
         if idx.size:
             v = values[idx]
             words = [v & _MASK32, v >> 32] if two_words else [v]
-            state = _pool_words(prefix + words + suffix, n_words)
+            tail = [w[idx] if isinstance(w, np.ndarray) else w for w in suffix]
+            state = _pool_words(prefix + words + tail, n_words)
             for j in range(n_words // 2):
                 out[idx, j] = state[2 * j] | (state[2 * j + 1] << 32)
     return out
@@ -177,19 +182,29 @@ class Seed:
         return _generator(np.array(packed, dtype=np.uint64))
 
 
-def _block_generators(master: int, tag: str, start: int, count: int):
-    """Yield ``Seed(master, tag, t).generator()`` for t in ``start .. start +
-    count - 1``, with the seed words of all trials derived in one pass over
-    arrays; each generator is made when it is asked for."""
-    if start == 0 and count:  # trial 0 keeps the master, which may be any width
-        yield Seed(master, tag, 0).generator()
-        start, count = 1, count - 1
-    if count <= 1:  # one trial's Python ints cost less than the array pass
-        yield from (Seed(master, tag, t).generator() for t in range(start, start + count))
+def _block_generators(master: int, tags, start: int, count: int):
+    """Yield ``Seed(master, tag, t).generator()`` for every tag in ``tags``
+    and, within a tag, t in ``start .. start + count - 1``, with the seed
+    words of all (tag, trial) pairs derived in one pass over arrays; each
+    generator is made when it is asked for."""
+    # trial 0 keeps the master, which may be any width.  It joins the array
+    # pass when it fits in 64 bits and several tags share it; alone, or
+    # wider, it takes the Python-int route, once per tag
+    head = start == 0 and (len(tags) == 1 or master > _MASK64)
+    if len(tags) * (count - head) <= 1:  # one trial's Python ints cost less than the array pass
+        for tag in tags:
+            yield from (Seed(master, tag, t).generator() for t in range(start, start + count))
         return
-    trials = np.arange(start, start + count, dtype=np.uint64)
+    trials = np.arange(max(start, 1), start + count, dtype=np.uint64)
     replay = _derived(_int_words(int(master)), trials, [], 2)[:, 0]
-    yield from map(_generator, _derived([], replay, list(_tag_words(tag)), 8))
+    if start == 0 and not head:
+        replay = np.concatenate((np.array([master], dtype=np.uint64), replay))
+    tag_words = np.array([_tag_words(tag) for tag in tags], dtype=np.uint64).repeat(len(replay), 0)
+    words = _derived([], np.tile(replay, len(tags)), list(tag_words.T), 8)
+    for i, tag in enumerate(tags):
+        if head:
+            yield Seed(master, tag, 0).generator()
+        yield from map(_generator, words[i * len(replay) : (i + 1) * len(replay)])
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -253,6 +268,13 @@ def _draw_gaussian(rng, n):
 def _general(re, im, scale):
     """Complex Gaussian entries with standard deviation ``scale``."""
     return scale * (re + 1j * im) / np.sqrt(2)
+
+
+def _draw_general(rng, n, k):
+    """A family of ``k`` complex Gaussians in one call: ``(k, 2, n, n)``
+    entries, the same numbers as k successive (real, imaginary) pairs of
+    :func:`_draw_gaussian`."""
+    return rng.standard_normal((k, 2, n, n))
 
 
 def _skew(t):
@@ -478,8 +500,10 @@ _KINDS = {
         lambda spec, *drawn: _build_family(drawn, spec.scale, spec.invertible),
     ),
     "general": (
-        lambda rng, n, spec: _draw_gaussian(rng, n),
-        lambda spec, re, im: (_general(re, im, spec.scale),),
+        lambda rng, n, spec: (_draw_general(rng, n, spec.k),),
+        lambda spec, drawn: tuple(
+            np.moveaxis(_general(drawn[..., 0, :, :], drawn[..., 1, :, :], spec.scale), -3, 0)
+        ),
     ),
     "anti_symmetric": (
         lambda rng, n, spec: _draw_gaussian(rng, n),
@@ -561,7 +585,7 @@ def sample_block(
     draw, build = _KINDS[spec.kind]
     end = start + count
     groups = {}  # drawn shapes -> (seeds, one buffer per drawn array)
-    for trial, rng in zip(range(start, end), _block_generators(master, tag, start, count)):
+    for trial, rng in zip(range(start, end), _block_generators(master, [tag], start, count)):
         seed = Seed(master, tag, trial)
         try:
             drawn = draw(rng, n, spec)
@@ -588,6 +612,20 @@ def sample_block(
             yield from _built_stacks(spec, build, seeds, slots)
     for seeds, slots in groups.values():
         yield from _built_stacks(spec, build, seeds, [s[: len(seeds)] for s in slots])
+
+
+def sample_general(n: int, k: int, rngs: list) -> tuple[np.ndarray, ...]:
+    """``sample(EnsembleSpec("general", k=k), n, rng)`` for every generator
+    in ``rngs``, as one stack: the ``k`` matrices of a single generator, or
+    ``k`` stacks of ``(B, n, n)`` whose slice ``i`` is bit-for-bit what
+    ``rngs[i]`` gives.  One draw per generator, then one build and one
+    finiteness check for all of them."""
+    if len(rngs) == 1:
+        drawn = _draw_general(rngs[0], n, k)
+    else:  # (k, 2, B, n, n): each built matrix is a contiguous (B, n, n) stack
+        drawn = np.stack([_draw_general(rng, n, k) for rng in rngs], axis=2)
+    (family,) = _checked(_general(drawn[:, 0], drawn[:, 1], 1.0))
+    return tuple(family)
 
 
 @cache

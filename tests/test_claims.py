@@ -162,6 +162,15 @@ class TestRunSuite:
         with pytest.raises(KeyError):
             run_suite(["NOPE"], [2], 5, 1)
 
+    def test_rejects_duplicate_claims_and_dims(self):
+        # a repeated claim or dim would report the same trials twice
+        with pytest.raises(ValueError, match="duplicate claim ids: \\['C-TRI'\\]"):
+            run_suite(["C-TRI", "C-PRODNORM", "C-TRI"], [2], 3, 1)
+        with pytest.raises(ValueError, match="duplicate claim ids"):
+            run_suite(["CE-0", "CE-0"], [2], 1, 1)
+        with pytest.raises(ValueError, match="duplicate dims: \\[2\\]"):
+            run_suite(["C-TRI"], [2, 3, 2], 3, 1)
+
     def test_small_full_suite_passes(self):
         report = run_suite(list(catalog()), dims=[2, 3], trials=10, master_seed=42)
         assert report.verdict == "pass"
@@ -235,6 +244,12 @@ class TestProbe:
         (ps,) = probe_conclusions(["T-LH"], dim=2, count=20, master_seed=1)
         assert ps.errors == 20
         assert ps.evaluated == 0
+
+    def test_rejects_count_below_one(self):
+        # zero trials would read as "evaluated, never failed"
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                probe_conclusions(["C-TRI"], dim=2, count=count, master_seed=1)
 
     def test_probe_bookkeeping_adds_up(self):
         ids = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]

@@ -60,6 +60,9 @@ class TestParseConfig:
             ["--tol-abs", "2"],
             ["--seed", "-3"],
             ["--jobs", "0"],
+            ["--claims", "C-TRI,C-TRI", "--dims", "2,2", "--trials", "3", "--format", "json"],
+            ["--claims", "CE-0,CE-0"],
+            ["--claims", "C-TRI", "--dims", "3,2,3"],
         ],
     )
     def test_usage_errors_exit_two(self, argv):

@@ -206,6 +206,37 @@ class TestGeneralAndSpecs:
         with pytest.raises(ValueError):
             EnsembleSpec(kind="general", dim=0)
 
+    @pytest.mark.parametrize("n", (1, 2, 4, 8))
+    def test_general_family_is_successive_general_draws(self, n):
+        family = sample(EnsembleSpec(kind="general", k=3), n, Seed(8, "family", 3))
+        rng = Seed(8, "family", 3).generator()
+        singles = [gen_general(n, rng) for _ in range(3)]
+        # the route gen_general took before a family was drawn in one call
+        rng = Seed(8, "family", 3).generator()
+        two_calls = []
+        for _ in range(3):
+            re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+            two_calls.append(1.0 * (re + 1j * im) / np.sqrt(2))
+        assert len(family) == 3
+        for m, single, old in zip(family, singles, two_calls):
+            assert m.dtype == single.dtype and m.shape == single.shape == (n, n)
+            assert m.tobytes() == single.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("n", (1, 2, 4, 8))
+    def test_general_stacks_are_family_samples(self, n):
+        spec = EnsembleSpec(kind="general", k=3)
+        seeds = [Seed(2, "stack", t) for t in range(5)]
+        stacks = generators.sample_general(n, 3, [s.generator() for s in seeds])
+        one = generators.sample_general(n, 3, [seeds[2].generator()])
+        for i, seed in enumerate(seeds):
+            for m, single in zip(stacks, sample(spec, n, seed)):
+                assert m.shape == (5, n, n) and m[i].tobytes() == single.tobytes()
+        for m, single in zip(one, sample(spec, n, seeds[2])):
+            assert m.shape == (n, n) and m.tobytes() == single.tobytes()
+        if n > 1:  # sample_block stacks the same trials into the same bits
+            ((_, block),) = sample_block(spec, n, 2, "stack", 0, 5, 1 << 16)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(block, stacks))
+
     def test_sample_respects_pinned_dimension(self):
         spec = EnsembleSpec(kind="sa_pair_normal_product", dim=2)
         a, b = sample(spec, 8, Seed(3, "pin"))
@@ -254,24 +285,35 @@ class TestSeedDerivation:
                     checked += 1
         assert checked > 2000
 
-    @pytest.mark.parametrize("start,count", [(0, 60), (250, 37), (2**32 - 2, 5)])
+    @pytest.mark.parametrize(
+        "start,count", [(0, 60), (250, 37), (2**32 - 2, 5), (0, 1), (0, 2), (5, 4)]
+    )
     def test_block_route_matches_seed_sequence(self, start, count):
+        # one tag per call, as sample_block asks, and every tag in one call,
+        # as the probe asks: (tag, trial) pairs tag by tag
         for master in self.WIDE_MASTERS:
-            for tag in self.TAGS:
-                rngs = list(generators._block_generators(master, tag, start, count))
-                assert len(rngs) == count
-                for trial, rng in zip(range(start, start + count), rngs):
+            for tags in [[tag] for tag in self.TAGS] + [list(self.TAGS)]:
+                rngs = list(generators._block_generators(master, tags, start, count))
+                pairs = [(tag, trial) for tag in tags for trial in range(start, start + count)]
+                assert len(rngs) == len(pairs)
+                for (tag, trial), rng in zip(pairs, rngs):
                     ref = reference_generator(master, tag, trial)
                     assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_mixed_word_counts_in_one_pass(self):
-        # replay masters of one and two 32-bit words, derived in one call
+        # replay masters of one and two 32-bit words, derived in one call,
+        # with one tag for all of them or a tag of their own each
         values = np.array([0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 12345], dtype=np.uint64)
-        words = list(generators._tag_words("C-EIGHT:4"))
-        got = generators._derived([], values, words, 8)
-        for v, row in zip(values, got):
-            ref = np.random.SeedSequence([int(v)] + words).generate_state(4, np.uint64)
-            assert row.tobytes() == ref.tobytes()
+        tags = ["C-EIGHT:4"] * len(values)
+        got = generators._derived([], values, list(generators._tag_words(tags[0])), 8)
+        own_tags = ["", "a", "C-TRI:3", "x", "probe:C-EIGHT:8", "C-EIGHT:4", "y"]
+        words = np.array([generators._tag_words(t) for t in own_tags], dtype=np.uint64)
+        got_own = generators._derived([], values, list(words.T), 8)
+        for derived, tag_list in ((got, tags), (got_own, own_tags)):
+            for v, row, tag in zip(values, derived, tag_list):
+                entropy = [int(v), *generators._tag_words(tag)]
+                ref = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+                assert row.tobytes() == ref.tobytes()
 
     def test_replay_master_matches_seed_sequence(self):
         for master in self.WIDE_MASTERS:
