@@ -1140,7 +1140,7 @@ def _stack_passes(claim: Claim, stack: tuple, pol: TolerancePolicy):
         return None
     if not np.all(hyp_ok & concl_ok):
         return None
-    return np.broadcast_to(residual, (len(stack[0]),)).tolist()
+    return np.broadcast_to(residual, (len(stack[0]),))
 
 
 def _run_group(
@@ -1149,8 +1149,10 @@ def _run_group(
     residuals = _stack_passes(claim, stack, pol) if len(seeds) > 1 else None
     if residuals is not None:
         stats.passes += len(seeds)
-        for seed, residual in zip(seeds, residuals):
-            stats._keep_worst(residual, _seed_record(seed, dim))
+        finite = residuals[np.isfinite(residuals)]
+        if finite.size:  # the stack's worst by (residual, trial): the last of its largest
+            i = np.flatnonzero(residuals == finite.max())[-1]
+            stats._keep_worst(float(residuals[i]), _seed_record(seeds[i], dim))
         return
     for i, seed in enumerate(seeds):
         where = _seed_record(seed, dim)
@@ -1190,8 +1192,8 @@ def run_suite(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not dims:
-        raise ValueError("dims must be nonempty")
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dims must be nonempty and each >= 1, got {list(dims)}")
     table = catalog()
     unknown = [c for c in claim_ids if c not in table]
     if unknown:
@@ -1297,6 +1299,8 @@ def probe_conclusions(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     table = catalog()
     tags = [f"probe:{cid}:{dim}" for cid in claim_ids]
     rngs = _block_generators(master_seed, tags, 0, count)

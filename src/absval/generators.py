@@ -9,11 +9,14 @@ generic random matrices.  Every generator is a pure function of its
 Every ensemble kind is two phases, held in one table (``_KINDS``):
 
 - a per-trial *draw* makes all of the kind's ``rng`` calls, in a fixed
-  order, into plain arrays;
-- a shape-polymorphic *build* turns drawn arrays into matrices: the QR,
-  phase normalization, eigendecompositions and products.  It takes one
-  trial's draws, or the draws of ``B`` trials stacked on a leading axis, and
-  each slice of a stacked build is bit-for-bit the one-trial build.
+  order, into plain arrays: one call for all of its Gaussians and one for
+  all of its uniforms (``integers``, rejection loops and the sandwich's
+  draws stay apart, as the stream or the draw's own branching needs);
+- a shape-polymorphic *build* turns drawn arrays into matrices: the maps
+  of uniforms onto their ranges, the QR, phase normalization,
+  eigendecompositions and products.  It takes one trial's draws, or the
+  draws of ``B`` trials stacked on a leading axis, and each slice of a
+  stacked build is bit-for-bit the one-trial build.
 
 :func:`sample` is the one-trial case; :func:`sample_block` derives the seeds
 of a whole block of trials at once, draws trial by trial and builds stacks.
@@ -255,7 +258,7 @@ def _checked(*mats) -> tuple:
             continue
         if m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         out.append(np.ascontiguousarray(m, dtype=complex))
     return tuple(out)
@@ -268,6 +271,17 @@ def _draw_gaussian(rng, n):
 def _general(re, im, scale):
     """Complex Gaussian entries with standard deviation ``scale``."""
     return scale * (re + 1j * im) / np.sqrt(2)
+
+
+def _pair(g):
+    """The real and imaginary parts of a ``(..., 2, n, n)`` Gaussian draw."""
+    return g[..., 0, :, :], g[..., 1, :, :]
+
+
+def _uniform(r, lo, hi):
+    """``rng.uniform(lo, hi, size)`` bit for bit, from ``r = rng.random(size)``:
+    numpy makes each uniform as ``lo + (hi - lo) * next_double``."""
+    return lo + (hi - lo) * r
 
 
 def _draw_general(rng, n, k):
@@ -290,25 +304,23 @@ def _per_column(x):
     return x if x.ndim == 1 else x[..., None, :]
 
 
-def _unitary(re, im):
+def _unitary(g):
     """QR of a complex Gaussian matrix, the triangular factor's diagonal
     phases normalized away."""
+    re, im = _pair(g)
     q, r = np.linalg.qr(re + 1j * im)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
     return q * _per_column(d / np.abs(d))
 
 
-def _draw_diagonal(rng, n, scale, invertible):
+def _diagonal(r, scale, invertible):
     """Diagonal entries from a disk of radius scale, or an annulus
-    0.1*scale <= |z| <= scale when invertibility is required: two drawn arrays."""
-    turns = rng.uniform(0.0, 1.0, n)
-    return turns, rng.uniform(0.1 * scale, scale, n) if invertible else rng.uniform(0.0, 1.0, n)
-
-
-def _diagonal(first, second, scale, invertible):
-    mag = second if invertible else scale * np.sqrt(second)
-    return mag * np.exp(2j * np.pi * first)
+    0.1*scale <= |z| <= scale when invertibility is required, made from
+    ``(..., 2, n)`` uniforms on [0, 1): the turns, then the radii."""
+    turns, radii = r[..., 0, :], r[..., 1, :]
+    mag = _uniform(radii, 0.1 * scale, scale) if invertible else scale * np.sqrt(radii)
+    return mag * np.exp(2j * np.pi * turns)
 
 
 def _conjugate(u, d):
@@ -316,54 +328,51 @@ def _conjugate(u, d):
     return (u * _per_column(d)) @ u.conj().swapaxes(-1, -2)
 
 
-def _draw_family(rng, n, k, scale, invertible):
-    drawn = list(_draw_gaussian(rng, n))
-    for _ in range(k):
-        drawn += _draw_diagonal(rng, n, scale, invertible)
-    return tuple(drawn)
+def _draw_family(rng, n, k):
+    """The eigenbasis' Gaussians, then each member's diagonal."""
+    return rng.standard_normal((2, n, n)), rng.random((k, 2, n))
 
 
-def _build_family(drawn, scale, invertible):
-    u = _unitary(*drawn[:2])
+def _build_family(g, r, scale, invertible):
+    u = _unitary(g)
     return tuple(
-        _conjugate(u, _diagonal(drawn[i], drawn[i + 1], scale, invertible))
-        for i in range(2, len(drawn), 2)
+        _conjugate(u, _diagonal(r[..., i, :, :], scale, invertible)) for i in range(r.shape[-3])
     )
 
 
-def _build_positive_pair(re, im, d1, d2):
-    u = _unitary(re, im)
-    return _conjugate(u, d1), _conjugate(u, d2)
+def _build_positive_pair(g, d):
+    u = _unitary(g)
+    return _conjugate(u, d[..., 0, :]), _conjugate(u, d[..., 1, :])
 
 
-def _draw_one_nonnormal(rng, n, k, scale):
-    """The unitary, the index of the non-normal member, then per member its
-    diagonal and, for the non-normal one, its off-diagonal entry."""
+def _draw_one_nonnormal(rng, n, k):
+    """The unitary's Gaussians, the index of the non-normal member, then
+    each member's diagonal with the non-normal member's off-diagonal entry
+    right after its own: ``2kn + 2`` uniforms."""
     if n < 2:
         raise ValueError("non-normal commuting families need n >= 2")
-    drawn = list(_draw_gaussian(rng, n))
+    g = rng.standard_normal((2, n, n))
     special = int(rng.integers(k))
-    drawn.append(special)
-    corner = None
-    for i in range(k):
-        drawn += _draw_diagonal(rng, n, scale, False)
-        if i == special:
-            corner = (rng.uniform(0.3 * scale, scale), rng.uniform())
-    return tuple(drawn) + corner
+    return g, special, rng.random(2 * k * n + 2)
 
 
-def _build_one_nonnormal(drawn, scale):
+def _build_one_nonnormal(g, special, r, scale):
     """The non-normal member carries a 2x2 upper-triangular block on the
     first two basis vectors; every other member's diagonal is constant on
     that block, which is exactly what pairwise commutation requires."""
-    u = _unitary(*drawn[:2])
-    special = drawn[2]
-    corner = drawn[-2] * np.exp(2j * np.pi * drawn[-1])
-    adj = u.conj().swapaxes(-1, -2)
+    u = _unitary(g)
     n = u.shape[-1]
+    k = (r.shape[-1] - 2) // (2 * n)
+    special = np.asarray(special, dtype=np.intp)
+    at = 2 * n * (special[..., None] + 1)  # where each trial's corner entry sits
+    j = np.arange(2 * k * n)
+    diagonals = np.take_along_axis(r, j + 2 * (j >= at), -1).reshape(r.shape[:-1] + (k, 2, n))
+    corner = np.take_along_axis(r, at + np.arange(2), -1)
+    corner = _uniform(corner[..., 0], 0.3 * scale, scale) * np.exp(2j * np.pi * corner[..., 1])
+    adj = u.conj().swapaxes(-1, -2)
     out = []
-    for member, i in enumerate(range(3, len(drawn) - 2, 2)):
-        d = _diagonal(drawn[i], drawn[i + 1], scale, False)
+    for member in range(k):
+        d = _diagonal(diagonals[..., member, :, :], scale, False)
         d[..., 1] = d[..., 0]
         inner = np.zeros(d.shape + (n,), dtype=complex)
         inner[..., range(n), range(n)] = d
@@ -378,9 +387,9 @@ def _plane_reflection(angle: float) -> np.ndarray:
 
 
 def _draw_sa_pair(rng, scale):
-    """The unitary, then A and B before conjugation: real multiples of plane
-    reflections, drawn by rejection."""
-    re, im = _draw_gaussian(rng, 2)
+    """The unitary's Gaussians, then A and B before conjugation: real
+    multiples of plane reflections, drawn by rejection."""
+    g = rng.standard_normal((2, 2, 2))
     while True:
         phi, psi = rng.uniform(0.0, np.pi, 2)
         if abs(np.sin(2 * (phi - psi))) >= 0.1:
@@ -392,11 +401,11 @@ def _draw_sa_pair(rng, scale):
     signs = rng.choice([-1.0, 1.0], 2)
     a = signs[0] * mags[0] * _plane_reflection(phi)
     b = signs[1] * mags[1] * _plane_reflection(psi)
-    return re, im, a, b
+    return g, a, b
 
 
-def _build_sa_pair(re, im, a, b):
-    u = _unitary(re, im)
+def _build_sa_pair(g, a, b):
+    u = _unitary(g)
     adj = u.conj().swapaxes(-1, -2)
     return u @ a @ adj, u @ b @ adj
 
@@ -427,123 +436,110 @@ def _build_sandwich(g_re, g_im, c_re, c_im, top, slack, scale):
     return symmetrize(root @ c @ root), s
 
 
-def _draw_ordered_psd(rng, n, scale, commuting):
-    g = _draw_gaussian(rng, n)
+def _draw_ordered_psd(rng, n, commuting):
+    """B's Gaussians, then the increment's eigenvalues or its Gaussians."""
     if commuting:
-        return *g, rng.uniform(0.0, scale, n)
-    return *g, *_draw_gaussian(rng, n)
+        return rng.standard_normal((2, n, n)), rng.random(n)
+    return tuple(rng.standard_normal((2, 2, n, n)))
 
 
-def _build_ordered_psd(drawn, scale, commuting):
+def _build_ordered_psd(g, other, scale, commuting):
     """(A, B) with A >= B >= 0; the increment lives on B's eigenbasis when a
     commuting pair is requested."""
-    g = _general(*drawn[:2], scale)
+    g = _general(*_pair(g), scale)
     b = symmetrize(adjoint(g) @ g)
     if commuting:
         _, u = np.linalg.eigh(b)
-        a = b + (u * _per_column(drawn[2])) @ u.conj().swapaxes(-1, -2)
+        a = b + (u * _per_column(_uniform(other, 0.0, scale))) @ u.conj().swapaxes(-1, -2)
     else:
-        h = _general(*drawn[2:], scale)
+        h = _general(*_pair(other), scale)
         a = b + symmetrize(adjoint(h) @ h)
     return symmetrize(a), b
 
 
-def _draw_fuglede(rng, n, scale):
-    """A's unitary and diagonal, then a branch: B's diagonal on A's basis
-    (a drawn ``(n,)`` pair) or B's Gaussian (an ``(n, n)`` pair).  The two
+def _draw_fuglede(rng, n):
+    """A's Gaussians and diagonal, then a branch: B's diagonal on A's basis
+    (``(2, n)`` uniforms) or B's Gaussians (``(2, n, n)``).  The two
     branches draw different shapes, so the runner stacks them apart."""
-    drawn = (*_draw_gaussian(rng, n), *_draw_diagonal(rng, n, scale, False))
+    g, r = rng.standard_normal((2, n, n)), rng.random((2, n))
     if int(rng.integers(2)):
-        return drawn + _draw_diagonal(rng, n, scale, False)
-    return drawn + _draw_gaussian(rng, n)
+        return g, r, rng.random((2, n))
+    return g, r, rng.standard_normal((2, n, n))
 
 
-def _build_fuglede(drawn, scale):
-    u = _unitary(*drawn[:2])
-    a = _conjugate(u, _diagonal(drawn[2], drawn[3], scale, False))
-    if np.ndim(drawn[4]) == np.ndim(drawn[2]):  # the commuting branch
-        return a, _conjugate(u, _diagonal(drawn[4], drawn[5], scale, False))
-    return a, _general(drawn[4], drawn[5], scale)
+def _build_fuglede(g, r, other, scale):
+    u = _unitary(g)
+    a = _conjugate(u, _diagonal(r, scale, False))
+    if other.ndim == r.ndim:  # the commuting branch
+        return a, _conjugate(u, _diagonal(other, scale, False))
+    return a, _general(*_pair(other), scale)
 
 
-def _draw_nfold(rng, n, spec):
-    # k == 1 (unset) means: draw a family of 3 or 4 per trial
-    k = spec.k if spec.k >= 2 else int(3 + rng.integers(2))
-    return _draw_one_nonnormal(rng, n, k, spec.scale)
-
-
-def _draw_negative_cross(rng, n, scale):
-    drawn = _draw_family(rng, n, 1, scale, False)
-    return drawn + (complex(-rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)),)
-
-
-def _build_negative_cross(drawn, scale):
+def _build_negative_cross(g, r, scale):
     """(A, B) with A normal, B = c A for Re(c) <= 0, so A*B + B*A <= 0 and
-    the pair commutes exactly."""
-    (a,) = _build_family(drawn[:-1], scale, False)
-    c = drawn[-1]
-    return a, (np.asarray(c)[..., None, None] if np.ndim(c) else c) * a
+    the pair commutes exactly.  ``r`` holds A's diagonal, then c's two
+    uniforms."""
+    (a,) = _build_family(g, r[..., :-2].reshape(r.shape[:-1] + (1, 2, -1)), scale, False)
+    c = np.empty(r.shape[:-1], dtype=complex)
+    c.real, c.imag = -r[..., -2], _uniform(r[..., -1], -1.0, 1.0)
+    return a, (c[..., None, None] if c.ndim else c) * a
 
 
 # kind -> (draw(rng, n, spec) -> drawn arrays, build(spec, *drawn) -> matrices)
 _KINDS = {
     "unitary": (
-        lambda rng, n, spec: _draw_gaussian(rng, n),
-        lambda spec, re, im: (_unitary(re, im),),
+        lambda rng, n, spec: (rng.standard_normal((2, n, n)),),
+        lambda spec, g: (_unitary(g),),
     ),
     "self_adjoint": (
-        lambda rng, n, spec: _draw_gaussian(rng, n),
-        lambda spec, re, im: (symmetrize(_general(re, im, spec.scale)),),
+        lambda rng, n, spec: (rng.standard_normal((2, n, n)),),
+        lambda spec, g: (symmetrize(_general(*_pair(g), spec.scale)),),
     ),
     "normal": (
-        lambda rng, n, spec: _draw_family(rng, n, 1, spec.scale, spec.invertible),
-        lambda spec, *drawn: _build_family(drawn, spec.scale, spec.invertible),
+        lambda rng, n, spec: _draw_family(rng, n, 1),
+        lambda spec, g, r: _build_family(g, r, spec.scale, spec.invertible),
     ),
     "general": (
         lambda rng, n, spec: (_draw_general(rng, n, spec.k),),
-        lambda spec, drawn: tuple(
-            np.moveaxis(_general(drawn[..., 0, :, :], drawn[..., 1, :, :], spec.scale), -3, 0)
-        ),
+        lambda spec, drawn: tuple(np.moveaxis(_general(*_pair(drawn), spec.scale), -3, 0)),
     ),
     "anti_symmetric": (
-        lambda rng, n, spec: _draw_gaussian(rng, n),
-        lambda spec, re, im: (_skew(_general(re, im, spec.scale)),),
+        lambda rng, n, spec: (rng.standard_normal((2, n, n)),),
+        lambda spec, g: (_skew(_general(*_pair(g), spec.scale)),),
     ),
     "commuting_normal_family": (
-        lambda rng, n, spec: _draw_family(rng, n, spec.k, spec.scale, spec.invertible),
-        lambda spec, *drawn: _build_family(drawn, spec.scale, spec.invertible),
+        lambda rng, n, spec: _draw_family(rng, n, spec.k),
+        lambda spec, g, r: _build_family(g, r, spec.scale, spec.invertible),
     ),
     "commuting_family_one_nonnormal": (
-        _draw_nfold,
-        lambda spec, *drawn: _build_one_nonnormal(drawn, spec.scale),
+        lambda rng, n, spec: _draw_one_nonnormal(  # k == 1 (unset): a family of 3 or 4 per trial
+            rng, n, spec.k if spec.k >= 2 else int(3 + rng.integers(2))
+        ),
+        lambda spec, g, special, r: _build_one_nonnormal(g, special, r, spec.scale),
     ),
     "commuting_positive_pair": (
-        lambda rng, n, spec: (
-            *_draw_gaussian(rng, n),
-            rng.uniform(0.0, spec.scale, n),
-            rng.uniform(0.0, spec.scale, n),
-        ),
-        lambda spec, *drawn: _build_positive_pair(*drawn),
+        lambda rng, n, spec: (rng.standard_normal((2, n, n)), rng.random((2, n))),
+        lambda spec, g, r: _build_positive_pair(g, _uniform(r, 0.0, spec.scale)),
     ),
     "sa_pair_normal_product": (
         lambda rng, n, spec: _draw_sa_pair(rng, spec.scale),
-        lambda spec, *drawn: _build_sa_pair(*drawn),
+        lambda spec, g, a, b: _build_sa_pair(g, a, b),
     ),
     "negative_cross_pair": (
-        lambda rng, n, spec: _draw_negative_cross(rng, n, spec.scale),
-        lambda spec, *drawn: _build_negative_cross(drawn, spec.scale),
+        lambda rng, n, spec: (rng.standard_normal((2, n, n)), rng.random(2 * n + 2)),
+        lambda spec, g, r: _build_negative_cross(g, r, spec.scale),
     ),
     "ordered_psd_pair": (
-        lambda rng, n, spec: _draw_ordered_psd(rng, n, spec.scale, spec.commuting),
-        lambda spec, *drawn: _build_ordered_psd(drawn, spec.scale, spec.commuting),
+        lambda rng, n, spec: _draw_ordered_psd(rng, n, spec.commuting),
+        lambda spec, g, other: _build_ordered_psd(g, other, spec.scale, spec.commuting),
     ),
     "sandwich_pair": (
         lambda rng, n, spec: _draw_sandwich(rng, n, spec.scale),
         lambda spec, *drawn: _build_sandwich(*drawn, spec.scale),
     ),
     "fuglede_pair": (
-        lambda rng, n, spec: _draw_fuglede(rng, n, spec.scale),
-        lambda spec, *drawn: _build_fuglede(drawn, spec.scale),
+        lambda rng, n, spec: _draw_fuglede(rng, n),
+        lambda spec, g, r, other: _build_fuglede(g, r, other, spec.scale),
     ),
 }
 
@@ -702,8 +698,8 @@ def gen_commuting_family_one_nonnormal(
     two basis vectors; every other member's diagonal is constant on that
     block, which is exactly what pairwise commutation requires.  Needs n >= 2.
     """
-    drawn = _draw_one_nonnormal(_as_generator(seed), n, k, scale)
-    return _checked(*_build_one_nonnormal(drawn, scale))
+    g, special, r = _draw_one_nonnormal(_as_generator(seed), n, k)
+    return _checked(*_build_one_nonnormal(g, special, r, scale))
 
 
 def gen_commuting_positive_pair(n: int, seed, scale: float = 1.0):

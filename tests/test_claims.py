@@ -162,6 +162,12 @@ class TestRunSuite:
         with pytest.raises(KeyError):
             run_suite(["NOPE"], [2], 5, 1)
 
+    def test_rejects_dims_below_one(self):
+        # a usage error, not a block of error records per trial
+        for dims in ([0], [-1], [2, 0]):
+            with pytest.raises(ValueError, match="dims must be nonempty and each >= 1"):
+                run_suite(["C-TRI"], dims, 5, 1)
+
     def test_rejects_duplicate_claims_and_dims(self):
         # a repeated claim or dim would report the same trials twice
         with pytest.raises(ValueError, match="duplicate claim ids: \\['C-TRI'\\]"):
@@ -250,6 +256,11 @@ class TestProbe:
         for count in (0, -1):
             with pytest.raises(ValueError, match="count must be >= 1"):
                 probe_conclusions(["C-TRI"], dim=2, count=count, master_seed=1)
+
+    def test_rejects_dim_below_one(self):
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="dim must be >= 1"):
+                probe_conclusions(["C-TRI"], dim=dim, count=5, master_seed=1)
 
     def test_probe_bookkeeping_adds_up(self):
         ids = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]

@@ -372,6 +372,156 @@ def test_fuglede_blocks_take_both_branches():
         assert verdicts[True] > 1 and verdicts[False] > 1
 
 
+# ---------------------------------------------------------------------------
+# the stream contract: a draw makes one call per distribution, and its
+# numbers are those of the sequence of per-array calls it replaced
+
+
+def reference_draw(rng, n, spec):
+    """A kind's draw as it was made before it was fused: each Gaussian
+    matrix and each array of uniforms from a call of its own, the uniforms
+    already on their ranges, returned as one array per call."""
+    scale = spec.scale
+
+    def gaussian():
+        return [rng.standard_normal((n, n)), rng.standard_normal((n, n))]
+
+    def diagonal(invertible):
+        turns = rng.uniform(0.0, 1.0, n)
+        return [turns, rng.uniform(0.1 * scale, scale, n) if invertible else rng.uniform(0.0, 1.0, n)]
+
+    kind = spec.kind
+    if kind in ("unitary", "self_adjoint", "anti_symmetric"):
+        return gaussian()
+    if kind in ("normal", "commuting_normal_family"):
+        out = gaussian()
+        for _ in range(spec.k if kind == "commuting_normal_family" else 1):
+            out += diagonal(spec.invertible)
+        return out
+    if kind == "commuting_positive_pair":
+        return gaussian() + [rng.uniform(0.0, scale, n), rng.uniform(0.0, scale, n)]
+    if kind == "commuting_family_one_nonnormal":
+        k = spec.k if spec.k >= 2 else int(3 + rng.integers(2))
+        if n < 2:
+            raise ValueError("non-normal commuting families need n >= 2")
+        out = gaussian()
+        special = int(rng.integers(k))
+        out.append(special)
+        for i in range(k):
+            out += diagonal(False)
+            if i == special:
+                corner = [rng.uniform(0.3 * scale, scale), rng.uniform()]
+        return out + corner
+    if kind == "sa_pair_normal_product":
+        out = gaussian()
+        while True:
+            phi, psi = rng.uniform(0.0, np.pi, 2)
+            if abs(np.sin(2 * (phi - psi))) >= 0.1:
+                break
+        while True:
+            mags = rng.uniform(0.1 * scale, scale, 2)
+            if abs(mags[0] - mags[1]) >= 0.05 * scale:
+                break
+        signs = rng.choice([-1.0, 1.0], 2)
+        reflection = generators._plane_reflection
+        return out + [signs[0] * mags[0] * reflection(phi), signs[1] * mags[1] * reflection(psi)]
+    if kind == "negative_cross_pair":
+        out = gaussian() + diagonal(False)
+        return out + [complex(-rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))]
+    if kind == "ordered_psd_pair":
+        return gaussian() + ([rng.uniform(0.0, scale, n)] if spec.commuting else gaussian())
+    if kind == "fuglede_pair":
+        out = gaussian() + diagonal(False)
+        return out + (diagonal(False) if int(rng.integers(2)) else gaussian())
+    raise AssertionError(f"no reference for {kind}")
+
+
+def in_reference_layout(spec, drawn):
+    """A fused draw in :func:`reference_draw`'s layout, each uniform put on
+    its range the way ``rng.uniform`` puts it: ``lo + (hi - lo) * r``."""
+
+    def on(r, lo=0.0, hi=1.0):
+        return lo + (hi - lo) * r
+
+    scale, kind = spec.scale, spec.kind
+    g, rest = drawn[0], drawn[1:]
+    out = [g[0], g[1]]
+    if kind in ("normal", "commuting_normal_family"):
+        for turns, radii in rest[0]:
+            out += [on(turns), on(radii, 0.1 * scale, scale) if spec.invertible else on(radii)]
+    elif kind == "ordered_psd_pair" and not spec.commuting:
+        out += list(rest[0])
+    elif kind in ("commuting_positive_pair", "ordered_psd_pair"):
+        out += [on(r, 0.0, scale) for r in np.atleast_2d(rest[0])]
+    elif kind == "commuting_family_one_nonnormal":
+        special, r = rest
+        at = 2 * len(g[0]) * (special + 1)  # the corner's two uniforms follow its member's diagonal
+        out += [special, *on(np.concatenate((r[:at], r[at + 2 :]))).reshape(-1, len(g[0]))]
+        out += [on(r[at], 0.3 * scale, scale), on(r[at + 1])]
+    elif kind == "sa_pair_normal_product":
+        out += list(rest)
+    elif kind == "negative_cross_pair":
+        (r,) = rest
+        out += [*on(r[:-2]).reshape(2, -1), complex(-on(r[-2]), on(r[-1], -1.0, 1.0))]
+    elif kind == "fuglede_pair":
+        r, other = rest
+        out += [on(r[0]), on(r[1])]
+        out += [on(other[0]), on(other[1])] if other.ndim == 2 else [other[0], other[1]]
+    return out
+
+
+FUSED_SPECS = sorted(
+    {s for s in SPECS if s.kind not in ("general", "sandwich_pair")}
+    | {
+        EnsembleSpec("unitary"),
+        EnsembleSpec("normal"),
+        EnsembleSpec("normal", invertible=True, scale=2.5),
+        EnsembleSpec("commuting_normal_family", k=3, invertible=True, scale=0.5),
+        EnsembleSpec("commuting_normal_family", k=3, scale=0.5),
+        EnsembleSpec("commuting_family_one_nonnormal", k=3, scale=1.5),
+        EnsembleSpec("commuting_family_one_nonnormal", k=4),
+        EnsembleSpec("ordered_psd_pair", commuting=True, scale=3.0),
+    },
+    key=repr,
+)
+
+
+@pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: f"{s.kind}-k{s.k}-{s.invertible}-{s.commuting}")
+def test_fused_draws_give_the_per_call_numbers(spec):
+    draw, _ = generators._KINDS[spec.kind]
+    seen = Counter()  # (family size, special) pairs, or the fuglede branch
+    for n in (1, 2, 3, 4, 8):
+        n = spec.dim or n
+        for master in MASTERS:
+            for trial in range(10):
+                seed = Seed(master, f"stream:{n}", trial)
+                rng, ref_rng = seed.generator(), seed.generator()
+                try:
+                    expected = reference_draw(ref_rng, n, spec)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        draw(rng, n, spec)
+                    continue
+                drawn = draw(rng, n, spec)
+                got = in_reference_layout(spec, drawn)
+                assert len(got) == len(expected)
+                for x, y in zip(got, expected):
+                    x, y = np.asarray(x), np.asarray(y)
+                    assert x.dtype == y.dtype and x.shape == y.shape
+                    assert x.tobytes() == y.tobytes(), (spec, n, master, trial)
+                # the fused draw stops where the per-call draws stopped
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                if spec.kind == "commuting_family_one_nonnormal":
+                    seen[(len(drawn[2]) - 2) // (2 * n), drawn[1]] += 1
+                elif spec.kind == "fuglede_pair":
+                    seen[drawn[2].ndim] += 1
+    if spec.kind == "commuting_family_one_nonnormal":  # every member has been the non-normal one
+        sizes = (spec.k,) if spec.k > 1 else (3, 4)
+        assert set(seen) == {(k, s) for k in sizes for s in range(k)}
+    elif spec.kind == "fuglede_pair":  # the commuting branch and the general one
+        assert set(seen) == {2, 3}
+
+
 class _ZeroC:
     """A generator whose third and fourth standard_normal draws (the
     sandwich's C) are zeros; records the calls made."""

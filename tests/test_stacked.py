@@ -283,6 +283,35 @@ def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, sta
     assert full == partial == single
 
 
+@pytest.mark.parametrize(
+    "residuals",
+    (
+        [1.0, np.nan, 3.0, np.inf, 3.0, 2.0],
+        [0.0, -0.0, -1.0],
+        [-0.0, 0.0],
+        [np.nan, -np.inf, np.inf],
+        [2.5, 2.5],
+    ),
+)
+@pytest.mark.parametrize("prior", (None, (2.5, 3), (3.0, 3), (0.0, 2), (9.0, 2)))
+def test_all_pass_stack_keeps_the_trial_that_ranks_worst(monkeypatch, residuals, prior):
+    # one pick per stack ranks as one _keep_worst call per trial would:
+    # by (residual, dim, trial) over the finite residuals
+    monkeypatch.setattr(claims_module, "_stack_passes", lambda *_: np.array(residuals))
+    seeds = [Seed(3, "C-TRI:2", t) for t in range(10, 10 + len(residuals))]
+    picked, looped = (claims_module.ClaimStats("C-TRI") for _ in range(2))
+    if prior is not None:
+        for stats in (picked, looped):
+            stats._keep_worst(prior[0], {"dim": prior[1], "trial": 0})
+    claims_module._run_group(catalog()["C-TRI"], 2, seeds, (), TolerancePolicy(), picked)
+    for seed, residual in zip(seeds, residuals):
+        looped._keep_worst(residual, claims_module._seed_record(seed, 2))
+    assert picked.passes == len(residuals)
+    assert picked.worst_residual_seed == looped.worst_residual_seed
+    assert np.float64(picked.worst_residual).tobytes() == np.float64(looped.worst_residual).tobytes()
+    assert type(picked.worst_residual) is float
+
+
 def test_stacks_stay_within_the_byte_cap(stack_log):
     run_suite(["C-EIGHT", "C-NFOLD", "C-TRIN"], (2, 8), 250, 3, TolerancePolicy(rel=1e-8))
     assert all(nbytes <= claims_module.STACK_BYTES for _, _, nbytes, _ in stack_log)
