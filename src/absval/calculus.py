@@ -16,16 +16,16 @@ import numpy as np
 from .core import (
     DEFAULT_POLICY,
     ConvergenceError,
-    NotSelfAdjoint,
     NumericalError,
     TolerancePolicy,
     adjoint,
     eigh_exact,
-    exceeds,
     extreme_eigenvalues,
     failing,
     frobenius,
     hermitian_eigen,
+    positivity,
+    require_self_adjoint,
     select,
     symmetrize,
     trial_sqrt,
@@ -44,7 +44,7 @@ class NotPositiveSemidefinite(NumericalError, ValueError):
 
 
 class NumericallySingular(NumericalError, ValueError):
-    """Condition estimate exceeds MAX_CONDITION."""
+    """Condition estimate exceeds MAX_CONDITION or is NaN."""
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,20 @@ class LoewnerVerdict:
         return bool(self.holds)
 
 
-def _psd_eigenvalues(p: np.ndarray, pol: TolerancePolicy, gated: bool = True):
-    """Eigendecompose a claimed-PSD matrix and clamp round-off negatives.
+def _psd_eigenvalues(w: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """The eigenvalues of a claimed-PSD matrix, round-off negatives clamped.
 
-    Eigenvalues in [-tol, 0) are clamped to 0; anything below -tol is a real
-    indefiniteness and raises, carrying the offending eigenvalue.  Only a
-    matrix that is exactly Hermitian by construction skips the
-    self-adjointness gate (``gated=False``).
+    Eigenvalues in [-tol, 0) are clamped to 0; a spectrum that fails
+    :func:`positivity` is a real indefiniteness and raises, carrying the
+    offending eigenvalue.
     """
-    w, u = hermitian_eigen(p, pol) if gated else eigh_exact(p)
-    lam_min, lam_max = extreme_eigenvalues(w)
-    witness = failing(exceeds(-lam_min, pol.bound(lam_max)), lam_min)
+    holds, lam_min = positivity(w, pol)
+    witness = failing(holds, lam_min)
     if witness is not None:
         raise NotPositiveSemidefinite(
             f"matrix is not positive semidefinite: lambda_min = {witness:.3e}", witness
         )
-    return np.clip(w, 0.0, None), u
+    return np.clip(w, 0.0, None)
 
 
 def _spectral(f: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -90,8 +88,8 @@ def _spectral(f: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Principal square root of a PSD matrix via eigendecomposition."""
-    w, u = _psd_eigenvalues(p, pol)
-    return _spectral(np.sqrt(w), u)
+    w, u = hermitian_eigen(p, pol)
+    return _spectral(np.sqrt(_psd_eigenvalues(w, pol)), u)
 
 
 def psd_sqrt_iterative(
@@ -106,7 +104,7 @@ def psd_sqrt_iterative(
     the early phase; a single Newton correction against the shifted input
     polishes the limit.  Deliberately shares no code with :func:`psd_sqrt`.
     """
-    _psd_eigenvalues(p, pol)  # same admission gate as psd_sqrt
+    _psd_eigenvalues(hermitian_eigen(p, pol)[0], pol)  # same admission gates as psd_sqrt
     n = p.shape[0]
     a = symmetrize(p) + pol.abs * max(1.0, frobenius(p)) * np.eye(n)
     y = a.copy()
@@ -144,8 +142,8 @@ def abs_value(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     The symmetrized Gram matrix is exactly Hermitian, so it goes to the
     eigensolver without the self-adjointness gate; the PSD gate stays.
     """
-    w, u = _psd_eigenvalues(symmetrize(adjoint(a) @ a), pol, gated=False)
-    return _spectral(np.sqrt(w), u)
+    w, u = eigh_exact(symmetrize(adjoint(a) @ a))
+    return _spectral(np.sqrt(_psd_eigenvalues(w, pol)), u)
 
 
 def psd_power(p: np.ndarray, alpha: float, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -155,23 +153,16 @@ def psd_power(p: np.ndarray, alpha: float, pol: TolerancePolicy = DEFAULT_POLICY
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    w, u = _psd_eigenvalues(p, pol)
-    return _spectral(w**alpha, u)
-
-
-def _require_self_adjoint(a: np.ndarray, pol: TolerancePolicy, label: str):
-    asym = frobenius(a - a.conj().swapaxes(-1, -2))
-    witness = failing(exceeds(asym, pol.bound(frobenius(a))), asym)
-    if witness is not None:
-        raise NotSelfAdjoint(f"{label} operand is not self-adjoint: ||x - x*||_F = {witness:.3e}")
+    w, u = hermitian_eigen(p, pol)
+    return _spectral(_psd_eigenvalues(w, pol) ** alpha, u)
 
 
 def loewner_leq(
     a: np.ndarray, b: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> LoewnerVerdict:
     """Decide a <= b in the semidefinite order, keeping the witness eigenvalue."""
-    _require_self_adjoint(a, pol, "left")
-    _require_self_adjoint(b, pol, "right")
+    require_self_adjoint(a, pol, "left operand")
+    require_self_adjoint(b, pol, "right operand")
     witness = extreme_eigenvalues(np.linalg.eigvalsh(symmetrize(b - a)))[0]
     tol = pol.bound(frobenius(a), frobenius(b))
     return LoewnerVerdict(holds=witness >= -tol, witness_lambda_min=witness, margin=witness + tol)
@@ -195,10 +186,11 @@ def condition_estimate(a: np.ndarray):
 def inverse(a: np.ndarray) -> np.ndarray:
     """Matrix inverse, guarded by a singular-value condition estimate.
 
-    Anything beyond MAX_CONDITION is refused rather than silently amplified.
+    Anything beyond MAX_CONDITION, or a NaN estimate, is refused rather than
+    silently amplified.
     """
     condition = condition_estimate(a)
-    witness = failing(condition > MAX_CONDITION, condition)
+    witness = failing(condition <= MAX_CONDITION, condition)
     if witness is not None:
         raise NumericallySingular(
             f"matrix is numerically singular: condition estimate {witness:.3e}"

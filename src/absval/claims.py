@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -25,9 +26,12 @@ from .core import (
     TolerancePolicy,
     adjoint,
     as_matrix,
+    equality,
     frobenius,
     operator_norm,
     select,
+    self_adjointness,
+    symmetrize,
     trial_max,
     trial_min,
 )
@@ -127,15 +131,15 @@ def _invertible_pred(a) -> PredicateResult:
     return PredicateResult(kappa <= MAX_CONDITION, kappa)
 
 
-def _equal(x, y, pol):
-    """``(approx_eq(x, y, pol), rel_residual(x, y))`` from one set of norms."""
-    gap, nx, ny = frobenius(x - y), frobenius(x), frobenius(y)
-    return gap <= pol.bound(nx, ny), gap / trial_max(1.0, nx, ny)
-
-
-def _concl_equal(x, y, pol):
-    """Equality conclusion; residual is the shared relative Frobenius residual."""
-    return *_equal(x, y, pol), {}
+def _commuting_product(a, b, pol):
+    """``(sym(ab), holds, asymmetry)`` for operands whose hypothesis has them
+    commute.  The product is symmetrized before any gate sees it, and its
+    asymmetry ``||ab - (ab)*||_F``, the commutator for self-adjoint operands,
+    is judged at the scale the hypothesis admits the commutator at,
+    ``pol.bound(||a||_F ||b||_F)``, not absorbed."""
+    p = a @ b
+    asym = self_adjointness(p, pol)[1]
+    return symmetrize(p), asym <= pol.bound(frobenius(a) * frobenius(b)), asym
 
 
 def _concl_loewner(x, y, pol):
@@ -216,14 +220,9 @@ def _hyp_normal_invertible(mats, pol):
 
 
 def _pairwise_commute(mats, pol) -> PredicateResult:
-    worst = 0.0
-    ok = True
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            res = commutes(mats[i], mats[j], pol)
-            ok = ok & res.holds
-            worst = trial_max(worst, res.residual)
-    return PredicateResult(ok, worst)
+    pairs = [commutes(x, y, pol) for i, x in enumerate(mats) for y in mats[i + 1 :]]
+    worst = trial_max(0.0, *(r.residual for r in pairs))
+    return PredicateResult(_all(r.holds for r in pairs), worst)
 
 
 def _all_but_one_normal(mats, pol) -> PredicateResult:
@@ -302,14 +301,18 @@ def _hyp_negcross(mats, pol):
 
 
 def _concl_product_positive(mats, pol):
-    a, b = mats
-    res = is_positive(a @ b, pol)
-    return res.holds, -res.residual, {"lambda_min": res.residual}
+    p, symmetric, asym = _commuting_product(*mats, pol)
+    res = is_positive(p, pol)
+    extras = {"lambda_min": res.residual, "product_asymmetry": asym}
+    return res.holds & symmetric, -res.residual, extras
 
 
 def _concl_sqrt_factor(mats, pol):
     a, b = mats
-    return _concl_equal(psd_sqrt(a @ b, pol), psd_sqrt(a, pol) @ psd_sqrt(b, pol), pol)
+    roots = psd_sqrt(a, pol) @ psd_sqrt(b, pol)  # first: input that fails a gate fails cheaply
+    p, symmetric, asym = _commuting_product(a, b, pol)
+    same, residual = equality(psd_sqrt(p, pol), roots, pol)
+    return same & symmetric, residual, {"product_asymmetry": asym}
 
 
 def _concl_sqrt_sum(mats, pol):
@@ -357,12 +360,12 @@ def _concl_fuglede(mats, pol):
 def _concl_abs_commute(mats, pol):
     a, b = mats
     aa, ab = abs_value(a, pol), abs_value(b, pol)
-    return _concl_equal(aa @ ab, ab @ aa, pol)
+    return *equality(aa @ ab, ab @ aa, pol), {}
 
 
 def _concl_abs_product(mats, pol):
     a, b = mats
-    return _concl_equal(abs_value(a @ b, pol), abs_value(a, pol) @ abs_value(b, pol), pol)
+    return *equality(abs_value(a @ b, pol), abs_value(a, pol) @ abs_value(b, pol), pol), {}
 
 
 def _concl_prodsa_cor(mats, pol):
@@ -370,18 +373,20 @@ def _concl_prodsa_cor(mats, pol):
     aa, ab = abs_value(a, pol), abs_value(b, pol)
     p = aa @ ab
     sa = is_self_adjoint(p, pol)
-    commute_ok, commute_residual = _equal(p, ab @ aa, pol)
+    commute_ok, commute_residual = equality(p, ab @ aa, pol)
     ok = sa.holds & commute_ok
     residual = trial_max(sa.residual, commute_residual)
     extras = {"self_adjoint_residual": sa.residual}
     both_positive = is_positive(a, pol).holds & is_positive(b, pol).holds
     if np.any(both_positive):
         # on a stack, trials outside the positive case keep their verdict
-        # and carry NaN in place of the product's lambda_min
-        pos = is_positive(a @ b, pol)
-        ok = ok & select(both_positive, pos.holds, True)
+        # and carry NaN in place of the product's lambda_min and asymmetry
+        prod, symmetric, asym = _commuting_product(a, b, pol)
+        pos = is_positive(prod, pol)
+        ok = ok & select(both_positive, pos.holds & symmetric, True)
         residual = select(both_positive, trial_max(residual, -pos.residual), residual)
         extras["product_lambda_min"] = select(both_positive, pos.residual, np.nan)
+        extras["product_asymmetry"] = select(both_positive, asym, np.nan)
     return ok, residual, extras
 
 
@@ -393,7 +398,7 @@ def _concl_eight_products(mats, pol):
     worst = 0.0
     ok = True
     for v in values[1:]:
-        same, residual = _equal(values[0], v, pol)
+        same, residual = equality(values[0], v, pol)
         ok = ok & same
         worst = trial_max(worst, residual)
     return ok, worst, {}
@@ -402,7 +407,7 @@ def _concl_eight_products(mats, pol):
 def _concl_inv_product(mats, pol):
     a, b = mats
     binv = inverse(b)
-    return _concl_equal(abs_value(a @ binv, pol), abs_value(a, pol) @ abs_value(binv, pol), pol)
+    return *equality(abs_value(a @ binv, pol), abs_value(a, pol) @ abs_value(binv, pol), pol), {}
 
 
 def _concl_inverse_abs(mats, pol):
@@ -421,7 +426,7 @@ def _concl_nfold_product(mats, pol):
     rhs = abs_value(mats[0], pol)
     for m in mats[1:]:
         rhs = rhs @ abs_value(m, pol)
-    return _concl_equal(abs_value(prod, pol), rhs, pol)
+    return *equality(abs_value(prod, pol), rhs, pol), {}
 
 
 _POWZ_EXPONENTS = (-3, -2, -1, 0, 1, 2, 3)
@@ -442,7 +447,7 @@ def _concl_integer_powers(mats, pol):
         for _ in range(abs(exponent)):
             power = power @ base
             abs_power = abs_power @ abs_base
-        same, residual = _equal(abs_value(power, pol), abs_power, pol)
+        same, residual = equality(abs_value(power, pol), abs_power, pol)
         ok = ok & same
         worst = trial_max(worst, residual)
     return ok, worst, {}
@@ -468,11 +473,6 @@ def _concl_adjoint_product_hyponormal(mats, pol):
 def _concl_triangle_sum(mats, pol):
     a, b = mats
     return _concl_loewner(abs_value(a + b, pol), abs_value(a, pol) + abs_value(b, pol), pol)
-
-
-def _concl_triangle_diff(mats, pol):
-    a, b = mats
-    return _concl_loewner(abs_value(a - b, pol), abs_value(a, pol) + abs_value(b, pol), pol)
 
 
 def _concl_re_im_split(mats, pol):
@@ -501,26 +501,21 @@ def _concl_normdiff_plus(mats, pol):
     return _concl_opnorm_leq(abs_value(a, pol) - abs_value(b, pol), a + b, pol, (a, b))
 
 
-def _concl_normdiff_minus(mats, pol):
-    a, b = mats
-    return _concl_opnorm_leq(abs_value(a, pol) - abs_value(b, pol), a - b, pol, (a, b))
-
-
 def _concl_sandwich_norm(mats, pol):
     t, s = mats
     return _concl_opnorm_leq(t, s, pol, (t, s))
-
-
-def _concl_absdiff_minus(mats, pol):
-    a, b = mats
-    gap = abs_value(a, pol) - abs_value(b, pol)
-    return _concl_loewner(abs_value(gap, pol), abs_value(a - b, pol), pol)
 
 
 def _concl_absdiff_plus(mats, pol):
     a, b = mats
     gap = abs_value(a, pol) - abs_value(b, pol)
     return _concl_loewner(abs_value(gap, pol), abs_value(a + b, pol), pol)
+
+
+def _minus_form(conclusion):
+    """The A - B form of an A + B conclusion: it runs on (A, -B), and |-B|
+    and A + (-B) are bit for bit |B| and A - B."""
+    return lambda mats, pol: conclusion((mats[0], -mats[1]), pol)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +696,7 @@ def _build_catalog() -> dict[str, Claim]:
             2,
             EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a_hypo_b,
-            _concl_triangle_diff,
+            _minus_form(_concl_triangle_sum),
             note=_COLLAPSE_NOTE,
         ),
         Claim(
@@ -736,7 +731,7 @@ def _build_catalog() -> dict[str, Claim]:
             2,
             EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_both_normal,
-            _concl_normdiff_minus,
+            _minus_form(_concl_normdiff_plus),
         ),
         Claim(
             "L-SANDWICH",
@@ -752,7 +747,7 @@ def _build_catalog() -> dict[str, Claim]:
             2,
             EnsembleSpec("commuting_normal_family", k=2),
             _hyp_commuting_normal_a_hypo_b,
-            _concl_absdiff_minus,
+            _minus_form(_concl_absdiff_plus),
             note=_COLLAPSE_NOTE,
         ),
         Claim(
@@ -1217,8 +1212,10 @@ def run_suite(
             for start in range(0, trials, block):
                 tasks.append((cid, dim, start, min(block, trials - start), master_seed, pol))
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at once: no more than tasks or cores
+    workers = min(jobs, len(tasks), os.cpu_count() or 1) if jobs > 1 else 1
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block_star, tasks, chunksize=1))
     else:
         results = [_run_block(*t) for t in tasks]

@@ -74,20 +74,15 @@ def select(cond, if_true, if_false):
     return if_true if cond else if_false
 
 
-def exceeds(x, bound):
-    """``x > bound``, per trial, failing closed: NaN exceeds every bound and
-    every value exceeds a NaN bound, so a gate never admits a non-finite
-    intermediate."""
-    within = x <= bound
-    return ~within if type(within) is np.ndarray else not within
-
-
-def failing(bad, values):
-    """The value of the first trial flagged ``bad``, as a float; None if no trial is."""
-    if type(bad) is np.ndarray:
-        hits = np.flatnonzero(bad)
-        return float(np.broadcast_to(values, bad.shape).flat[hits[0]]) if hits.size else None
-    return values if bad else None
+def failing(holds, values):
+    """The value of the first trial whose ``holds`` is False, as a float;
+    None if every trial holds.  The rules compare with ``<=`` or ``>=``,
+    which is False where either side is NaN, so a gate that raises on a
+    failing trial never admits a non-finite intermediate."""
+    if type(holds) is np.ndarray:
+        hits = np.flatnonzero(~holds)
+        return float(np.broadcast_to(values, holds.shape).flat[hits[0]]) if hits.size else None
+    return None if holds else values
 
 
 def extreme_eigenvalues(w):
@@ -125,13 +120,13 @@ DEFAULT_POLICY = TolerancePolicy()
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Validate and return a square complex128 matrix.
+    """Validate and return a square complex128 matrix, or a stack of them.
 
     Accepts anything ``np.asarray`` does; rejects non-square shapes and
     non-finite entries.
     """
     a = np.array(entries, dtype=complex, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -172,17 +167,46 @@ def symmetrize(h: np.ndarray) -> np.ndarray:
     return (h + h.conj().swapaxes(-1, -2)) / 2
 
 
-def approx_eq(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
-    """The one shared approximate-equality rule:
+def equality(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
+    """The one approximate-equality rule, as ``(holds, residual)`` from one
+    set of norms: ``holds`` is ``||x - y||_F <= pol.bound(||x||_F, ||y||_F)``
+    and ``residual`` is ``||x - y||_F / max(1, ||x||_F, ||y||_F)``."""
+    gap, nx, ny = frobenius(x - y), frobenius(x), frobenius(y)
+    return gap <= pol.bound(nx, ny), gap / trial_max(1.0, nx, ny)
 
-    ``||x - y||_F <= rel * max(1, ||x||_F, ||y||_F) + abs``.
-    """
-    return frobenius(x - y) <= pol.bound(frobenius(x), frobenius(y))
+
+def approx_eq(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
+    """The verdict of :func:`equality`."""
+    return equality(x, y, pol)[0]
 
 
 def rel_residual(x: np.ndarray, y: np.ndarray):
-    """Frobenius distance scaled the same way :func:`approx_eq` scales it."""
-    return frobenius(x - y) / trial_max(1.0, frobenius(x), frobenius(y))
+    """The residual of :func:`equality`, which no tolerance changes."""
+    return equality(x, y)[1]
+
+
+def self_adjointness(x: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
+    """The one self-adjointness rule, as ``(holds, residual)``: ``holds`` is
+    ``||x - x*||_F <= pol.bound(||x||_F)``, False where ``x`` holds a NaN."""
+    r = frobenius(x - x.conj().swapaxes(-1, -2))
+    return r <= pol.bound(frobenius(x)), r
+
+
+def require_self_adjoint(x: np.ndarray, pol: TolerancePolicy, what: str) -> None:
+    """Raise :class:`NotSelfAdjoint`, naming ``what`` and the first failing
+    trial's residual, unless every trial passes :func:`self_adjointness`."""
+    holds, r = self_adjointness(x, pol)
+    witness = failing(holds, r)
+    if witness is not None:
+        raise NotSelfAdjoint(f"{what} is not self-adjoint: ||x - x*||_F = {witness:.3e}")
+
+
+def positivity(w: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
+    """The one positive-semidefiniteness rule on ascending eigenvalues
+    ``w[..., :]``, as ``(holds, lambda_min)``: ``holds`` is
+    ``lambda_min >= -pol.bound(lambda_max)``, False where ``lambda_min`` is NaN."""
+    lam_min, lam_max = extreme_eigenvalues(w)
+    return lam_min >= -pol.bound(lam_max), lam_min
 
 
 def operator_norm(a: np.ndarray):
@@ -197,14 +221,11 @@ def hermitian_eigen(h: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
     returns it: real ascending eigenvalues ``w`` and orthonormal eigenvectors
     as the columns of ``u``, so ``u diag(w) u*`` reconstructs the input.
 
-    The input is symmetrized before factorization, but asymmetry beyond the
-    policy's tolerance is the caller's error and raises rather than being
-    absorbed silently.
+    The input is symmetrized before factorization, but input that fails
+    :func:`self_adjointness` is the caller's error and raises rather than
+    being absorbed silently.
     """
-    asym = frobenius(h - h.conj().swapaxes(-1, -2))
-    witness = failing(exceeds(asym, pol.bound(frobenius(h))), asym)
-    if witness is not None:
-        raise NotSelfAdjoint(f"input is not self-adjoint: ||h - h*||_F = {witness:.3e}")
+    require_self_adjoint(h, pol, "input")
     return eigh_exact(symmetrize(h))
 
 

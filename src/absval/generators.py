@@ -32,7 +32,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import DimensionMismatch, as_matrix, symmetrize, adjoint, operator_norm
+from .core import as_matrix, symmetrize, adjoint, operator_norm
 
 # ---------------------------------------------------------------------------
 # seed streams
@@ -222,15 +222,17 @@ def _as_generator(seed) -> np.random.Generator:
 class EnsembleSpec:
     """What to draw for one claim: a kind, a family size and a scale.
 
-    ``dim`` pins the dimension for families that only exist at one size
-    (the self-adjoint pair with normal product is inherently 2x2); None
-    means the suite's requested dimension is used.  ``invertible`` moves
-    normal spectra onto an annulus away from zero; ``commuting`` selects the
-    commuting variant of the ordered-PSD ensemble.
+    ``k`` is the family size; None leaves it to the kind: one matrix, or a
+    family of 3 or 4, drawn per trial, for the commuting family with one
+    non-normal member.  ``dim`` pins the dimension for families that only
+    exist at one size (the self-adjoint pair with normal product is
+    inherently 2x2); None means the suite's requested dimension is used.
+    ``invertible`` moves normal spectra onto an annulus away from zero;
+    ``commuting`` selects the commuting variant of the ordered-PSD ensemble.
     """
 
     kind: str
-    k: int = 1
+    k: int | None = None
     scale: float = 1.0
     dim: int | None = None
     invertible: bool = False
@@ -239,7 +241,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.k < 1:
+        if self.k is not None and self.k < 1:
             raise ValueError("family size k must be >= 1")
         if self.dim is not None and self.dim < 1:
             raise ValueError("dim must be >= 1")
@@ -247,21 +249,6 @@ class EnsembleSpec:
 
 # ---------------------------------------------------------------------------
 # draws (one trial, rng calls only) and builds (one trial or a stack)
-
-
-def _checked(*mats) -> tuple:
-    """:func:`as_matrix`'s checks on each built matrix, or on a whole stack."""
-    out = []
-    for m in mats:
-        if m.ndim == 2:
-            out.append(as_matrix(m))
-            continue
-        if m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-            raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        out.append(np.ascontiguousarray(m, dtype=complex))
-    return tuple(out)
 
 
 def _draw_gaussian(rng, n):
@@ -500,7 +487,7 @@ _KINDS = {
         lambda spec, g, r: _build_family(g, r, spec.scale, spec.invertible),
     ),
     "general": (
-        lambda rng, n, spec: (_draw_general(rng, n, spec.k),),
+        lambda rng, n, spec: (_draw_general(rng, n, spec.k or 1),),
         lambda spec, drawn: tuple(np.moveaxis(_general(*_pair(drawn), spec.scale), -3, 0)),
     ),
     "anti_symmetric": (
@@ -508,12 +495,12 @@ _KINDS = {
         lambda spec, g: (_skew(_general(*_pair(g), spec.scale)),),
     ),
     "commuting_normal_family": (
-        lambda rng, n, spec: _draw_family(rng, n, spec.k),
+        lambda rng, n, spec: _draw_family(rng, n, spec.k or 1),
         lambda spec, g, r: _build_family(g, r, spec.scale, spec.invertible),
     ),
     "commuting_family_one_nonnormal": (
-        lambda rng, n, spec: _draw_one_nonnormal(  # k == 1 (unset): a family of 3 or 4 per trial
-            rng, n, spec.k if spec.k >= 2 else int(3 + rng.integers(2))
+        lambda rng, n, spec: _draw_one_nonnormal(  # k unset: a family of 3 or 4 per trial
+            rng, n, spec.k or int(3 + rng.integers(2))
         ),
         lambda spec, g, special, r: _build_one_nonnormal(g, special, r, spec.scale),
     ),
@@ -553,7 +540,7 @@ def sample(spec: EnsembleSpec, n: int, seed) -> tuple[np.ndarray, ...]:
     spec's pinned dimension)."""
     n = spec.dim if spec.dim is not None else n
     draw, build = _KINDS[spec.kind]
-    return _checked(*build(spec, *draw(_as_generator(seed), n, spec)))
+    return tuple(map(as_matrix, build(spec, *draw(_as_generator(seed), n, spec))))
 
 
 def sample_block(
@@ -620,7 +607,7 @@ def sample_general(n: int, k: int, rngs: list) -> tuple[np.ndarray, ...]:
         drawn = _draw_general(rngs[0], n, k)
     else:  # (k, 2, B, n, n): each built matrix is a contiguous (B, n, n) stack
         drawn = np.stack([_draw_general(rng, n, k) for rng in rngs], axis=2)
-    (family,) = _checked(_general(drawn[:, 0], drawn[:, 1], 1.0))
+    family = as_matrix(_general(drawn[:, 0], drawn[:, 1], 1.0))
     return tuple(family)
 
 
@@ -639,9 +626,9 @@ def _built_stacks(spec, build, seeds, slots):
     try:
         if len(seeds) == 1:  # the one-trial build, as sample runs it
             row = (s[0].item() if s.ndim == 1 else s[0] for s in slots)
-            mats = tuple(m[None] for m in _checked(*build(spec, *row)))
+            mats = tuple(as_matrix(m)[None] for m in build(spec, *row))
         else:
-            mats = _checked(*build(spec, *slots))
+            mats = tuple(map(as_matrix, build(spec, *slots)))
     except Exception as exc:
         if len(seeds) == 1:
             yield seeds, exc
@@ -698,8 +685,7 @@ def gen_commuting_family_one_nonnormal(
     two basis vectors; every other member's diagonal is constant on that
     block, which is exactly what pairwise commutation requires.  Needs n >= 2.
     """
-    g, special, r = _draw_one_nonnormal(_as_generator(seed), n, k)
-    return _checked(*_build_one_nonnormal(g, special, r, scale))
+    return sample(EnsembleSpec("commuting_family_one_nonnormal", k=k, scale=scale), n, seed)
 
 
 def gen_commuting_positive_pair(n: int, seed, scale: float = 1.0):

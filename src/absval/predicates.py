@@ -17,9 +17,10 @@ from .core import (
     DimensionMismatch,
     TolerancePolicy,
     adjoint,
-    extreme_eigenvalues,
     frobenius,
+    positivity,
     select,
+    self_adjointness,
     symmetrize,
 )
 from .calculus import loewner_leq
@@ -38,9 +39,8 @@ class PredicateResult:
 
 
 def is_self_adjoint(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
-    """a == a* up to tolerance; residual is ||a - a*||_F."""
-    r = frobenius(a - a.conj().swapaxes(-1, -2))
-    return PredicateResult(r <= pol.bound(frobenius(a)), r)
+    """a == a* by :func:`~absval.core.self_adjointness`; residual is ||a - a*||_F."""
+    return PredicateResult(*self_adjointness(a, pol))
 
 
 def is_normal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
@@ -58,14 +58,13 @@ def is_hyponormal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> Predi
 
 
 def is_positive(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
-    """Self-adjoint with nonnegative spectrum; residual is lambda_min."""
+    """Self-adjoint with a spectrum that passes
+    :func:`~absval.core.positivity`; residual is lambda_min."""
     sa = is_self_adjoint(a, pol).holds
     if sa is False:  # one matrix, not self-adjoint: no spectrum to check
         return PredicateResult(False, float("-inf"))
-    lam_min, lam_max = extreme_eigenvalues(np.linalg.eigvalsh(symmetrize(a)))
-    return PredicateResult(
-        sa & (lam_min >= -pol.bound(lam_max)), select(sa, lam_min, float("-inf"))
-    )
+    psd, lam_min = positivity(np.linalg.eigvalsh(symmetrize(a)), pol)
+    return PredicateResult(sa & psd, select(sa, lam_min, float("-inf")))
 
 
 def is_anti_symmetric(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:

@@ -240,6 +240,8 @@ class TestGatesFailClosed:
             loewner_leq(np.eye(2), self.NAN)
         with pytest.raises(NotPositiveSemidefinite, match="nan"):
             abs_value(self.NAN)  # no self-adjointness gate: the PSD gate catches it
+        with pytest.raises(NumericallySingular, match="nan"):
+            inverse(self.NAN)  # a NaN condition estimate is not within MAX_CONDITION
 
     @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
     def test_nan_slice_fails_a_stack(self):

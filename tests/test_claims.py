@@ -17,6 +17,7 @@ from absval import (
     registry,
     run_suite,
 )
+from absval import claims as claims_module
 from absval.claims import ALWAYS_HOLDS, ClaimInstance, HYPOTHESIS_FAIL, PASS, REGISTRY_VIOLATION
 
 EXPECTED_IDS = [
@@ -186,6 +187,36 @@ class TestRunSuite:
             ) == stats.trials
             assert not stats.violations and not stats.errors
             assert stats.hypothesis_failures == 0
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(5000, 8, 4), (3, 8, 3), (5000, 2, 2), (5000, None, None), (2, 1, None)],
+    )
+    def test_pool_is_capped_by_tasks_and_cores(self, monkeypatch, jobs, cpus, workers):
+        # four tasks (two claims at two dims); the pool is replaced by a
+        # serial one, so no large pool is started to test the cap
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(claims_module, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(claims_module.os, "cpu_count", lambda: cpus)
+        report = run_suite(["C-TRI", "C-PRODNORM"], [2, 3], 5, 1, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert report.config["jobs"] == jobs
+        serial = run_suite(["C-TRI", "C-PRODNORM"], [2, 3], 5, 1)
+        assert [c.to_dict() for c in report.claims] == [c.to_dict() for c in serial.claims]
 
     def test_pinned_dimension_families_ignore_requested_dims(self):
         report = run_suite(["C-PRODSA"], dims=[5, 6], trials=4, master_seed=1)

@@ -341,17 +341,35 @@ class TestNumericalErrorsExitOne:
     (usage) and never a traceback."""
 
     def test_gate_mismatch_exits_one(self, capsys, tmp_path):
-        # ROADMAP item 2: the hypothesis holds at rel = 1e-3, then
-        # psd_sqrt(A @ B) fails the self-adjointness gate
+        # At rel = 1e-3 the pair commutes within the hypothesis' scale
+        # ||A||_F ||B||_F, but AB is far from self-adjoint at the scale
+        # ||AB||_F.  The conclusions symmetrize the product and judge its
+        # asymmetry at the hypothesis' scale, so this true lemma ends as a
+        # PASS or a finite VIOLATION, never as a gate error or an infinity.
         a = write_matrix(tmp_path / "a.json", as_matrix([[10, 1e-3], [1e-3, 0.01]]))
         b = write_matrix(tmp_path / "b.json", as_matrix([[0.01, 1e-3], [1e-3, 10]]))
-        code, out, err = run_cli(
-            capsys, "--claims", "L-SQRT-FACTOR", "--tol-rel", "1e-3",
-            "--matrix-file", a, "--matrix-file", b,
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "absval: input is not self-adjoint: ||h - h*||_F = 2.826e-02\n"
+
+        def run(claim):
+            code, out, err = run_cli(
+                capsys, "--claims", claim, "--tol-rel", "1e-3",
+                "--matrix-file", a, "--matrix-file", b, "--format", "json",
+            )
+            assert err == ""
+            return code, json.loads(out)["claims"][0]
+
+        code, entry = run("L-SQRT-PROD")
+        assert code == 0 and entry["passes"] == 1
+        code, entry = run("L-SQRT-FACTOR")
+        (violation,) = entry["violations"]
+        assert code == 1 and not entry["errors"]
+        residuals = violation["residuals"]
+        assert all(type(r) is float and np.isfinite(r) for r in residuals.values())
+        # for self-adjoint A and B the product's asymmetry is the commutator
+        assert residuals["product_asymmetry"] == pytest.approx(residuals["hyp_commutes"], rel=1e-12)
+        _, entry = run("C-PRODSA-COR")
+        assert not entry["errors"] and np.isfinite(entry["worst_residual"])
+        for record in entry["violations"]:
+            assert all(type(r) is float and np.isfinite(r) for r in record["residuals"].values())
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_intermediate_exits_one(self, capsys, tmp_path):

@@ -18,9 +18,12 @@ from absval import (
     gen_self_adjoint,
     gen_unitary,
     hermitian_eigen,
+    is_self_adjoint,
+    loewner_leq,
     matrix_from_literal,
     matrix_to_literal,
     operator_norm,
+    symmetrize,
 )
 
 EPS = np.finfo(float).eps
@@ -116,6 +119,41 @@ class TestHermitianEigen:
                 w, u = hermitian_eigen(h)
                 assert frobenius(u @ u.conj().T - np.eye(n)) <= 64 * n * EPS * np.sqrt(n)
                 assert frobenius((u * w) @ u.conj().T - h) <= 64 * n * EPS * frobenius(h)
+
+
+@st.composite
+def _near_self_adjoint(draw):
+    """A matrix or a stack of them, each a Hermitian matrix plus an
+    anti-Hermitian part whose size is drawn around the self-adjointness
+    bound; some carry a NaN entry."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    shape = draw(st.sampled_from([(), (1,), (3,)])) + (n, n)
+    pol = TolerancePolicy(rel=draw(st.sampled_from([1e-9, 1e-3])))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g, k = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    h = symmetrize(g) * 10.0 ** draw(st.integers(min_value=-3, max_value=3))
+    skew = k - adjoint(k)  # its own ||x - x*||_F is 2 ||skew||_F
+    size = rng.uniform(0.5, 2.0, shape[:-2]) * pol.bound(frobenius(h)) / (2 * frobenius(skew))
+    x = h + np.asarray(size)[..., None, None] * skew
+    if draw(st.booleans()):
+        x.flat[draw(st.integers(min_value=0, max_value=x.size - 1))] = np.nan
+    return x, pol
+
+
+@pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(case=_near_self_adjoint())
+def test_one_self_adjointness_gate(case):
+    """``is_self_adjoint`` fails on some trial exactly when the gates of
+    ``hermitian_eigen`` and ``loewner_leq`` raise ``NotSelfAdjoint``."""
+    x, pol = case
+    admitted = bool(np.all(is_self_adjoint(x, pol).holds))
+    for gate in (lambda: hermitian_eigen(x, pol), lambda: loewner_leq(x, x, pol)):
+        if admitted:
+            gate()
+        else:
+            with pytest.raises(NotSelfAdjoint):
+                gate()
 
 
 class TestValidationAndLiterals:

@@ -106,6 +106,15 @@ class TestOneNonNormalFamily:
         with pytest.raises(ValueError):
             gen_commuting_family_one_nonnormal(1, 3, 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_function_and_spec_draw_the_same_family(self, k):
+        # k = 1 is a family of one on both routes; only an unset k draws 3 or 4
+        spec = EnsembleSpec("commuting_family_one_nonnormal", k=k)
+        for seed in range(10):
+            family = gen_commuting_family_one_nonnormal(3, k, seed)
+            assert len(family) == k
+            assert [m.tobytes() for m in family] == [m.tobytes() for m in sample(spec, 3, seed)]
+
 
 class TestSelfAdjointPairNormalProduct:
     def test_hypotheses_hold(self):
@@ -338,7 +347,12 @@ def block_slices(spec, n, master, tag, count, max_bytes=claims_module.STACK_BYTE
     assert sum(depths) == count
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-k{s.k}-{s.invertible}-{s.commuting}")
+def spec_id(s):
+    # an unset family size is labelled k1, which keeps the test ids stable
+    return f"{s.kind}-k{s.k or 1}-{s.invertible}-{s.commuting}"
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_every_block_slice_is_sample(spec):
     for n in BLOCK_DIMS:
         for master in MASTERS:
@@ -395,13 +409,13 @@ def reference_draw(rng, n, spec):
         return gaussian()
     if kind in ("normal", "commuting_normal_family"):
         out = gaussian()
-        for _ in range(spec.k if kind == "commuting_normal_family" else 1):
+        for _ in range(spec.k or 1):
             out += diagonal(spec.invertible)
         return out
     if kind == "commuting_positive_pair":
         return gaussian() + [rng.uniform(0.0, scale, n), rng.uniform(0.0, scale, n)]
     if kind == "commuting_family_one_nonnormal":
-        k = spec.k if spec.k >= 2 else int(3 + rng.integers(2))
+        k = spec.k or int(3 + rng.integers(2))
         if n < 2:
             raise ValueError("non-normal commuting families need n >= 2")
         out = gaussian()
@@ -486,7 +500,7 @@ FUSED_SPECS = sorted(
 )
 
 
-@pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: f"{s.kind}-k{s.k}-{s.invertible}-{s.commuting}")
+@pytest.mark.parametrize("spec", FUSED_SPECS, ids=spec_id)
 def test_fused_draws_give_the_per_call_numbers(spec):
     draw, _ = generators._KINDS[spec.kind]
     seen = Counter()  # (family size, special) pairs, or the fuglede branch
@@ -516,7 +530,7 @@ def test_fused_draws_give_the_per_call_numbers(spec):
                 elif spec.kind == "fuglede_pair":
                     seen[drawn[2].ndim] += 1
     if spec.kind == "commuting_family_one_nonnormal":  # every member has been the non-normal one
-        sizes = (spec.k,) if spec.k > 1 else (3, 4)
+        sizes = (spec.k,) if spec.k else (3, 4)
         assert set(seen) == {(k, s) for k in sizes for s in range(k)}
     elif spec.kind == "fuglede_pair":  # the commuting branch and the general one
         assert set(seen) == {2, 3}

@@ -49,7 +49,7 @@ from absval import (
     symmetrize,
 )
 from absval import claims as claims_module
-from absval.core import eigh_exact
+from absval.core import eigh_exact, equality
 
 DIMS = (2, 3, 4, 8)
 DEPTH = 12
@@ -115,6 +115,7 @@ def _operands(n, depth=DEPTH):
         "approx_eq": (approx_eq, g, near),
         "approx_eq_far": (approx_eq, g, h),
         "rel_residual": (rel_residual, g, near),
+        "equality": (equality, g, near),
         "operator_norm": (operator_norm, g),
         "hermitian_eigen": (hermitian_eigen, sa),
         "eigh_exact": (lambda x: eigh_exact(symmetrize(x)), g),
@@ -206,12 +207,9 @@ def test_symmetrize_is_exactly_hermitian(shape):
 # ---------------------------------------------------------------------------
 # the runner: fallback to single trials, records, caps
 
-# ROADMAP item 2's instance: the hypothesis holds at rel = 1e-3, while
-# psd_sqrt(A @ B) fails the self-adjointness gate.
-GATE_FAILING = (
-    as_matrix([[10, 1e-3], [1e-3, 0.01]]),
-    as_matrix([[0.01, 1e-3], [1e-3, 10]]),
-)
+# L-ANTI's hypothesis holds (A* = -A exactly), but A @ A overflows and the
+# NaN it leaves fails the self-adjointness gate of loewner_leq.
+GATE_FAILING = (as_matrix([[0, 1e200], [-1e200, 0]]),)
 
 
 @pytest.fixture
@@ -230,6 +228,7 @@ def stack_log(monkeypatch):
     return log
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, stack_log):
     bad_trial = 5
     real_sample_block = claims_module.sample_block
@@ -244,13 +243,12 @@ def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, sta
             yield seeds, stack
 
     monkeypatch.setattr(claims_module, "sample_block", sample_block_with_bad_trial)
-    loose = TolerancePolicy(rel=1e-3)
-    _, block = claims_module._run_block("L-SQRT-FACTOR", 2, 0, DEPTH, 77, loose)
-    _, single = claims_module._run_block("L-SQRT-FACTOR", 2, bad_trial, 1, 77, loose)
-    assert stack_log == [("L-SQRT-FACTOR", DEPTH, DEPTH * 2 * 64, False)]
+    _, block = claims_module._run_block("L-ANTI", 2, 0, DEPTH, 77, TolerancePolicy())
+    _, single = claims_module._run_block("L-ANTI", 2, bad_trial, 1, 77, TolerancePolicy())
+    assert stack_log == [("L-ANTI", DEPTH, DEPTH * 64, False)]
     (record,) = single.errors
     assert record["trial"] == bad_trial and record["dim"] == 2
-    assert "not self-adjoint" in record["message"]
+    assert record["message"] == "left operand is not self-adjoint: ||x - x*||_F = nan"
     assert block.errors == single.errors
     assert block.passes == DEPTH - 1 and block.trials == DEPTH
 
