@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     DEFAULT_POLICY,
     ConvergenceError,
+    DimensionMismatch,
     NumericalError,
     TolerancePolicy,
     adjoint,
@@ -99,11 +100,15 @@ def psd_sqrt_iterative(
 ) -> np.ndarray:
     """Principal square root via the coupled Denman-Beavers iteration.
 
-    The input is shifted by ``pol.abs * max(1, ||p||) * I`` so the iteration's
-    inverses exist for semidefinite input.  Determinant scaling accelerates
+    Takes one ``(n, n)`` matrix, unlike every other routine here: a stack
+    raises :class:`~absval.core.DimensionMismatch`.  The input is shifted by
+    ``pol.abs * max(1, ||p||) * I`` so the iteration's inverses exist for
+    semidefinite input.  Determinant scaling accelerates
     the early phase; a single Newton correction against the shifted input
     polishes the limit.  Deliberately shares no code with :func:`psd_sqrt`.
     """
+    if p.ndim != 2:
+        raise DimensionMismatch(f"psd_sqrt_iterative takes one matrix, got shape {p.shape}")
     _psd_eigenvalues(hermitian_eigen(p, pol)[0], pol)  # same admission gates as psd_sqrt
     n = p.shape[0]
     a = symmetrize(p) + pol.abs * max(1.0, frobenius(p)) * np.eye(n)

@@ -80,6 +80,8 @@ class Claim:
     conclusion: Callable
     expect: str = ALWAYS_HOLDS
     note: str = ""
+    # conclusion extras that some trials leave out; on a stack they read NaN there
+    per_trial_extras: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -325,15 +327,10 @@ _LH_ALPHAS = (0.25, 0.5, 0.75)
 
 def _concl_loewner_heinz(mats, pol):
     a, b = mats
-    ok = True
-    worst = -np.inf
-    extras = {}
-    for alpha in _LH_ALPHAS:
-        v = loewner_leq(psd_power(b, alpha, pol), psd_power(a, alpha, pol), pol)
-        ok = ok & v.holds
-        worst = trial_max(worst, -v.witness_lambda_min)
-        extras[f"witness_alpha_{alpha}"] = v.witness_lambda_min
-    return ok, worst, extras
+    orders = [loewner_leq(psd_power(b, t, pol), psd_power(a, t, pol), pol) for t in _LH_ALPHAS]
+    worst = trial_max(*(-v.witness_lambda_min for v in orders))
+    extras = {f"witness_alpha_{t}": v.witness_lambda_min for t, v in zip(_LH_ALPHAS, orders)}
+    return _all(v.holds for v in orders), worst, extras
 
 
 def _concl_square_mono(mats, pol):
@@ -420,13 +417,8 @@ def _concl_inverse_abs(mats, pol):
 
 
 def _concl_nfold_product(mats, pol):
-    prod = mats[0]
-    for m in mats[1:]:
-        prod = prod @ m
-    rhs = abs_value(mats[0], pol)
-    for m in mats[1:]:
-        rhs = rhs @ abs_value(m, pol)
-    return *equality(abs_value(prod, pol), rhs, pol), {}
+    rhs = reduce(operator.matmul, [abs_value(m, pol) for m in mats])
+    return *equality(abs_value(reduce(operator.matmul, mats), pol), rhs, pol), {}
 
 
 _POWZ_EXPONENTS = (-3, -2, -1, 0, 1, 2, 3)
@@ -484,9 +476,7 @@ def _concl_re_im_split(mats, pol):
 
 def _concl_triangle_n(mats, pol):
     total = sum(mats[1:], start=mats[0])
-    bound = abs_value(mats[0], pol)
-    for m in mats[1:]:
-        bound = bound + abs_value(m, pol)
+    bound = sum((abs_value(m, pol) for m in mats[1:]), start=abs_value(mats[0], pol))
     return _concl_loewner(abs_value(total, pol), bound, pol)
 
 
@@ -598,6 +588,7 @@ def _build_catalog() -> dict[str, Claim]:
             EnsembleSpec("sa_pair_normal_product", dim=2),
             _hyp_sa_pair_normal_product,
             _concl_prodsa_cor,
+            per_trial_extras=("product_lambda_min", "product_asymmetry"),
         ),
         Claim(
             "C-PRODNORM",
@@ -822,22 +813,12 @@ _SQRT2 = float(np.sqrt(2.0))
 
 
 def _registry_instances() -> tuple[RegistryInstance, ...]:
-    ce0_a = as_matrix([[1, 1], [0, 1]])
-    ce0_b = as_matrix([[0, 1], [0, 0]])
-    ce1_a = as_matrix([[2, 0], [0, -1]])
-    ce1_b = as_matrix([[0, 1], [1, 0]])
-    ce2_a = as_matrix([[0, 1], [2, 0]])
-    ce2_b = as_matrix([[0, 2], [1, 0]])
-    ce3_a = as_matrix([[0, 2], [1, 0]])
-    ce4_a = as_matrix([[-1, 1], [1, -1]])
-    ce4_b = as_matrix([[2, 0], [0, 0]])
-
-    def pair_values(mats, pol):
-        a, b = mats
-        return {
-            "abs_a": abs_value(a, pol),
-            "abs_b": abs_value(b, pol),
-            "abs_product": abs_value(a @ b, pol),
+    def pair_values(name, combine):
+        """|A|, |B|, and |combine(A, B)| as ``name``."""
+        return lambda mats, pol: {
+            "abs_a": abs_value(mats[0], pol),
+            "abs_b": abs_value(mats[1], pol),
+            name: abs_value(combine(*mats), pol),
         }
 
     def square_values(mats, pol):
@@ -845,52 +826,44 @@ def _registry_instances() -> tuple[RegistryInstance, ...]:
         aa = abs_value(a, pol)
         return {"abs_square": abs_value(a @ a, pol), "abs_a_squared": aa @ aa}
 
-    def sum_values(mats, pol):
-        a, b = mats
-        return {
-            "abs_a": abs_value(a, pol),
-            "abs_b": abs_value(b, pol),
-            "abs_sum": abs_value(a + b, pol),
-        }
-
     return (
         RegistryInstance(
             "CE-0",
             "C-ABSCOMM",
             "commuting non-normal pair with |A||B| != |B||A|",
-            (ce0_a, ce0_b),
+            (as_matrix([[1, 1], [0, 1]]), as_matrix([[0, 1], [0, 0]])),
             {"commutes": True, "normal_a": False},
             {
                 "abs_a": as_matrix([[2, 1], [1, 3]]) / _SQRT5,
                 "abs_b": as_matrix([[0, 0], [0, 1]]),
             },
-            pair_values,
+            pair_values("abs_product", operator.matmul),
         ),
         RegistryInstance(
             "CE-1",
             "C-PRODSA",
             "self-adjoint pair with non-normal product: |AB| != |A||B|",
-            (ce1_a, ce1_b),
+            (as_matrix([[2, 0], [0, -1]]), as_matrix([[0, 1], [1, 0]])),
             {"self_adjoint_a": True, "self_adjoint_b": True, "normal_product": False},
             {
                 "abs_a": as_matrix([[2, 0], [0, 1]]),
                 "abs_b": as_matrix([[1, 0], [0, 1]]),
                 "abs_product": as_matrix([[1, 0], [0, 2]]),
             },
-            pair_values,
+            pair_values("abs_product", operator.matmul),
         ),
         RegistryInstance(
             "CE-2",
             "C-PRODNORM",
             "non-normal pair with self-adjoint product: |AB| != |A||B|",
-            (ce2_a, ce2_b),
+            (as_matrix([[0, 1], [2, 0]]), as_matrix([[0, 2], [1, 0]])),
             {"commutes": False, "normal_a": False},
             {
                 "abs_a": as_matrix([[2, 0], [0, 1]]),
                 "abs_b": as_matrix([[1, 0], [0, 2]]),
                 "abs_product": as_matrix([[1, 0], [0, 4]]),
             },
-            pair_values,
+            pair_values("abs_product", operator.matmul),
             caveat=(
                 "|AB| equals diag(1, 4): the product AB = diag(1, 4) is already "
                 "positive, so it is its own absolute value; the diag(1, 2) "
@@ -901,7 +874,7 @@ def _registry_instances() -> tuple[RegistryInstance, ...]:
             "CE-3",
             "C-POWZ",
             "non-normal A with |A^2| != |A|^2",
-            (ce3_a,),
+            (as_matrix([[0, 2], [1, 0]]),),
             {"normal_a": False, "invertible_a": True},
             {
                 "abs_square": as_matrix([[2, 0], [0, 2]]),
@@ -919,14 +892,14 @@ def _registry_instances() -> tuple[RegistryInstance, ...]:
             "CE-4",
             "C-TRI",
             "non-commuting self-adjoint pair violating |A+B| <= |A|+|B|",
-            (ce4_a, ce4_b),
+            (as_matrix([[-1, 1], [1, -1]]), as_matrix([[2, 0], [0, 0]])),
             {"commutes": False, "normal_a": True, "hyponormal_b": True},
             {
                 "abs_a": as_matrix([[1, -1], [-1, 1]]),
                 "abs_b": as_matrix([[2, 0], [0, 0]]),
                 "abs_sum": _SQRT2 * as_matrix([[1, 0], [0, 1]]),
             },
-            sum_values,
+            pair_values("abs_sum", operator.add),
         ),
     )
 
@@ -982,39 +955,45 @@ def check_registry_instance(
 # claim evaluation and suites
 
 
-def check_claim(instance: ClaimInstance, pol: TolerancePolicy = DEFAULT_POLICY) -> ClaimResult:
-    """Evaluate hypothesis then conclusion on one bound tuple of matrices.
+def _evaluate(claim: Claim, mats: tuple, pol: TolerancePolicy):
+    """The one evaluation of a claim: ``(hypothesis_ok, conclusion_ok,
+    flags, residuals)`` for one trial, or per-trial arrays for ``(B, n, n)``
+    stacks.  ``residuals`` holds the hypothesis residuals, ``"conclusion"``
+    and the conclusion's extras, as Python floats for one trial.
 
-    The conclusion is evaluated even under a failed hypothesis (the registry
-    counterexamples need both flags); a conclusion that cannot be computed is
-    only an error when the hypothesis held.
+    The conclusion runs under a failed hypothesis too (the registry needs
+    both flags).  A one-trial conclusion that raises under a failed
+    hypothesis gives ``conclusion_ok`` None and a NaN residual; any other
+    raise propagates, a stack's to be split by :func:`_split_on_raise`.
     """
-    claim = catalog()[instance.claim_id]
-    hyp_ok, flags, residuals = claim.hypothesis(instance.matrices, pol)
-    residuals = dict(residuals)
+    hyp_ok, flags, residuals = claim.hypothesis(mats, pol)
+    stacked = mats[0].ndim > 2
     try:
-        concl_ok, concl_residual, extras = claim.conclusion(instance.matrices, pol)
+        concl_ok, concl_residual, extras = claim.conclusion(mats, pol)
     except Exception:
-        if hyp_ok:
+        if stacked or hyp_ok:
             raise
-        concl_ok, concl_residual, extras = None, float("nan"), {}
-    residuals["conclusion"] = float(concl_residual)
-    for name, value in extras.items():
-        residuals[name] = float(value)
-    if hyp_ok and concl_ok:
-        verdict = PASS
-    elif hyp_ok:
-        verdict = VIOLATION
-    else:
-        verdict = HYPOTHESIS_FAIL
-    return ClaimResult(
-        claim_id=instance.claim_id,
-        hypothesis_ok=hyp_ok,
-        conclusion_ok=concl_ok,
-        hypothesis_flags=flags,
-        residuals=residuals,
-        verdict=verdict,
-    )
+        concl_ok, concl_residual, extras = None, math.nan, {}
+    residuals = {**residuals, "conclusion": concl_residual, **extras}
+    return hyp_ok, concl_ok, flags, residuals if stacked else _trial_residuals(claim, residuals)
+
+
+def _verdict(hyp_ok, concl_ok):
+    """PASS, VIOLATION or HYPOTHESIS_FAIL, per trial."""
+    return select(hyp_ok, select(concl_ok, PASS, VIOLATION), HYPOTHESIS_FAIL)
+
+
+def _trial_residuals(claim: Claim, values: dict) -> dict:
+    """One trial's residuals as Python floats.  A per-trial extra that reads
+    NaN is one the trial leaves out, so a stack's slice gives its trial's record."""
+    extras = claim.per_trial_extras
+    return {name: float(v) for name, v in values.items() if v == v or name not in extras}
+
+
+def check_claim(instance: ClaimInstance, pol: TolerancePolicy = DEFAULT_POLICY) -> ClaimResult:
+    """:func:`_evaluate` on one bound tuple of matrices, with its verdict."""
+    hyp_ok, concl_ok, *rest = _evaluate(catalog()[instance.claim_id], instance.matrices, pol)
+    return ClaimResult(instance.claim_id, hyp_ok, concl_ok, *rest, _verdict(hyp_ok, concl_ok))
 
 
 @dataclass
@@ -1105,10 +1084,9 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     :func:`sample_block` derives the block's seeds in one pass, draws each
     trial from its own seed and builds the matrices as ``(B, n, n)`` stacks
     of at most ``STACK_BYTES``, each slice bit-for-bit what :func:`sample`
-    gives that trial.  Only an all-PASS stack is counted from its arrays; a
-    stack that raises or holds any other verdict is re-run trial by trial
-    through :func:`check_claim`, as is a stack of one trial, so every record
-    comes from the single-matrix path.
+    gives that trial.  :func:`_run_group` reads every verdict and record of
+    a stack from its arrays; only a stack that raises is evaluated again
+    trial by trial, so each of its trials counts as it would alone.
     """
     claim = catalog()[claim_id]
     stats = ClaimStats(claim_id, trials=count)
@@ -1126,38 +1104,61 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     return claim_id, stats
 
 
-def _stack_passes(claim: Claim, stack: tuple, pol: TolerancePolicy):
-    """Conclusion residuals of a stack of trials, or None unless every trial passes."""
-    try:
-        hyp_ok = claim.hypothesis(stack, pol)[0]
-        concl_ok, residual, _ = claim.conclusion(stack, pol)
-    except Exception:
-        return None
-    if not np.all(hyp_ok & concl_ok):
-        return None
-    return np.broadcast_to(residual, (len(stack[0]),))
+def _split_on_raise(evaluate, stack: tuple, size: int):
+    """Yield ``(None, evaluate(stack))`` for a stack of ``size`` > 1 trials
+    that does not raise.  Otherwise yield ``(i, evaluate(trial i))`` for each
+    trial in turn, with the exception in place of the value of a trial that
+    raises, so that each trial counts as it would alone.  At ``size`` 1,
+    ``stack`` holds the trial's own matrices."""
+    if size > 1:
+        try:
+            value = evaluate(stack)
+        except Exception:
+            pass
+        else:
+            yield None, value
+            return
+    for i in range(size):
+        try:
+            value = evaluate(stack if size == 1 else tuple([m[i] for m in stack]))
+        except Exception as exc:
+            value = exc
+        yield i, value
 
 
 def _run_group(
     claim: Claim, dim: int, seeds: list, stack: tuple, pol: TolerancePolicy, stats: ClaimStats
 ):
-    residuals = _stack_passes(claim, stack, pol) if len(seeds) > 1 else None
-    if residuals is not None:
-        stats.passes += len(seeds)
-        finite = residuals[np.isfinite(residuals)]
-        if finite.size:  # the stack's worst by (residual, trial): the last of its largest
-            i = np.flatnonzero(residuals == finite.max())[-1]
-            stats._keep_worst(float(residuals[i]), _seed_record(seeds[i], dim))
-        return
-    for i, seed in enumerate(seeds):
-        where = _seed_record(seed, dim)
-        try:
-            mats = tuple([m[i] for m in stack])
-            result = check_claim(ClaimInstance(claim.id, mats, seed), pol)
-        except Exception as exc:
-            stats.errors.append({**where, "message": str(exc)})
+    """Count one group's trials into ``stats`` as :meth:`ClaimStats.record`
+    counts each.  A stack is read from its arrays: PASS and HYPOTHESIS_FAIL
+    by number, each VIOLATION from its slice of the residual columns, the
+    worst trial with one pick.  A one-trial group, and each trial of a stack
+    that raises, is recorded on Python scalars."""
+    size = len(seeds)
+    if size == 1:
+        stack = tuple([m[0] for m in stack])
+    for i, value in _split_on_raise(lambda mats: _evaluate(claim, mats, pol), stack, size):
+        if isinstance(value, Exception):
+            stats.errors.append({**_seed_record(seeds[i], dim), "message": str(value)})
             continue
-        stats.record(result.verdict, result.residuals, where)
+        hyp_ok, concl_ok, _, residuals = value
+        if i is not None:
+            stats.record(_verdict(hyp_ok, concl_ok), residuals, _seed_record(seeds[i], dim))
+            continue
+        verdicts = np.broadcast_to(_verdict(hyp_ok, concl_ok), (size,))
+        stats.passes += int(np.count_nonzero(verdicts == PASS))
+        stats.hypothesis_failures += int(np.count_nonzero(verdicts == HYPOTHESIS_FAIL))
+        violated = np.flatnonzero(verdicts == VIOLATION)
+        if violated.size:
+            columns = {name: np.broadcast_to(v, (size,)) for name, v in residuals.items()}
+            for t in violated:
+                row = _trial_residuals(claim, {name: c[t] for name, c in columns.items()})
+                stats.record(VIOLATION, row, _seed_record(seeds[t], dim))
+        worst = np.broadcast_to(residuals["conclusion"], (size,))
+        finite = worst[np.isfinite(worst)]
+        if finite.size:  # the stack's worst by (residual, trial): the last of its largest
+            t = np.flatnonzero(worst == finite.max())[-1]
+            stats._keep_worst(float(worst[t]), _seed_record(seeds[t], dim))
 
 
 def _merge_block(agg: ClaimStats, block: ClaimStats):
@@ -1292,7 +1293,7 @@ def probe_conclusions(
     trials are built and evaluated as ``(B, n, n)`` stacks of at most
     ``STACK_BYTES`` of matrices, and 1x1 trials one at a time, as
     :func:`sample_block` builds them.  A stack whose conclusion raises is
-    evaluated again trial by trial, so each trial counts as it would alone.
+    split into trials by :func:`_split_on_raise`, as in :func:`run_suite`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -1310,28 +1311,13 @@ def probe_conclusions(
         for start in range(0, count, depth):
             size = min(depth, count - start)
             stack = sample_general(dim, arity, [next(rngs) for _ in range(size)])
-            verdicts += _probe_verdicts(claim, stack, size, pol)
+            for i, ok in _split_on_raise(lambda mats: claim.conclusion(mats, pol)[0], stack, size):
+                if i is None:
+                    verdicts += np.broadcast_to(ok, (size,)).tolist()
+                else:
+                    verdicts.append(None if isinstance(ok, Exception) else bool(ok))
         failures = [t for t, ok in enumerate(verdicts) if ok is False]
         first = Seed(master_seed, tag, failures[0]).replay_master if failures else None
         errors = verdicts.count(None)
         out.append(ProbeStats(cid, count - errors, len(failures), errors, first))
     return out
-
-
-def _probe_verdicts(claim: Claim, stack: tuple, size: int, pol: TolerancePolicy) -> list:
-    """The conclusion's verdict on each of ``size`` trials, None for a trial
-    whose conclusion raises; a stack that raises is run trial by trial."""
-    if size > 1:
-        try:
-            ok = claim.conclusion(stack, pol)[0]
-            return np.broadcast_to(ok, (size,)).tolist()
-        except Exception:
-            pass
-    verdicts = []
-    for i in range(size):
-        try:
-            mats = stack if size == 1 else tuple([m[i] for m in stack])
-            verdicts.append(bool(claim.conclusion(mats, pol)[0]))
-        except Exception:
-            verdicts.append(None)
-    return verdicts

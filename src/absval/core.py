@@ -109,11 +109,17 @@ class TolerancePolicy:
             )
 
     def bound(self, *scales):
-        """The threshold ``rel * max(1, *scales) + abs``, per trial."""
+        """The threshold ``rel * max(1, *scales) + abs``, per trial: NaN
+        where a scale is NaN, for one matrix as on a stack, so a rule judged
+        at it fails closed."""
         try:
-            return self.rel * max(1.0, *scales) + self.abs
+            top = max(1.0, *scales)
         except ValueError:  # stacks of trials
             return self.rel * reduce(np.maximum, scales, 1.0) + self.abs
+        for s in scales:  # Python's max keeps a NaN only in first place
+            if s != s:
+                return self.rel * s + self.abs
+        return self.rel * top + self.abs
 
 
 DEFAULT_POLICY = TolerancePolicy()

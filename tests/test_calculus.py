@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from absval import (
+    DimensionMismatch,
     NotPositiveSemidefinite,
     NotSelfAdjoint,
     NumericallySingular,
@@ -81,6 +82,14 @@ class TestPsdSqrtIterative:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefinite):
             psd_sqrt_iterative(cm([[0, 0], [0, -1]]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rejects_a_stack(self, n):
+        # a stack of PSD matrices that psd_sqrt takes whole
+        stack = np.stack([random_psd(n, seed) for seed in range(n)])
+        assert psd_sqrt(stack).shape == (n, n, n)
+        with pytest.raises(DimensionMismatch, match="takes one matrix"):
+            psd_sqrt_iterative(stack)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_oracle_agreement_seeded(self, n):

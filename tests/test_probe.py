@@ -45,13 +45,13 @@ def reference_probe(claim_ids, dim, count, master_seed, pol=DEFAULT_POLICY):
 def stack_sizes(monkeypatch):
     """Record the number of trials of every evaluated probe stack."""
     sizes = []
-    real = claims_module._probe_verdicts
+    real = claims_module._split_on_raise
 
-    def recording(claim, stack, size, pol):
+    def recording(evaluate, stack, size):
         sizes.append(size)
-        return real(claim, stack, size, pol)
+        return real(evaluate, stack, size)
 
-    monkeypatch.setattr(claims_module, "_probe_verdicts", recording)
+    monkeypatch.setattr(claims_module, "_split_on_raise", recording)
     return sizes
 
 

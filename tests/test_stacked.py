@@ -2,9 +2,9 @@
 ``(n, n)`` call bit for bit.
 
 The suite runner evaluates trials in stacks (``claims.STACK_BYTES``) and
-counts passing trials straight from the stacked arrays, so a stacked value
-that differed from the single-matrix value in any bit would silently change
-reports and seed replay.  These tests make a numpy/LAPACK build that breaks
+reads every verdict and record straight from the stacked arrays, so a
+stacked value that differed from the single-matrix value in any bit would
+silently change reports and seed replay.  These tests make a numpy/LAPACK build that breaks
 slice identity fail loudly instead.
 """
 
@@ -32,6 +32,7 @@ from absval import (
     gen_general,
     gen_ordered_psd_pair,
     gen_self_adjoint,
+    gen_unitary,
     hermitian_eigen,
     inverse,
     is_anti_symmetric,
@@ -49,7 +50,7 @@ from absval import (
     symmetrize,
 )
 from absval import claims as claims_module
-from absval.core import eigh_exact, equality
+from absval.core import eigh_exact, equality, positivity
 
 DIMS = (2, 3, 4, 8)
 DEPTH = 12
@@ -107,7 +108,20 @@ def _operands(n, depth=DEPTH):
     mixed = alternate(sa)  # self-adjoint or not
     signed = alternate(psd, sa)  # PSD or indefinite
     near = [x + 1e-10 * y for x, y in zip(g, h)]
+    nan_g = [x.copy() for x in g]
+    for x in nan_g:
+        x[0, 0] = np.nan
+    with_nan = alternate(g, nan_g)  # a NaN scale on every even trial, trial 0 too
+    # ascending eigenvalues: lambda_min = -1e-9 is within the unit-scale bound,
+    # so only the NaN lambda_max on even trials can fail them
+    spectra = [np.linspace(-1e-9, t + 1.0, n) for t in range(depth)]
+    for t in range(0, depth, 2):
+        spectra[t][-1] = np.nan
     singular = [np.zeros((n, n), dtype=complex) if t == 0 else g[t] for t in range(depth)]
+
+    def bound(x, y):
+        return TolerancePolicy().bound(frobenius(x), frobenius(y))
+
     return {
         "adjoint": (adjoint, g),
         "frobenius": (frobenius, g),
@@ -119,7 +133,9 @@ def _operands(n, depth=DEPTH):
         "operator_norm": (operator_norm, g),
         "hermitian_eigen": (hermitian_eigen, sa),
         "eigh_exact": (lambda x: eigh_exact(symmetrize(x)), g),
-        "bound": (lambda x, y: TolerancePolicy().bound(frobenius(x), frobenius(y)), g, h),
+        "bound": (bound, g, h),
+        "bound_nan": (bound, g, with_nan),
+        "positivity_nan": (positivity, spectra),
         "psd_sqrt": (psd_sqrt, psd),
         "abs_value": (abs_value, g),
         "psd_power": (lambda x: psd_power(x, 0.3), psd),
@@ -155,17 +171,23 @@ def _groups(claim, n, depth=DEPTH):
     return [g for g in groups.values() if len(g) > 1]
 
 
+# where nearly every slice passes, and where many slices violate: the
+# runner builds VIOLATION records from stacked slices
+CLAIM_POLICIES = (TolerancePolicy(rel=1e-8, abs=1e-12), TolerancePolicy(rel=1e-15, abs=1e-300))
+
+
 @pytest.mark.parametrize("cid", THEOREM_IDS)
 def test_every_claim_stacks_bit_for_bit(cid):
     claim = catalog()[cid]
-    pol = TolerancePolicy(rel=1e-8, abs=1e-12)
-    for n in DIMS:
-        for group in _groups(claim, n):
-            stack = tuple(np.stack(slot) for slot in zip(*group))
-            hyp, concl = claim.hypothesis(stack, pol), claim.conclusion(stack, pol)
-            for i, mats in enumerate(group):
-                assert_slice(hyp, i, claim.hypothesis(mats, pol), f"{cid} n={n} hypothesis")
-                assert_slice(concl, i, claim.conclusion(mats, pol), f"{cid} n={n} conclusion")
+    for pol in CLAIM_POLICIES:
+        for n in DIMS:
+            for group in _groups(claim, n):
+                stack = tuple(np.stack(slot) for slot in zip(*group))
+                hyp, concl = claim.hypothesis(stack, pol), claim.conclusion(stack, pol)
+                where = f"{cid} n={n} rel={pol.rel}"
+                for i, mats in enumerate(group):
+                    assert_slice(hyp, i, claim.hypothesis(mats, pol), f"{where} hypothesis")
+                    assert_slice(concl, i, claim.conclusion(mats, pol), f"{where} conclusion")
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -214,17 +236,25 @@ GATE_FAILING = (as_matrix([[0, 1e200], [-1e200, 0]]),)
 
 @pytest.fixture
 def stack_log(monkeypatch):
-    """Record every stacked evaluation: (claim, depth, bytes, all passed)."""
+    """Record every stacked evaluation: (claim, depth, bytes, all passed),
+    where a stack that raises has not passed."""
     log = []
-    real = claims_module._stack_passes
+    real = claims_module._evaluate
 
-    def recording(claim, stack, pol):
-        residuals = real(claim, stack, pol)
-        nbytes = sum(m.nbytes for m in stack)
-        log.append((claim.id, len(stack[0]), nbytes, residuals is not None))
-        return residuals
+    def recording(claim, mats, pol):
+        if mats[0].ndim == 2:  # one trial
+            return real(claim, mats, pol)
+        entry = (claim.id, len(mats[0]), sum(m.nbytes for m in mats))
+        try:
+            result = real(claim, mats, pol)
+        except Exception:
+            log.append((*entry, False))
+            raise
+        hyp_ok, concl_ok, _, _ = result
+        log.append((*entry, bool(np.all(hyp_ok & concl_ok))))
+        return result
 
-    monkeypatch.setattr(claims_module, "_stack_passes", recording)
+    monkeypatch.setattr(claims_module, "_evaluate", recording)
     return log
 
 
@@ -281,6 +311,60 @@ def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, sta
     assert full == partial == single
 
 
+def test_forced_run_reads_every_verdict_from_its_stacks(monkeypatch, stack_log):
+    # no stack raises here, so no trial is evaluated again on its own
+    calls = []
+    real = claims_module.check_claim
+    monkeypatch.setattr(claims_module, "check_claim", lambda *a: calls.append(a) or real(*a))
+    pol = TolerancePolicy(rel=1e-15, abs=1e-300)
+    report = run_suite(["C-EIGHT", "C-TRI", "C-PRODNORM"], (2, 4, 8), 250, 5, pol)
+    assert sum(len(c.violations) for c in report.claims) > 100
+    assert not any(c.errors for c in report.claims)
+    assert calls == []
+    trials = sum(depth for _, depth, _, _ in stack_log)
+    assert trials == sum(c.trials for c in report.claims) == 3 * 3 * 250
+
+
+def _prodsa_cor_trials(depth):
+    """Self-adjoint pairs with a normal product: A, B >= 0 on even trials,
+    A <= 0 <= B on odd ones."""
+    trials = []
+    for t in range(depth):
+        u = gen_unitary(2, Seed(5, "prodsa-cor", t))
+        rng = np.random.default_rng(t)
+        alpha, beta = rng.uniform(0.5, 3.0, 2), rng.uniform(0.5, 3.0, 2)
+        a = symmetrize((u * alpha) @ adjoint(u))
+        trials.append((a if t % 2 == 0 else -a, symmetrize((u * beta) @ adjoint(u))))
+    return trials
+
+
+def test_prodsa_cor_records_keep_the_keys_of_their_trial(stack_log):
+    # C-PRODSA-COR's product extras exist only for A, B >= 0; a stack gives
+    # the other trials NaN there, and their records must leave them out
+    claim, depth = catalog()["C-PRODSA-COR"], 32
+    pol = TolerancePolicy(rel=1e-16, abs=1e-300)
+    trials = _prodsa_cor_trials(depth)
+    seeds = [Seed(5, "C-PRODSA-COR:2", t) for t in range(depth)]
+    stacked, single = claims_module.ClaimStats(claim.id), claims_module.ClaimStats(claim.id)
+    stack = tuple(np.stack(slot) for slot in zip(*trials))
+    claims_module._run_group(claim, 2, seeds, stack, pol, stacked)
+    assert stack_log == [(claim.id, depth, depth * 128, False)]  # one stack, no split
+    for seed, mats in zip(seeds, trials):
+        one = tuple(m[None] for m in mats)
+        claims_module._run_group(claim, 2, [seed], one, pol, single)
+    assert stacked.violations == single.violations
+    for got, expected in zip(stacked.violations, single.violations):
+        assert list(got["residuals"]) == list(expected["residuals"])
+        positive = got["trial"] % 2 == 0
+        assert ("product_lambda_min" in got["residuals"]) == positive
+        assert ("product_asymmetry" in got["residuals"]) == positive
+    kinds = {v["trial"] % 2 for v in stacked.violations}
+    assert kinds == {0, 1}, "both kinds of trial must violate"
+    for count in ("passes", "hypothesis_failures"):
+        assert getattr(stacked, count) == getattr(single, count)
+    assert stacked.worst_residual_seed == single.worst_residual_seed
+
+
 @pytest.mark.parametrize(
     "residuals",
     (
@@ -295,7 +379,9 @@ def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, sta
 def test_all_pass_stack_keeps_the_trial_that_ranks_worst(monkeypatch, residuals, prior):
     # one pick per stack ranks as one _keep_worst call per trial would:
     # by (residual, dim, trial) over the finite residuals
-    monkeypatch.setattr(claims_module, "_stack_passes", lambda *_: np.array(residuals))
+    passed = np.ones(len(residuals), dtype=bool)
+    evaluated = (passed, passed, {}, {"conclusion": np.array(residuals)})
+    monkeypatch.setattr(claims_module, "_evaluate", lambda *_: evaluated)
     seeds = [Seed(3, "C-TRI:2", t) for t in range(10, 10 + len(residuals))]
     picked, looped = (claims_module.ClaimStats("C-TRI") for _ in range(2))
     if prior is not None:
