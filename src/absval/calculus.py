@@ -151,15 +151,19 @@ def abs_value(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     return _spectral(np.sqrt(_psd_eigenvalues(w, pol)), u)
 
 
-def psd_power(p: np.ndarray, alpha: float, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Fractional power of a PSD matrix for alpha in [0, 1].
+def psd_power(p: np.ndarray, alpha, pol: TolerancePolicy = DEFAULT_POLICY):
+    """Fractional power of a PSD matrix for alpha in [0, 1]; for a tuple of
+    exponents, the tuple of powers, all from one gated eigendecomposition.
 
     Uses the 0**0 = 1 convention, so alpha = 0 always yields the identity.
     """
-    if not 0.0 <= alpha <= 1.0:
+    alphas = alpha if isinstance(alpha, tuple) else (alpha,)
+    if not all(0.0 <= t <= 1.0 for t in alphas):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     w, u = hermitian_eigen(p, pol)
-    return _spectral(_psd_eigenvalues(w, pol) ** alpha, u)
+    w = _psd_eigenvalues(w, pol)
+    powers = tuple(_spectral(w**t, u) for t in alphas)
+    return powers if alphas is alpha else powers[0]
 
 
 def loewner_leq(

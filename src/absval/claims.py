@@ -17,12 +17,14 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
 
 from .core import (
     DEFAULT_POLICY,
+    NumericalError,
     TolerancePolicy,
     adjoint,
     as_matrix,
@@ -113,8 +115,41 @@ class ClaimResult:
 
 
 def _all(flags):
-    """Conjunction of per-trial flags."""
-    return reduce(operator.and_, flags)
+    """Conjunction of per-trial flags; True for none, as for a family of one's pairs."""
+    return reduce(operator.and_, flags, True)
+
+
+def _grouped(fn, rows, *args):
+    """Yield ``fn(*row, *args)`` for each tuple of arrays in ``rows``, in
+    order, from calls on the stacked columns of consecutive rows, each call
+    within ``STACK_BYTES // 4``: a trial's operands go as one call, a sweep
+    stack's rows one by one and none made early.  Results are bit for bit the
+    rows' own calls, one trial's scalars as Python scalars.  A group that
+    raises, or whose rows differ in shape, runs row by row."""
+    group = []
+    for row in rows:
+        group.append(row)
+        room = STACK_BYTES // 4 // (len(row) * row[0].nbytes)  # a row's arrays share a shape
+        del row  # a called row is freed before the next one is made
+        if len(group) >= room:
+            yield from _group_call(fn, group, args)
+            group = []
+    yield from _group_call(fn, group, args)
+
+
+def _group_call(fn, group, args):
+    if len(group) > 1:
+        try:
+            return _unstack(fn(*map(np.array, zip(*group)), *args))
+        except (NumericalError, ValueError):  # LinAlgError and np.array's shape error too
+            pass  # row by row the sequence raises its own error, or its rows do not stack
+    return [fn(*row, *args) for row in group]
+
+
+def _unstack(value):
+    if isinstance(value, tuple):
+        return list(zip(*map(_unstack, value)))
+    return value.tolist() if value.ndim == 1 else list(value)
 
 
 def _hypothesis(**parts: PredicateResult):
@@ -153,8 +188,8 @@ def _concl_loewner(x, y, pol):
 
 def _concl_opnorm_leq(x, y, pol, scale_of):
     """Norm conclusion ||x|| <= ||y|| with additive slack tol*max(1, scales)."""
-    lhs, rhs = operator_norm(x), operator_norm(y)
-    slack = pol.bound(*(operator_norm(m) for m in scale_of))
+    lhs, rhs, *scales = _grouped(operator_norm, zip([x, y, *scale_of]))
+    slack = pol.bound(*scales)
     return lhs <= rhs + slack, lhs - rhs, {"lhs_norm": lhs, "rhs_norm": rhs}
 
 
@@ -327,7 +362,8 @@ _LH_ALPHAS = (0.25, 0.5, 0.75)
 
 def _concl_loewner_heinz(mats, pol):
     a, b = mats
-    orders = [loewner_leq(psd_power(b, t, pol), psd_power(a, t, pol), pol) for t in _LH_ALPHAS]
+    lower, upper = psd_power(b, _LH_ALPHAS, pol), psd_power(a, _LH_ALPHAS, pol)
+    orders = [loewner_leq(x, y, pol) for x, y in zip(lower, upper)]
     worst = trial_max(*(-v.witness_lambda_min for v in orders))
     extras = {f"witness_alpha_{t}": v.witness_lambda_min for t, v in zip(_LH_ALPHAS, orders)}
     return _all(v.holds for v in orders), worst, extras
@@ -341,12 +377,9 @@ def _concl_square_mono(mats, pol):
 def _concl_fuglede(mats, pol):
     a, b = mats
     astar, bstar = adjoint(a), adjoint(b)
-    residuals = {
-        "comm": frobenius(a @ b - b @ a),
-        "comm_astar": frobenius(astar @ b - b @ astar),
-        "comm_bstar": frobenius(a @ bstar - bstar @ a),
-        "comm_both": frobenius(astar @ bstar - bstar @ astar),
-    }
+    pairs = (a, b), (astar, b), (a, bstar), (astar, bstar)
+    norms = _grouped(lambda x, y: frobenius(x @ y - y @ x), pairs)
+    residuals = dict(zip(("comm", "comm_astar", "comm_bstar", "comm_both"), norms))
     tol = pol.bound(frobenius(a) * frobenius(b))
     flags = [r <= tol for r in residuals.values()]
     ok = _all(f == flags[0] for f in flags[1:])
@@ -355,19 +388,19 @@ def _concl_fuglede(mats, pol):
 
 
 def _concl_abs_commute(mats, pol):
-    a, b = mats
-    aa, ab = abs_value(a, pol), abs_value(b, pol)
+    aa, ab = _grouped(abs_value, zip(mats), pol)
     return *equality(aa @ ab, ab @ aa, pol), {}
 
 
 def _concl_abs_product(mats, pol):
     a, b = mats
-    return *equality(abs_value(a @ b, pol), abs_value(a, pol) @ abs_value(b, pol), pol), {}
+    abs_ab, abs_a, abs_b = _grouped(abs_value, zip([a @ b, a, b]), pol)
+    return *equality(abs_ab, abs_a @ abs_b, pol), {}
 
 
 def _concl_prodsa_cor(mats, pol):
     a, b = mats
-    aa, ab = abs_value(a, pol), abs_value(b, pol)
+    aa, ab = _grouped(abs_value, zip(mats), pol)
     p = aa @ ab
     sa = is_self_adjoint(p, pol)
     commute_ok, commute_residual = equality(p, ab @ aa, pol)
@@ -390,35 +423,30 @@ def _concl_prodsa_cor(mats, pol):
 def _concl_eight_products(mats, pol):
     a, b = mats
     astar, bstar = adjoint(a), adjoint(b)
-    products = (a @ b, astar @ b, a @ bstar, astar @ bstar, bstar @ astar, bstar @ a, b @ astar, b @ a)
-    values = [abs_value(p, pol) for p in products]
-    worst = 0.0
-    ok = True
-    for v in values[1:]:
-        same, residual = equality(values[0], v, pol)
-        ok = ok & same
-        worst = trial_max(worst, residual)
-    return ok, worst, {}
+    pairs = (a, b), (astar, b), (a, bstar), (astar, bstar), (bstar, astar), (bstar, a)
+    pairs += (b, astar), (b, a)
+    first, *rest = _grouped(lambda x, y: abs_value(x @ y, pol), pairs)
+    same, residuals = zip(*_grouped(equality, ((first, v) for v in rest), pol))
+    return _all(same), trial_max(0.0, *residuals), {}
 
 
 def _concl_inv_product(mats, pol):
-    a, b = mats
-    binv = inverse(b)
-    return *equality(abs_value(a @ binv, pol), abs_value(a, pol) @ abs_value(binv, pol), pol), {}
+    return _concl_abs_product((mats[0], inverse(mats[1])), pol)
 
 
 def _concl_inverse_abs(mats, pol):
     (a,) = mats
     kappa = condition_estimate(a)
-    prod = abs_value(inverse(a), pol) @ abs_value(a, pol)
+    abs_inv, abs_a = _grouped(abs_value, zip([inverse(a), a]), pol)
+    prod = abs_inv @ abs_a
     r = frobenius(prod - np.eye(a.shape[-1]))
     extras = {"identity_residual": r, "condition": kappa}
     return r <= pol.bound(kappa), r / trial_max(1.0, kappa), extras
 
 
 def _concl_nfold_product(mats, pol):
-    rhs = reduce(operator.matmul, [abs_value(m, pol) for m in mats])
-    return *equality(abs_value(reduce(operator.matmul, mats), pol), rhs, pol), {}
+    *factors, whole = _grouped(abs_value, zip([*mats, reduce(operator.matmul, mats)]), pol)
+    return *equality(whole, reduce(operator.matmul, factors), pol), {}
 
 
 _POWZ_EXPONENTS = (-3, -2, -1, 0, 1, 2, 3)
@@ -430,19 +458,13 @@ def _concl_integer_powers(mats, pol):
     abs_a = abs_value(a, pol)
     a_inv = inverse(a)
     abs_inv = inverse(abs_a)
-    ok = True
-    worst = 0.0
-    for exponent in _POWZ_EXPONENTS:
-        base = a if exponent >= 0 else a_inv
-        abs_base = abs_a if exponent >= 0 else abs_inv
-        power, abs_power = eye, eye
-        for _ in range(abs(exponent)):
-            power = power @ base
-            abs_power = abs_power @ abs_base
-        same, residual = equality(abs_value(power, pol), abs_power, pol)
-        ok = ok & same
-        worst = trial_max(worst, residual)
-    return ok, worst, {}
+    bases = [(a, abs_a) if e >= 0 else (a_inv, abs_inv) for e in _POWZ_EXPONENTS]
+    powers = (  # (A^e, |A|^e) as products from the identity, made as they are asked for
+        tuple(reduce(operator.matmul, [m] * abs(e), eye) for m in pair)
+        for e, pair in zip(_POWZ_EXPONENTS, bases)
+    )
+    same, residuals = zip(*_grouped(lambda x, y: equality(abs_value(x, pol), y, pol), powers))
+    return _all(same), trial_max(0.0, *residuals), {}
 
 
 def _concl_square_nonpositive(mats, pol):
@@ -464,20 +486,21 @@ def _concl_adjoint_product_hyponormal(mats, pol):
 
 def _concl_triangle_sum(mats, pol):
     a, b = mats
-    return _concl_loewner(abs_value(a + b, pol), abs_value(a, pol) + abs_value(b, pol), pol)
+    whole, abs_a, abs_b = _grouped(abs_value, zip([a + b, a, b]), pol)
+    return _concl_loewner(whole, abs_a + abs_b, pol)
 
 
 def _concl_re_im_split(mats, pol):
     (t,) = mats
     re = (t + adjoint(t)) / 2
     im = (t - adjoint(t)) / 2j
-    return _concl_loewner(abs_value(t, pol), abs_value(re, pol) + abs_value(im, pol), pol)
+    abs_t, abs_re, abs_im = _grouped(abs_value, zip([t, re, im]), pol)
+    return _concl_loewner(abs_t, abs_re + abs_im, pol)
 
 
 def _concl_triangle_n(mats, pol):
-    total = sum(mats[1:], start=mats[0])
-    bound = sum((abs_value(m, pol) for m in mats[1:]), start=abs_value(mats[0], pol))
-    return _concl_loewner(abs_value(total, pol), bound, pol)
+    first, *rest, whole = _grouped(abs_value, zip([*mats, sum(mats[1:], start=mats[0])]), pol)
+    return _concl_loewner(whole, sum(rest, start=first), pol)
 
 
 def _concl_sum_normal(mats, pol):
@@ -488,24 +511,29 @@ def _concl_sum_normal(mats, pol):
 
 def _concl_normdiff_plus(mats, pol):
     a, b = mats
-    return _concl_opnorm_leq(abs_value(a, pol) - abs_value(b, pol), a + b, pol, (a, b))
+    abs_a, abs_b = _grouped(abs_value, zip(mats), pol)
+    return _concl_opnorm_leq(abs_a - abs_b, a + b, pol, mats)
 
 
 def _concl_sandwich_norm(mats, pol):
-    t, s = mats
-    return _concl_opnorm_leq(t, s, pol, (t, s))
+    return _concl_opnorm_leq(*mats, pol, mats)
 
 
 def _concl_absdiff_plus(mats, pol):
     a, b = mats
-    gap = abs_value(a, pol) - abs_value(b, pol)
-    return _concl_loewner(abs_value(gap, pol), abs_value(a + b, pol), pol)
+    abs_a, abs_b = _grouped(abs_value, zip(mats), pol)
+    return _concl_loewner(*_grouped(abs_value, zip([abs_a - abs_b, a + b]), pol), pol)
 
 
 def _minus_form(conclusion):
     """The A - B form of an A + B conclusion: it runs on (A, -B), and |-B|
-    and A + (-B) are bit for bit |B| and A - B."""
-    return lambda mats, pol: conclusion((mats[0], -mats[1]), pol)
+    and A + (-B) are bit for bit |B| and A - B.  ``plus_form`` is the A + B
+    conclusion, which the probe runs on the trials of both forms at once."""
+    def minus(mats, pol):
+        return conclusion((mats[0], -mats[1]), pol)
+
+    minus.plus_form = conclusion
+    return minus
 
 
 # ---------------------------------------------------------------------------
@@ -815,11 +843,9 @@ _SQRT2 = float(np.sqrt(2.0))
 def _registry_instances() -> tuple[RegistryInstance, ...]:
     def pair_values(name, combine):
         """|A|, |B|, and |combine(A, B)| as ``name``."""
-        return lambda mats, pol: {
-            "abs_a": abs_value(mats[0], pol),
-            "abs_b": abs_value(mats[1], pol),
-            name: abs_value(combine(*mats), pol),
-        }
+        return lambda mats, pol: dict(
+            zip(("abs_a", "abs_b", name), _grouped(abs_value, zip([*mats, combine(*mats)]), pol))
+        )
 
     def square_values(mats, pol):
         (a,) = mats
@@ -1289,35 +1315,58 @@ def probe_conclusions(
 
     Trial ``t`` of a claim draws its ``arity`` matrices (3 for a family
     claim) in turn from ``Seed(master_seed, "probe:{id}:{dim}", t)``.  The
-    seeds of every (claim, trial) pair are derived in one pass; a claim's
-    trials are built and evaluated as ``(B, n, n)`` stacks of at most
+    seeds of every (claim, trial) pair are derived in one pass.  The trials
+    of the claims of one arity are built as ``(B, n, n)`` stacks of at most
     ``STACK_BYTES`` of matrices, and 1x1 trials one at a time, as
-    :func:`sample_block` builds them.  A stack whose conclusion raises is
-    split into trials by :func:`_split_on_raise`, as in :func:`run_suite`.
+    :func:`sample_block` builds them; the trials of the claims that share a
+    conclusion are evaluated as one stack, an A - B form on the negated
+    second operand of its trials (see :func:`_minus_form`).  A stack whose
+    conclusion raises is split into trials by :func:`_split_on_raise`, as
+    in :func:`run_suite`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     table = catalog()
-    tags = [f"probe:{cid}:{dim}" for cid in claim_ids]
-    rngs = _block_generators(master_seed, tags, 0, count)
-    out = []
-    for cid, tag in zip(claim_ids, tags):
-        claim = table[cid]
-        arity = claim.arity if claim.arity > 0 else 3
-        depth = 1 if dim == 1 else max(1, STACK_BYTES // (arity * dim * dim * 16))
-        verdicts = []  # per trial: the conclusion's verdict, None where it raised
-        for start in range(0, count, depth):
-            size = min(depth, count - start)
-            stack = sample_general(dim, arity, [next(rngs) for _ in range(size)])
-            for i, ok in _split_on_raise(lambda mats: claim.conclusion(mats, pol)[0], stack, size):
-                if i is None:
-                    verdicts += np.broadcast_to(ok, (size,)).tolist()
-                else:
-                    verdicts.append(None if isinstance(ok, Exception) else bool(ok))
-        failures = [t for t, ok in enumerate(verdicts) if ok is False]
+    arity = {cid: max(table[cid].arity, 0) or 3 for cid in claim_ids}
+    conclusions = {cid: table[cid].conclusion for cid in claim_ids}
+    kernel = {cid: getattr(f, "plus_form", f) for cid, f in conclusions.items()}
+    # the claims of one arity share each draw, the claims of one conclusion
+    # each stack: the tags run in that order
+    runs = {}
+    for cid in claim_ids:
+        runs.setdefault((arity[cid], kernel[cid]), []).append(cid)
+    order = [cid for key in sorted(runs, key=lambda key: key[0]) for cid in runs[key]]
+    rngs = _block_generators(master_seed, [f"probe:{cid}:{dim}" for cid in order], 0, count)
+    verdicts = []  # per claim of ``order`` and trial: the verdict, None where it raised
+    for k, same_arity in groupby(order, key=arity.get):
+        trials = [cid for cid in same_arity for _ in range(count)]
+        depth = 1 if dim == 1 else max(1, STACK_BYTES // (k * dim * dim * 16))
+        for start in range(0, len(trials), depth):
+            chunk = trials[start : start + depth]
+            drawn = sample_general(dim, k, [next(rngs) for _ in chunk])
+            drawn = [m.reshape(len(chunk), dim, dim) for m in drawn]  # one trial too
+            at = 0
+            for conclusion, part in groupby(chunk, key=kernel.get):
+                negated = [hasattr(conclusions[cid], "plus_form") for cid in part]
+                size = len(negated)
+                stack = tuple(m[at] if size == 1 else m[at : at + size] for m in drawn)
+                if any(negated):  # an A - B form runs on -B, as its conclusion does
+                    second = stack[1].reshape(size, dim, dim)  # a view
+                    second[negated] = -second[negated]
+                for i, ok in _split_on_raise(lambda mats: conclusion(mats, pol)[0], stack, size):
+                    if i is None:
+                        verdicts += np.broadcast_to(ok, (size,)).tolist()
+                    else:
+                        verdicts.append(None if isinstance(ok, Exception) else bool(ok))
+                at += size
+    out = {}
+    for j, cid in enumerate(order):
+        found = verdicts[j * count : (j + 1) * count]
+        failures = [t for t, ok in enumerate(found) if ok is False]
+        tag = f"probe:{cid}:{dim}"
         first = Seed(master_seed, tag, failures[0]).replay_master if failures else None
-        errors = verdicts.count(None)
-        out.append(ProbeStats(cid, count - errors, len(failures), errors, first))
-    return out
+        errors = found.count(None)
+        out[cid] = ProbeStats(cid, count - errors, len(failures), errors, first)
+    return [out[cid] for cid in claim_ids]

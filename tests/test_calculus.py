@@ -26,6 +26,7 @@ from absval import (
     psd_sqrt_iterative,
     symmetrize,
 )
+from absval import calculus
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -133,9 +134,24 @@ class TestPsdPower:
 
     def test_alpha_out_of_range(self):
         p = np.eye(2, dtype=complex)
-        for alpha in (-0.1, 1.5):
+        for alpha in (-0.1, 1.5, (0.5, 1.5)):
             with pytest.raises(ValueError):
                 psd_power(p, alpha)
+
+    def test_a_tuple_of_exponents_gives_each_power(self, monkeypatch):
+        # one gated eigendecomposition serves every exponent, bit for bit
+        calls = []
+        real = calculus.hermitian_eigen
+        monkeypatch.setattr(calculus, "hermitian_eigen", lambda *a: calls.append(1) or real(*a))
+        for p in (random_psd(4, 7), np.stack([random_psd(3, s) for s in range(5)])):
+            alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+            calls.clear()
+            powers = psd_power(p, alphas)
+            assert type(powers) is tuple and len(calls) == 1
+            for t, power in zip(alphas, powers):
+                assert power.tobytes() == psd_power(p, t).tobytes()
+        with pytest.raises(NotPositiveSemidefinite):
+            psd_power(cm([[1, 0], [0, -1]]), (0.25, 0.5))
 
     def test_half_power_matches_sqrt(self):
         for seed in range(20):

@@ -314,6 +314,14 @@ class TestUserMatrices:
         )
         assert json.dumps(json.loads(out)["claims"][0]) == json.dumps(expected)
 
+    def test_family_of_one_commutes_vacuously(self, capsys, tmp_path):
+        # C-NFOLD takes a family of any size; one member has no pairs to commute
+        a = write_matrix(tmp_path / "a.json", as_matrix([[1, 2], [0, 3]]))
+        code, out, _ = run_cli(capsys, "--claims", "C-NFOLD", "--matrix-file", a, "--format", "json")
+        assert code == 0
+        (entry,) = json.loads(out)["claims"]
+        assert entry["passes"] == 1 and not entry["errors"]
+
     def test_file_count_must_match_arity(self, capsys, tmp_path):
         a = write_matrix(tmp_path / "a.json", np.eye(2, dtype=complex))
         assert main(["--claims", "C-TRI", "--matrix-file", a]) == 2

@@ -1,11 +1,14 @@
 """The batched non-vacuity probe counts exactly what a per-trial loop counts.
 
 ``probe_conclusions`` derives the seeds of every (claim, trial) pair in one
-pass, draws each trial's matrices in one call and evaluates a claim's trials
-as stacks.  ``reference_probe`` below is the plain loop it replaced: one
-seed, ``arity`` general draws and one conclusion per trial.
+pass, draws each trial's matrices in one call, builds the trials of the
+claims of one arity together and evaluates the trials of the claims that
+share a conclusion as one stack.
+``reference_probe`` below is the plain loop it replaced: one seed, ``arity``
+general draws and one conclusion per trial.
 """
 
+import numpy as np
 import pytest
 
 from absval import DEFAULT_POLICY, ProbeStats, Seed, catalog, gen_general, probe_conclusions
@@ -15,7 +18,7 @@ THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"
 MASTERS = (20170228, 2**64, 2**70 + 3)  # one 32-bit word; two wider than 64 bits
 
 
-def reference_probe(claim_ids, dim, count, master_seed, pol=DEFAULT_POLICY):
+def reference_probe(claim_ids, dim, count, master_seed, pol=DEFAULT_POLICY, draw=gen_general):
     table = catalog()
     out = []
     for cid in claim_ids:
@@ -26,7 +29,7 @@ def reference_probe(claim_ids, dim, count, master_seed, pol=DEFAULT_POLICY):
         for trial in range(count):
             seed = Seed(master_seed, f"probe:{cid}:{dim}", trial)
             rng = seed.generator()
-            mats = tuple(gen_general(dim, rng) for _ in range(arity))
+            mats = tuple(draw(dim, rng) for _ in range(arity))
             try:
                 ok, _, _ = claim.conclusion(mats, pol)
             except Exception:
@@ -75,3 +78,49 @@ def test_batched_probe_matches_the_per_trial_loop(monkeypatch, stack_sizes, dim,
         else:
             assert max(stack_sizes) > 1
 
+
+
+# claims that share a conclusion, apart and out of catalog order; the
+# second list repeats a claim.  (list, conclusions among them)
+SHARED = (
+    (["C-TRIMINUS", "L-ANTI", "C-TRI", "C-NEGCROSS"], 2),
+    (["C-NORMDIFF-", "C-PRODNORM", "C-ABSDIFF+", "C-NORMDIFF+", "C-PRODSA", "C-ABSDIFF-",
+      "C-PRODNORM"], 3),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("claim_ids, kernels", SHARED, ids=("triangle", "pairs"))
+@pytest.mark.parametrize("dim", (1, 2, 8))
+def test_claims_sharing_a_conclusion_share_its_stacks(stack_sizes, claim_ids, kernels, dim):
+    for count in (1, 40):
+        stack_sizes.clear()
+        expected = reference_probe(claim_ids, dim, count, 11)
+        assert probe_conclusions(claim_ids, dim, count, 11) == expected
+        assert sum(stack_sizes) == count * len(claim_ids)
+        if dim == 1:  # one trial at a time
+            assert set(stack_sizes) == {1}
+        elif count == 1:  # one stack per conclusion
+            assert len(stack_sizes) == kernels
+
+
+def _poisoned(m):
+    """``m`` with a NaN first entry where that entry's real part exceeds 1."""
+    m[..., 0, 0] = np.where(m.real[..., 0, 0] > 1.0, np.nan, m[..., 0, 0])
+    return m
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_a_shared_stack_that_raises_counts_each_trial_alone(monkeypatch, stack_sizes, dim):
+    claim_ids = ["C-TRIMINUS", "C-ABSDIFF+", "C-TRI", "C-NEGCROSS", "C-ABSDIFF-"]
+    real = claims_module.sample_general
+    monkeypatch.setattr(
+        claims_module, "sample_general", lambda n, k, rngs: tuple(map(_poisoned, real(n, k, rngs)))
+    )
+    expected = reference_probe(
+        claim_ids, dim, 40, 13, draw=lambda n, rng: _poisoned(gen_general(n, rng).copy())
+    )
+    assert all(ps.errors and ps.evaluated for ps in expected)
+    assert probe_conclusions(claim_ids, dim, 40, 13) == expected
+    assert max(stack_sizes) == (1 if dim == 1 else 3 * 40)
