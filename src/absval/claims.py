@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_POLICY,
+    DimensionMismatch,
     NumericalError,
     TolerancePolicy,
     adjoint,
@@ -64,8 +65,8 @@ PASS = "PASS"
 VIOLATION = "VIOLATION"
 HYPOTHESIS_FAIL = "HYPOTHESIS_FAIL"
 
-# Annotation attached to claims whose hypotheses mention hyponormality; the
-# hyponormal predicate is still evaluated, never assumed.
+# Annotation attached to the theorem claims with a conjunct that names
+# hyponormality; the hyponormal predicate is still evaluated, never assumed.
 _COLLAPSE_NOTE = (
     "hyponormal slot instantiated with normal witnesses: in finite dimension "
     "a hyponormal matrix is already normal"
@@ -98,6 +99,9 @@ class ClaimInstance:
             raise ValueError(
                 f"{self.claim_id} takes {claim.arity} matrices, got {len(self.matrices)}"
             )
+        shapes = [m.shape for m in self.matrices]
+        if len(set(shapes)) > 1:
+            raise DimensionMismatch(f"{self.claim_id} takes matrices of one shape, got {shapes}")
 
 
 @dataclass(frozen=True)
@@ -152,22 +156,6 @@ def _unstack(value):
     return value.tolist() if value.ndim == 1 else list(value)
 
 
-def _hypothesis(**parts: PredicateResult):
-    flags = {name: res.holds for name, res in parts.items()}
-    residuals = {f"hyp_{name}": res.residual for name, res in parts.items()}
-    return _all(flags.values()), flags, residuals
-
-
-def _loewner_pred(a, b, pol) -> PredicateResult:
-    v = loewner_leq(a, b, pol)
-    return PredicateResult(v.holds, v.witness_lambda_min)
-
-
-def _invertible_pred(a) -> PredicateResult:
-    kappa = condition_estimate(a)
-    return PredicateResult(kappa <= MAX_CONDITION, kappa)
-
-
 def _commuting_product(a, b, pol):
     """``(sym(ab), holds, asymmetry)`` for operands whose hypothesis has them
     commute.  The product is symmetrized before any gate sees it, and its
@@ -194,66 +182,51 @@ def _concl_opnorm_leq(x, y, pol, scale_of):
 
 
 # --- hypotheses ------------------------------------------------------------
+#
+# A hypothesis is a conjunction of rows ``(name, predicate, operands)``: the
+# conjunct ``name`` holds where ``predicate(*operands(mats), pol)`` does.
 
 
-def _hyp_commuting_positive(mats, pol):
+def _conjunction(*rows):
+    """The hypothesis of ``rows``, as ``(ok, flags, residuals)``: each row's
+    :class:`PredicateResult` gives ``flags[name]`` and ``residuals["hyp_" +
+    name]``, and ``ok`` is their conjunction.  The rows run in order, which
+    keys both dicts in row order, and stay readable as ``.conjuncts``."""
+    def hypothesis(mats, pol):
+        results = {name: predicate(*operands(mats), pol) for name, predicate, operands in rows}
+        flags = {name: res.holds for name, res in results.items()}
+        residuals = {f"hyp_{name}": res.residual for name, res in results.items()}
+        return _all(flags.values()), flags, residuals
+
+    hypothesis.conjuncts = rows
+    return hypothesis
+
+
+def _slots(*slots):
+    """Operands: the matrices at ``slots``, in that order."""
+    return lambda mats: [mats[i] for i in slots]
+
+
+def _family(mats):
+    """Operands: the whole tuple, for a predicate on a family."""
+    return (mats,)
+
+
+def _cross_term(mats):
+    """Operands of ``A*B + B*A <= 0``."""
     a, b = mats
-    return _hypothesis(
-        commutes=commutes(a, b, pol), positive_a=is_positive(a, pol), positive_b=is_positive(b, pol)
-    )
+    cross = adjoint(a) @ b + adjoint(b) @ a
+    return cross, np.zeros_like(cross)
 
 
-def _hyp_ordered_psd(mats, pol):
-    a, b = mats
-    return _hypothesis(order_b_leq_a=_loewner_pred(b, a, pol), positive_b=is_positive(b, pol))
+def _loewner_pred(a, b, pol) -> PredicateResult:
+    v = loewner_leq(a, b, pol)
+    return PredicateResult(v.holds, v.witness_lambda_min)
 
 
-def _hyp_ordered_psd_commuting(mats, pol):
-    a, b = mats
-    return _hypothesis(
-        order_b_leq_a=_loewner_pred(b, a, pol),
-        positive_b=is_positive(b, pol),
-        commutes=commutes(a, b, pol),
-    )
-
-
-def _hyp_normal_a(mats, pol):
-    return _hypothesis(normal_a=is_normal(mats[0], pol))
-
-
-def _hyp_commuting_normal_a(mats, pol):
-    a, b = mats
-    return _hypothesis(commutes=commutes(a, b, pol), normal_a=is_normal(a, pol))
-
-
-def _hyp_commuting_both_normal(mats, pol):
-    a, b = mats
-    return _hypothesis(
-        commutes=commutes(a, b, pol), normal_a=is_normal(a, pol), normal_b=is_normal(b, pol)
-    )
-
-
-def _hyp_sa_pair_normal_product(mats, pol):
-    a, b = mats
-    return _hypothesis(
-        self_adjoint_a=is_self_adjoint(a, pol),
-        self_adjoint_b=is_self_adjoint(b, pol),
-        normal_product=is_normal(a @ b, pol),
-    )
-
-
-def _hyp_commuting_normal_a_invertible_b(mats, pol):
-    a, b = mats
-    return _hypothesis(
-        commutes=commutes(a, b, pol),
-        normal_a=is_normal(a, pol),
-        invertible_b=_invertible_pred(b),
-    )
-
-
-def _hyp_normal_invertible(mats, pol):
-    (a,) = mats
-    return _hypothesis(normal_a=is_normal(a, pol), invertible_a=_invertible_pred(a))
+def _invertible_pred(a, pol) -> PredicateResult:
+    kappa = condition_estimate(a)
+    return PredicateResult(kappa <= MAX_CONDITION, kappa)
 
 
 def _pairwise_commute(mats, pol) -> PredicateResult:
@@ -262,76 +235,40 @@ def _pairwise_commute(mats, pol) -> PredicateResult:
     return PredicateResult(_all(r.holds for r in pairs), worst)
 
 
-def _all_but_one_normal(mats, pol) -> PredicateResult:
-    results = [is_normal(m, pol) for m in mats]
-    normal = sum(r.holds for r in results)
-    return PredicateResult(normal >= len(results) - 1, trial_max(*(r.residual for r in results)))
+def _every(predicate, worst, but=0):
+    """The family predicate "every member but ``but`` of them satisfies
+    ``predicate``"; its residual is the ``worst`` (``trial_max`` or
+    ``trial_min``) of the members' residuals."""
+    def every(mats, pol):
+        res = [predicate(m, pol) for m in mats]
+        holds = sum(r.holds for r in res) >= len(res) - but
+        return PredicateResult(holds, worst(*(r.residual for r in res)))
+
+    return every
 
 
-def _hyp_family_one_nonnormal(mats, pol):
-    return _hypothesis(
-        pairwise_commute=_pairwise_commute(mats, pol),
-        all_but_one_normal=_all_but_one_normal(mats, pol),
-    )
+_COMMUTES = ("commutes", commutes, _slots(0, 1))
+_NORMAL_A = ("normal_a", is_normal, _slots(0))
+_NORMAL_B = ("normal_b", is_normal, _slots(1))
+_POSITIVE_A = ("positive_a", is_positive, _slots(0))
+_POSITIVE_B = ("positive_b", is_positive, _slots(1))
+_ORDER_B_LEQ_A = ("order_b_leq_a", _loewner_pred, _slots(1, 0))
+_HYPONORMAL_B = ("hyponormal_b", is_hyponormal, _slots(1))
+_PAIRWISE_COMMUTE = ("pairwise_commute", _pairwise_commute, _family)
+_ALL_BUT_ONE_NORMAL = ("all_but_one_normal", _every(is_normal, trial_max, but=1), _family)
 
-
-def _hyp_anti_symmetric(mats, pol):
-    return _hypothesis(anti_symmetric=is_anti_symmetric(mats[0], pol))
-
-
-def _hyp_hyponormal(mats, pol):
-    return _hypothesis(hyponormal=is_hyponormal(mats[0], pol))
-
-
-def _hyp_commuting_normal_a_hypo_b(mats, pol):
-    a, b = mats
-    return _hypothesis(
-        commutes=commutes(a, b, pol),
-        normal_a=is_normal(a, pol),
-        hyponormal_b=is_hyponormal(b, pol),
-    )
-
-
-def _hyp_family_hypo(mats, pol):
-    hypo = [is_hyponormal(m, pol) for m in mats]
-    return _hypothesis(
-        pairwise_commute=_pairwise_commute(mats, pol),
-        all_but_one_normal=_all_but_one_normal(mats, pol),
-        all_hyponormal=PredicateResult(
-            _all(r.holds for r in hypo), trial_min(*(r.residual for r in hypo))
-        ),
-    )
-
-
-def _hyp_family_normal(mats, pol):
-    normal = [is_normal(m, pol) for m in mats]
-    return _hypothesis(
-        pairwise_commute=_pairwise_commute(mats, pol),
-        all_normal=PredicateResult(
-            _all(r.holds for r in normal), trial_max(*(r.residual for r in normal))
-        ),
-    )
-
-
-def _hyp_sandwich(mats, pol):
-    t, s = mats
-    return _hypothesis(
-        self_adjoint_t=is_self_adjoint(t, pol),
-        self_adjoint_s=is_self_adjoint(s, pol),
-        positive_s=is_positive(s, pol),
-        lower=_loewner_pred(-s, t, pol),
-        upper=_loewner_pred(t, s, pol),
-    )
-
-
-def _hyp_negcross(mats, pol):
-    a, b = mats
-    cross = adjoint(a) @ b + adjoint(b) @ a
-    return _hypothesis(
-        commutes=commutes(a, b, pol),
-        normal_a=is_normal(a, pol),
-        cross_nonpositive=_loewner_pred(cross, np.zeros_like(cross), pol),
-    )
+# the hypotheses that several claims share
+_COMMUTING_POSITIVE = _conjunction(_COMMUTES, _POSITIVE_A, _POSITIVE_B)
+_NORMAL = _conjunction(_NORMAL_A)
+_COMMUTING_NORMAL_A = _conjunction(_COMMUTES, _NORMAL_A)
+_COMMUTING_NORMALS = _conjunction(_COMMUTES, _NORMAL_A, _NORMAL_B)
+_COMMUTING_NORMAL_A_HYPONORMAL_B = _conjunction(_COMMUTES, _NORMAL_A, _HYPONORMAL_B)
+_NORMAL_INVERTIBLE = _conjunction(_NORMAL_A, ("invertible_a", _invertible_pred, _slots(0)))
+_SA_PAIR_NORMAL_PRODUCT = _conjunction(
+    ("self_adjoint_a", is_self_adjoint, _slots(0)),
+    ("self_adjoint_b", is_self_adjoint, _slots(1)),
+    ("normal_product", is_normal, lambda mats: [mats[0] @ mats[1]]),
+)
 
 
 # --- conclusions -----------------------------------------------------------
@@ -550,7 +487,7 @@ def _build_catalog() -> dict[str, Claim]:
             "commuting A, B >= 0 imply AB >= 0",
             2,
             EnsembleSpec("commuting_positive_pair"),
-            _hyp_commuting_positive,
+            _COMMUTING_POSITIVE,
             _concl_product_positive,
         ),
         Claim(
@@ -558,7 +495,7 @@ def _build_catalog() -> dict[str, Claim]:
             "commuting A, B >= 0 imply sqrt(AB) = sqrt(A) sqrt(B)",
             2,
             EnsembleSpec("commuting_positive_pair"),
-            _hyp_commuting_positive,
+            _COMMUTING_POSITIVE,
             _concl_sqrt_factor,
         ),
         Claim(
@@ -566,7 +503,7 @@ def _build_catalog() -> dict[str, Claim]:
             "commuting A, B >= 0 imply sqrt(A+B) <= sqrt(A) + sqrt(B)",
             2,
             EnsembleSpec("commuting_positive_pair"),
-            _hyp_commuting_positive,
+            _COMMUTING_POSITIVE,
             _concl_sqrt_sum,
         ),
         Claim(
@@ -574,7 +511,7 @@ def _build_catalog() -> dict[str, Claim]:
             "A >= B >= 0 implies A^t >= B^t for t in {0.25, 0.5, 0.75}",
             2,
             EnsembleSpec("ordered_psd_pair"),
-            _hyp_ordered_psd,
+            _conjunction(_ORDER_B_LEQ_A, _POSITIVE_B),
             _concl_loewner_heinz,
         ),
         Claim(
@@ -582,7 +519,7 @@ def _build_catalog() -> dict[str, Claim]:
             "A >= B >= 0 with AB = BA implies A^2 >= B^2",
             2,
             EnsembleSpec("ordered_psd_pair", commuting=True),
-            _hyp_ordered_psd_commuting,
+            _conjunction(_ORDER_B_LEQ_A, _POSITIVE_B, _COMMUTES),
             _concl_square_mono,
         ),
         Claim(
@@ -590,7 +527,7 @@ def _build_catalog() -> dict[str, Claim]:
             "for normal A the four conditions AB=BA, A*B=BA*, AB*=B*A, A*B*=B*A* agree",
             2,
             EnsembleSpec("fuglede_pair"),
-            _hyp_normal_a,
+            _NORMAL,
             _concl_fuglede,
         ),
         Claim(
@@ -598,7 +535,7 @@ def _build_catalog() -> dict[str, Claim]:
             "AB = BA with A normal implies |A||B| = |B||A|",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_normal_a,
+            _COMMUTING_NORMAL_A,
             _concl_abs_commute,
         ),
         Claim(
@@ -606,7 +543,7 @@ def _build_catalog() -> dict[str, Claim]:
             "self-adjoint A, B with AB normal satisfy |AB| = |A||B|",
             2,
             EnsembleSpec("sa_pair_normal_product", dim=2),
-            _hyp_sa_pair_normal_product,
+            _SA_PAIR_NORMAL_PRODUCT,
             _concl_abs_product,
         ),
         Claim(
@@ -614,7 +551,7 @@ def _build_catalog() -> dict[str, Claim]:
             "self-adjoint A, B with AB normal: |A||B| is self-adjoint, and AB >= 0 when A, B >= 0",
             2,
             EnsembleSpec("sa_pair_normal_product", dim=2),
-            _hyp_sa_pair_normal_product,
+            _SA_PAIR_NORMAL_PRODUCT,
             _concl_prodsa_cor,
             per_trial_extras=("product_lambda_min", "product_asymmetry"),
         ),
@@ -623,7 +560,7 @@ def _build_catalog() -> dict[str, Claim]:
             "AB = BA with A normal implies |AB| = |A||B|",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_normal_a,
+            _COMMUTING_NORMAL_A,
             _concl_abs_product,
         ),
         Claim(
@@ -631,7 +568,7 @@ def _build_catalog() -> dict[str, Claim]:
             "commuting normal A, B: the eight products AB, A*B, ..., BA share one absolute value",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_both_normal,
+            _COMMUTING_NORMALS,
             _concl_eight_products,
         ),
         Claim(
@@ -639,7 +576,7 @@ def _build_catalog() -> dict[str, Claim]:
             "AB = BA, A normal, B invertible imply |A B^-1| = |A| |B^-1|",
             2,
             EnsembleSpec("commuting_normal_family", k=2, invertible=True),
-            _hyp_commuting_normal_a_invertible_b,
+            _conjunction(_COMMUTES, _NORMAL_A, ("invertible_b", _invertible_pred, _slots(1))),
             _concl_inv_product,
         ),
         Claim(
@@ -647,7 +584,7 @@ def _build_catalog() -> dict[str, Claim]:
             "normal invertible A satisfies |A^-1| = |A|^-1",
             1,
             EnsembleSpec("normal", invertible=True),
-            _hyp_normal_invertible,
+            _NORMAL_INVERTIBLE,
             _concl_inverse_abs,
         ),
         Claim(
@@ -655,7 +592,7 @@ def _build_catalog() -> dict[str, Claim]:
             "pairwise commuting family with all but one member normal: |prod A_i| = prod |A_i|",
             -1,
             EnsembleSpec("commuting_family_one_nonnormal"),
-            _hyp_family_one_nonnormal,
+            _conjunction(_PAIRWISE_COMMUTE, _ALL_BUT_ONE_NORMAL),
             _concl_nfold_product,
         ),
         Claim(
@@ -663,7 +600,7 @@ def _build_catalog() -> dict[str, Claim]:
             "normal invertible A satisfies |A^n| = |A|^n for n in -3..3",
             1,
             EnsembleSpec("normal", invertible=True),
-            _hyp_normal_invertible,
+            _NORMAL_INVERTIBLE,
             _concl_integer_powers,
         ),
         Claim(
@@ -671,7 +608,7 @@ def _build_catalog() -> dict[str, Claim]:
             "A* = -A implies A^2 <= 0",
             1,
             EnsembleSpec("anti_symmetric"),
-            _hyp_anti_symmetric,
+            _conjunction(("anti_symmetric", is_anti_symmetric, _slots(0))),
             _concl_square_nonpositive,
         ),
         Claim(
@@ -679,34 +616,31 @@ def _build_catalog() -> dict[str, Claim]:
             "hyponormal T satisfies (T + T*)/2 <= |T|",
             1,
             EnsembleSpec("normal"),
-            _hyp_hyponormal,
+            _conjunction(("hyponormal", is_hyponormal, _slots(0))),
             _concl_re_below_abs,
-            note=_COLLAPSE_NOTE,
         ),
         Claim(
             "L-HYPROD",
             "A normal, B hyponormal, AB = BA imply A*B hyponormal",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_normal_a_hypo_b,
+            _COMMUTING_NORMAL_A_HYPONORMAL_B,
             _concl_adjoint_product_hyponormal,
-            note=_COLLAPSE_NOTE,
         ),
         Claim(
             "C-TRI",
             "AB = BA, A normal, B hyponormal imply |A + B| <= |A| + |B|",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_normal_a_hypo_b,
+            _COMMUTING_NORMAL_A_HYPONORMAL_B,
             _concl_triangle_sum,
-            note=_COLLAPSE_NOTE,
         ),
         Claim(
             "C-REIM",
             "normal T satisfies |T| <= |Re T| + |Im T|",
             1,
             EnsembleSpec("normal"),
-            _hyp_normal_a,
+            _NORMAL,
             _concl_re_im_split,
         ),
         Claim(
@@ -714,9 +648,8 @@ def _build_catalog() -> dict[str, Claim]:
             "AB = BA, A normal, B hyponormal imply |A - B| <= |A| + |B|",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_normal_a_hypo_b,
+            _COMMUTING_NORMAL_A_HYPONORMAL_B,
             _minus_form(_concl_triangle_sum),
-            note=_COLLAPSE_NOTE,
         ),
         Claim(
             "C-TRIN",
@@ -724,16 +657,19 @@ def _build_catalog() -> dict[str, Claim]:
             "|sum A_i| <= sum |A_i|",
             3,
             EnsembleSpec("commuting_normal_family", k=3),
-            _hyp_family_hypo,
+            _conjunction(
+                _PAIRWISE_COMMUTE,
+                _ALL_BUT_ONE_NORMAL,
+                ("all_hyponormal", _every(is_hyponormal, trial_min), _family),
+            ),
             _concl_triangle_n,
-            note=_COLLAPSE_NOTE,
         ),
         Claim(
             "C-SUMNORM",
             "a pairwise commuting normal family has a normal sum",
             3,
             EnsembleSpec("commuting_normal_family", k=3),
-            _hyp_family_normal,
+            _conjunction(_PAIRWISE_COMMUTE, ("all_normal", _every(is_normal, trial_max), _family)),
             _concl_sum_normal,
         ),
         Claim(
@@ -741,7 +677,7 @@ def _build_catalog() -> dict[str, Claim]:
             "AB = BA with A, B normal implies || |A| - |B| || <= ||A + B||",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_both_normal,
+            _COMMUTING_NORMALS,
             _concl_normdiff_plus,
         ),
         Claim(
@@ -749,7 +685,7 @@ def _build_catalog() -> dict[str, Claim]:
             "AB = BA with A, B normal implies || |A| - |B| || <= ||A - B||",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_both_normal,
+            _COMMUTING_NORMALS,
             _minus_form(_concl_normdiff_plus),
         ),
         Claim(
@@ -757,7 +693,13 @@ def _build_catalog() -> dict[str, Claim]:
             "self-adjoint T, S with -S <= T <= S satisfy ||T|| <= ||S||",
             2,
             EnsembleSpec("sandwich_pair"),
-            _hyp_sandwich,
+            _conjunction(
+                ("self_adjoint_t", is_self_adjoint, _slots(0)),
+                ("self_adjoint_s", is_self_adjoint, _slots(1)),
+                ("positive_s", is_positive, _slots(1)),
+                ("lower", _loewner_pred, lambda mats: [-mats[1], mats[0]]),
+                ("upper", _loewner_pred, _slots(0, 1)),
+            ),
             _concl_sandwich_norm,
         ),
         Claim(
@@ -765,25 +707,25 @@ def _build_catalog() -> dict[str, Claim]:
             "AB = BA, A normal, B hyponormal imply ||A| - |B|| <= |A - B|",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_normal_a_hypo_b,
+            _COMMUTING_NORMAL_A_HYPONORMAL_B,
             _minus_form(_concl_absdiff_plus),
-            note=_COLLAPSE_NOTE,
         ),
         Claim(
             "C-ABSDIFF+",
             "AB = BA, A normal, B hyponormal imply ||A| - |B|| <= |A + B|",
             2,
             EnsembleSpec("commuting_normal_family", k=2),
-            _hyp_commuting_normal_a_hypo_b,
+            _COMMUTING_NORMAL_A_HYPONORMAL_B,
             _concl_absdiff_plus,
-            note=_COLLAPSE_NOTE,
         ),
         Claim(
             "C-NEGCROSS",
             "AB = BA, A normal, A*B + B*A <= 0 imply |A + B| <= |A| + |B|",
             2,
             EnsembleSpec("negative_cross_pair"),
-            _hyp_negcross,
+            _conjunction(
+                _COMMUTES, _NORMAL_A, ("cross_nonpositive", _loewner_pred, _cross_term)
+            ),
             _concl_triangle_sum,
         ),
     ]
@@ -791,6 +733,8 @@ def _build_catalog() -> dict[str, Claim]:
     for claim in claims:
         if claim.id in table:
             raise RuntimeError(f"duplicate claim id {claim.id}")
+        if any("hyponormal" in name for name, _, _ in claim.hypothesis.conjuncts):
+            claim = replace(claim, note=_COLLAPSE_NOTE)
         table[claim.id] = claim
     # a counterexample is checked with the hypothesis and conclusion of the
     # claim it witnesses against, on its own fixed matrices

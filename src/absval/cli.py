@@ -139,10 +139,8 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None:
+    if isinstance(value, int) or value is None:  # bool too
         return value
-    if isinstance(value, (int,)):
-        return int(value)
     if isinstance(value, float):
         return value if math.isfinite(value) else repr(value)
     if hasattr(value, "item"):  # numpy scalars

@@ -47,19 +47,24 @@ class ConvergenceError(NumericalError, RuntimeError):
 
 
 def trial_max(*values):
-    """``max(values)``; elementwise when the values hold stacks of trials."""
-    try:
-        return max(values)
-    except ValueError:  # the truth value of a comparison between stacks
-        return reduce(np.maximum, values)
+    """``max(values)``; elementwise when the values hold stacks of trials.
+    NaN where a value is NaN, for one trial as on a stack."""
+    return _extreme(max, np.maximum, values)
 
 
 def trial_min(*values):
-    """``min(values)``; elementwise when the values hold stacks of trials."""
-    try:
-        return min(values)
-    except ValueError:
-        return reduce(np.minimum, values)
+    """``min(values)``; elementwise when the values hold stacks of trials.
+    NaN where a value is NaN, for one trial as on a stack."""
+    return _extreme(min, np.minimum, values)
+
+
+def _extreme(pick, ufunc, values):
+    if np.ndarray in map(type, values):
+        return reduce(ufunc, values)
+    for v in values:  # Python's max and min keep a NaN only in first place
+        if v != v:
+            return v
+    return pick(values)
 
 
 def trial_sqrt(x):
@@ -112,14 +117,7 @@ class TolerancePolicy:
         """The threshold ``rel * max(1, *scales) + abs``, per trial: NaN
         where a scale is NaN, for one matrix as on a stack, so a rule judged
         at it fails closed."""
-        try:
-            top = max(1.0, *scales)
-        except ValueError:  # stacks of trials
-            return self.rel * reduce(np.maximum, scales, 1.0) + self.abs
-        for s in scales:  # Python's max keeps a NaN only in first place
-            if s != s:
-                return self.rel * s + self.abs
-        return self.rel * top + self.abs
+        return self.rel * trial_max(1.0, *scales) + self.abs
 
 
 DEFAULT_POLICY = TolerancePolicy()

@@ -16,6 +16,7 @@ from absval import (
     probe_conclusions,
     registry,
     run_suite,
+    sample,
 )
 from absval import claims as claims_module
 from absval.claims import ALWAYS_HOLDS, ClaimInstance, HYPOTHESIS_FAIL, PASS, REGISTRY_VIOLATION
@@ -57,6 +58,11 @@ EXPECTED_IDS = [
     "CE-4",
 ]
 
+
+def conjunct_names(claim):
+    return [name for name, _, _ in claim.hypothesis.conjuncts]
+
+
 # Tight enough that honest eigensolver round-off in conclusions becomes a
 # violation, while hypothesis residuals (plain commutators) stay below it.
 TIGHT = TolerancePolicy(rel=1e-15, abs=1e-300)
@@ -88,9 +94,63 @@ class TestCatalog:
             assert claim.description == inst.description
 
     def test_collapse_note_attached(self):
+        # a theorem claim carries the note if and only if one of its
+        # conjuncts names hyponormality; a counterexample never does
         table = catalog()
         for cid in ("C-TRI", "C-TRIMINUS", "C-TRIN", "C-ABSDIFF-", "C-ABSDIFF+", "L-REPART"):
             assert "hyponormal" in table[cid].note
+        for cid, claim in table.items():
+            hyponormal = any("hyponormal" in name for name in conjunct_names(claim))
+            noted = claim.expect == ALWAYS_HOLDS and hyponormal
+            assert claim.note == (claims_module._COLLAPSE_NOTE if noted else ""), cid
+        assert {cid for cid, claim in table.items() if claim.note} == {
+            "L-REPART", "L-HYPROD", "C-TRI", "C-TRIMINUS", "C-TRIN", "C-ABSDIFF-", "C-ABSDIFF+"
+        }
+
+    def test_hypotheses_are_rows(self):
+        # every hypothesis is a tuple of (name, predicate, operands) rows
+        for cid, claim in catalog().items():
+            rows = claim.hypothesis.conjuncts
+            assert type(rows) is tuple and rows, cid
+            for name, predicate, operands in rows:
+                assert type(name) is str and callable(predicate) and callable(operands), cid
+        assert not [name for name in vars(claims_module) if name.startswith("_hyp_")]
+
+    def test_registry_flags_name_target_conjuncts(self):
+        # a misspelled or stale expected flag would otherwise surface only
+        # as a mismatch in a run
+        table = catalog()
+        for inst in registry():
+            names = conjunct_names(table[inst.target_claim])
+            assert set(inst.expected_flags) == set(names), inst.ce_id
+
+    @pytest.mark.parametrize("cid", ["C-TRIN", "C-INV1", "L-SANDWICH", "C-NEGCROSS", "R-SQMONO"])
+    def test_hypothesis_keys_follow_rows(self, cid):
+        claim = catalog()[cid]
+        mats = sample(claim.ensemble, 3, Seed(11, f"rows:{cid}", 0))
+        ok, flags, residuals = claim.hypothesis(mats, TolerancePolicy())
+        names = conjunct_names(claim)
+        assert ok is True and list(flags) == names
+        assert list(residuals) == [f"hyp_{n}" for n in names]
+
+
+class TestCatalogLint:
+    """Guards for claims and rows still to be added: a name clash between
+    conjuncts, or between a conclusion extra and the keys ``_evaluate``
+    merges it with, would silently overwrite a residual."""
+
+    def test_conjunct_names_unique(self):
+        for cid, claim in catalog().items():
+            names = conjunct_names(claim)
+            assert len(set(names)) == len(names), cid
+
+    @pytest.mark.parametrize("cid", [c for c in EXPECTED_IDS if not c.startswith("CE-")])
+    def test_conclusion_extras_keep_their_own_names(self, cid):
+        claim = catalog()[cid]
+        mats = sample(claim.ensemble, claim.ensemble.dim or 3, Seed(3, f"lint:{cid}", 0))
+        _, _, extras = claim.conclusion(mats, TolerancePolicy())
+        for name in extras:
+            assert name != "conclusion" and not name.startswith("hyp_"), (cid, name)
 
     def test_descriptions_present(self):
         assert all(c.description for c in catalog().values())

@@ -9,6 +9,7 @@ import pytest
 
 import absval
 from absval import as_matrix, gen_commuting_normal_family, matrix_to_literal
+from absval.claims import catalog
 from absval.cli import build_parser, emit_report, main, parse_config
 
 
@@ -321,6 +322,19 @@ class TestUserMatrices:
         assert code == 0
         (entry,) = json.loads(out)["claims"]
         assert entry["passes"] == 1 and not entry["errors"]
+
+    @pytest.mark.parametrize(
+        "claim", ["C-NEGCROSS", "C-PRODSA", "L-FUG", "L-SANDWICH", "T-LH", "C-TRI", "C-TRIN"]
+    )
+    def test_mismatched_shapes_exit_two(self, capsys, tmp_path, claim):
+        # checked once, before any claim's arithmetic meets the operands
+        small = write_matrix(tmp_path / "small.json", np.eye(2, dtype=complex))
+        large = write_matrix(tmp_path / "large.json", np.eye(3, dtype=complex))
+        files = [small, large, large][: catalog()[claim].arity]
+        code, out, err = run_cli(capsys, "--claims", claim, *(f"--matrix-file={f}" for f in files))
+        shapes = ", ".join(["(2, 2)", *["(3, 3)"] * (len(files) - 1)])
+        assert (code, out) == (2, "")
+        assert err == f"absval: {claim} takes matrices of one shape, got [{shapes}]\n"
 
     def test_file_count_must_match_arity(self, capsys, tmp_path):
         a = write_matrix(tmp_path / "a.json", np.eye(2, dtype=complex))

@@ -25,6 +25,7 @@ from absval import (
     operator_norm,
     symmetrize,
 )
+from absval.core import trial_max, trial_min
 
 EPS = np.finfo(float).eps
 
@@ -205,3 +206,44 @@ class TestValidationAndLiterals:
     def test_policy_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError):
             TolerancePolicy(**kwargs)
+
+
+class TestTrialValues:
+    """The stacked form is chosen by type, and a NaN stays NaN for one trial
+    as it does in the slice of a stack."""
+
+    def test_one_entry_array_stays_an_array(self):
+        # a (1,) comparison has a truth value, so Python's max would take it
+        for extreme, expected in ((trial_max, 0.0), (trial_min, -1.0)):
+            got = extreme(0.0, np.array([-1.0]))
+            assert type(got) is np.ndarray and got.tolist() == [expected]
+
+    @pytest.mark.parametrize("extreme", [trial_max, trial_min])
+    def test_nan_stays_nan(self, extreme):
+        nan = float("nan")
+        for values in ((0.0, nan), (nan, 0.0), (1.0, nan, -1.0), (0.0, np.float64(nan))):
+            assert math.isnan(extreme(*values)), values
+        stacked = extreme(np.array([0.0, 2.0]), np.array([nan, 1.0]))
+        assert math.isnan(stacked[0]) and math.isnan(extreme(0.0, nan))
+        assert stacked[1] == extreme(2.0, 1.0)
+
+    @pytest.mark.parametrize("extreme", [trial_max, trial_min])
+    def test_slices_match_one_trial(self, extreme):
+        rng = np.random.default_rng(0)
+        a, b, c = rng.standard_normal((3, 5))
+        stacked = extreme(a, 0.5, b, c)
+        for t in range(5):
+            one = extreme(float(a[t]), 0.5, float(b[t]), float(c[t]))
+            assert type(one) is float and one == stacked[t]
+
+    def test_bound(self):
+        pol = TolerancePolicy(rel=1e-6, abs=1e-12)
+        assert pol.bound(0.5) == 1e-6 * 1.0 + 1e-12
+        assert pol.bound(0.5, 3.0) == 1e-6 * 3.0 + 1e-12
+        scales = np.array([0.5, 3.0, float("nan")]), np.array([2.0, 1.0, 1.0])
+        stacked = pol.bound(*scales)
+        assert type(stacked) is np.ndarray
+        for t in range(3):
+            one = pol.bound(*(float(s[t]) for s in scales))
+            assert one == stacked[t] or (math.isnan(one) and math.isnan(stacked[t]))
+        assert math.isnan(pol.bound(1.0, float("nan")))
