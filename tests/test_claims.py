@@ -133,6 +133,9 @@ class TestCatalog:
         assert ok is True and list(flags) == names
         assert list(residuals) == [f"hyp_{n}" for n in names]
 
+    def test_descriptions_present(self):
+        assert all(c.description for c in catalog().values())
+
 
 class TestCatalogLint:
     """Guards for claims and rows still to be added: a name clash between
@@ -151,9 +154,6 @@ class TestCatalogLint:
         _, _, extras = claim.conclusion(mats, TolerancePolicy())
         for name in extras:
             assert name != "conclusion" and not name.startswith("hyp_"), (cid, name)
-
-    def test_descriptions_present(self):
-        assert all(c.description for c in catalog().values())
 
 
 class TestCheckClaim:
