@@ -79,7 +79,7 @@ def _psd_eigenvalues(w: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
         raise NotPositiveSemidefinite(
             f"matrix is not positive semidefinite: lambda_min = {witness:.3e}", witness
         )
-    return np.clip(w, 0.0, None)
+    return np.maximum(w, 0.0)
 
 
 def _spectral(f: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -170,10 +170,10 @@ def loewner_leq(
     a: np.ndarray, b: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> LoewnerVerdict:
     """Decide a <= b in the semidefinite order, keeping the witness eigenvalue."""
-    require_self_adjoint(a, pol, "left operand")
-    require_self_adjoint(b, pol, "right operand")
+    norm_a = require_self_adjoint(a, pol, "left operand")
+    norm_b = require_self_adjoint(b, pol, "right operand")
     witness = extreme_eigenvalues(np.linalg.eigvalsh(symmetrize(b - a)))[0]
-    tol = pol.bound(frobenius(a), frobenius(b))
+    tol = pol.bound(norm_a, norm_b)
     return LoewnerVerdict(holds=witness >= -tol, witness_lambda_min=witness, margin=witness + tol)
 
 
@@ -198,7 +198,11 @@ def inverse(a: np.ndarray) -> np.ndarray:
     Anything beyond MAX_CONDITION, or a NaN estimate, is refused rather than
     silently amplified.
     """
-    condition = condition_estimate(a)
+    return _guarded_inverse(a, condition_estimate(a))
+
+
+def _guarded_inverse(a: np.ndarray, condition) -> np.ndarray:
+    """:func:`inverse` of ``a``, its :func:`condition_estimate` given."""
     witness = failing(condition <= MAX_CONDITION, condition)
     if witness is not None:
         raise NumericallySingular(

@@ -14,9 +14,8 @@ import operator
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import groupby
 from typing import Callable
 
@@ -40,6 +39,7 @@ from .core import (
 )
 from .calculus import (
     MAX_CONDITION,
+    _guarded_inverse,
     abs_value,
     inverse,
     condition_estimate,
@@ -373,8 +373,8 @@ def _concl_inv_product(mats, pol):
 
 def _concl_inverse_abs(mats, pol):
     (a,) = mats
-    kappa = condition_estimate(a)
-    abs_inv, abs_a = _grouped(abs_value, zip([inverse(a), a]), pol)
+    kappa = condition_estimate(a)  # the estimate inverse would compute again
+    abs_inv, abs_a = _grouped(abs_value, zip([_guarded_inverse(a, kappa), a]), pol)
     prod = abs_inv @ abs_a
     r = frobenius(prod - np.eye(a.shape[-1]))
     extras = {"identity_residual": r, "condition": kappa}
@@ -1186,6 +1186,8 @@ def run_suite(
     # the pool starts all its workers at once: no more than tasks or cores
     workers = min(jobs, len(tasks), os.cpu_count() or 1) if jobs > 1 else 1
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported by the runs that start one
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block_star, tasks, chunksize=1))
     else:
@@ -1243,6 +1245,36 @@ class ProbeStats:
     first_failure_seed: int | None
 
 
+@lru_cache(maxsize=64)
+def _probe_plan(claim_ids: tuple, dim: int, count: int, stack_bytes: int):
+    """The calls of a probe, whatever its master seed: the claims in run
+    order, their tags, and per draw of ``size`` trials of arity ``k`` the
+    ``(conclusion, at, stop, flip)`` of each run of rows that share a
+    conclusion, ``flip`` the rows of A - B forms among them if any."""
+    table = catalog()
+    runs = {}  # the claims of one arity share each draw, of one conclusion each stack
+    for cid in claim_ids:
+        f = table[cid].conclusion
+        runs.setdefault((max(table[cid].arity, 0) or 3, getattr(f, "plus_form", f)), []).append(cid)
+    keys = sorted(runs, key=lambda key: key[0])
+    order = [cid for key in keys for cid in runs[key]]
+    draws = []
+    for k, same_arity in groupby(keys, key=lambda key: key[0]):
+        # a row per trial: its conclusion, and whether it is an A - B form
+        rows = [(key[1], hasattr(table[cid].conclusion, "plus_form"))
+                for key in same_arity for cid in runs[key] for _ in range(count)]
+        depth = 1 if dim == 1 else max(1, stack_bytes // (k * dim * dim * 16))
+        for start in range(0, len(rows), depth):
+            parts, at = [], 0
+            for conclusion, part in groupby(rows[start : start + depth], key=lambda row: row[0]):
+                negated = [minus for _, minus in part]
+                flip = np.flatnonzero(negated) if any(negated) else None
+                parts.append((conclusion, at, at + len(negated), flip))
+                at += len(negated)
+            draws.append((k, at, parts))
+    return order, tuple(f"probe:{cid}:{dim}" for cid in order), draws
+
+
 def probe_conclusions(
     claim_ids,
     dim: int,
@@ -1258,59 +1290,38 @@ def probe_conclusions(
     counted as errors, not failures.
 
     Trial ``t`` of a claim draws its ``arity`` matrices (3 for a family
-    claim) in turn from ``Seed(master_seed, "probe:{id}:{dim}", t)``.  The
-    seeds of every (claim, trial) pair are derived in one pass.  The trials
-    of the claims of one arity are built as ``(B, n, n)`` stacks of at most
-    ``STACK_BYTES`` of matrices, and 1x1 trials one at a time, as
-    :func:`sample_block` builds them; the trials of the claims that share a
-    conclusion are evaluated as one stack, an A - B form on the negated
-    second operand of its trials (see :func:`_minus_form`).  A stack whose
-    conclusion raises is split into trials by :func:`_split_on_raise`, as
-    in :func:`run_suite`.
+    claim) in turn from ``Seed(master_seed, "probe:{id}:{dim}", t)``, all
+    seeds derived in one pass.  Draws are ``(B, n, n)`` stacks of at most
+    ``STACK_BYTES`` (1x1 trials one at a time, as in :func:`sample_block`);
+    claims that share a conclusion share its stacks, an A - B form on the
+    negated second operand (:func:`_minus_form`).  A stack that raises is
+    split by :func:`_split_on_raise`, as in :func:`run_suite`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    table = catalog()
-    arity = {cid: max(table[cid].arity, 0) or 3 for cid in claim_ids}
-    conclusions = {cid: table[cid].conclusion for cid in claim_ids}
-    kernel = {cid: getattr(f, "plus_form", f) for cid, f in conclusions.items()}
-    # the claims of one arity share each draw, the claims of one conclusion
-    # each stack: the tags run in that order
-    runs = {}
-    for cid in claim_ids:
-        runs.setdefault((arity[cid], kernel[cid]), []).append(cid)
-    order = [cid for key in sorted(runs, key=lambda key: key[0]) for cid in runs[key]]
-    rngs = _block_generators(master_seed, [f"probe:{cid}:{dim}" for cid in order], 0, count)
-    verdicts = []  # per claim of ``order`` and trial: the verdict, None where it raised
-    for k, same_arity in groupby(order, key=arity.get):
-        trials = [cid for cid in same_arity for _ in range(count)]
-        depth = 1 if dim == 1 else max(1, STACK_BYTES // (k * dim * dim * 16))
-        for start in range(0, len(trials), depth):
-            chunk = trials[start : start + depth]
-            drawn = sample_general(dim, k, [next(rngs) for _ in chunk])
-            drawn = [m.reshape(len(chunk), dim, dim) for m in drawn]  # one trial too
-            at = 0
-            for conclusion, part in groupby(chunk, key=kernel.get):
-                negated = [hasattr(conclusions[cid], "plus_form") for cid in part]
-                size = len(negated)
-                stack = tuple(m[at] if size == 1 else m[at : at + size] for m in drawn)
-                if any(negated):  # an A - B form runs on -B, as its conclusion does
-                    second = stack[1].reshape(size, dim, dim)  # a view
-                    second[negated] = -second[negated]
-                for i, ok in _split_on_raise(lambda mats: conclusion(mats, pol)[0], stack, size):
-                    if i is None:
-                        verdicts += np.broadcast_to(ok, (size,)).tolist()
-                    else:
-                        verdicts.append(None if isinstance(ok, Exception) else bool(ok))
-                at += size
+    order, tags, draws = _probe_plan(tuple(claim_ids), dim, count, STACK_BYTES)
+    rngs = _block_generators(master_seed, tags, 0, count)
+    verdicts = np.empty(len(order) * count, dtype=np.int8)  # 1 holds, 0 fails, -1 raised
+    done = 0
+    for k, size, parts in draws:
+        drawn = sample_general(dim, k, [next(rngs) for _ in range(size)])
+        drawn = [m.reshape(size, dim, dim) for m in drawn]  # one trial too
+        for conclusion, at, stop, flip in parts:
+            if flip is not None:  # an A - B form runs on -B, as its conclusion does
+                second = drawn[1][at:stop]  # a view
+                second[flip] = -second[flip]
+            stack = tuple(m[at] if stop - at == 1 else m[at:stop] for m in drawn)
+            for i, ok in _split_on_raise(lambda mats: conclusion(mats, pol)[0], stack, stop - at):
+                rows = slice(done + at, done + stop) if i is None else done + at + i
+                verdicts[rows] = -1 if isinstance(ok, Exception) else ok
+        done += size
+    found = verdicts.reshape(len(order), count)
+    failures = found == 0
+    columns = failures.sum(1).tolist(), (found < 0).sum(1).tolist(), failures.argmax(1).tolist()
     out = {}
-    for j, cid in enumerate(order):
-        found = verdicts[j * count : (j + 1) * count]
-        failures = [t for t, ok in enumerate(found) if ok is False]
-        tag = f"probe:{cid}:{dim}"
-        first = Seed(master_seed, tag, failures[0]).replay_master if failures else None
-        errors = found.count(None)
-        out[cid] = ProbeStats(cid, count - errors, len(failures), errors, first)
+    for cid, tag, fails, errors, t in zip(order, tags, *columns):
+        seed = Seed(master_seed, tag, t).replay_master if fails else None
+        out[cid] = ProbeStats(cid, count - errors, fails, errors, seed)
     return [out[cid] for cid in claim_ids]

@@ -46,25 +46,24 @@ class ConvergenceError(NumericalError, RuntimeError):
 # per-trial values: Python scalars for one matrix, arrays for a stack
 
 
-def trial_max(*values):
-    """``max(values)``; elementwise when the values hold stacks of trials.
-    NaN where a value is NaN, for one trial as on a stack."""
-    return _extreme(max, np.maximum, values)
+def _trial_extreme(pick, ufunc):
+    """``pick(values)``, ``pick`` being max or min; elementwise by ``ufunc``
+    when the values hold stacks of trials.  NaN where a value is NaN, for
+    one trial as on a stack."""
+
+    def extreme(*values):
+        for v in values:
+            if type(v) is np.ndarray or v != v:  # a stack, or a NaN
+                if np.ndarray in map(type, values):
+                    return reduce(ufunc, values)
+                return next(v for v in values if v != v)  # max and min keep it only first
+        return pick(values)
+
+    return extreme
 
 
-def trial_min(*values):
-    """``min(values)``; elementwise when the values hold stacks of trials.
-    NaN where a value is NaN, for one trial as on a stack."""
-    return _extreme(min, np.minimum, values)
-
-
-def _extreme(pick, ufunc, values):
-    if np.ndarray in map(type, values):
-        return reduce(ufunc, values)
-    for v in values:  # Python's max and min keep a NaN only in first place
-        if v != v:
-            return v
-    return pick(values)
+trial_max = _trial_extreme(max, np.maximum)
+trial_min = _trial_extreme(min, np.minimum)
 
 
 def trial_sqrt(x):
@@ -117,7 +116,10 @@ class TolerancePolicy:
         """The threshold ``rel * max(1, *scales) + abs``, per trial: NaN
         where a scale is NaN, for one matrix as on a stack, so a rule judged
         at it fails closed."""
-        return self.rel * trial_max(1.0, *scales) + self.abs
+        for s in scales:  # trial_max's test, inlined: every comparison pays it
+            if type(s) is np.ndarray or s != s:
+                return self.rel * trial_max(1.0, *scales) + self.abs
+        return self.rel * max(1.0, *scales) + self.abs
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -139,7 +141,8 @@ def as_matrix(entries) -> np.ndarray:
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  An exact involution: adjoint(adjoint(a)) == a bitwise."""
-    return np.ascontiguousarray(a.conj().swapaxes(-1, -2))
+    star = a.swapaxes(-1, -2).copy()
+    return np.conjugate(star, out=star)
 
 
 def frobenius(a: np.ndarray):
@@ -190,19 +193,22 @@ def rel_residual(x: np.ndarray, y: np.ndarray):
 
 
 def self_adjointness(x: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
-    """The one self-adjointness rule, as ``(holds, residual)``: ``holds`` is
-    ``||x - x*||_F <= pol.bound(||x||_F)``, False where ``x`` holds a NaN."""
-    r = frobenius(x - x.conj().swapaxes(-1, -2))
-    return r <= pol.bound(frobenius(x)), r
+    """The one self-adjointness rule, as ``(holds, residual, norm)``:
+    ``holds`` is ``||x - x*||_F <= pol.bound(||x||_F)``, False where ``x``
+    holds a NaN, and ``norm`` is the ``||x||_F`` it was judged at."""
+    r, norm = frobenius(x - x.conj().swapaxes(-1, -2)), frobenius(x)
+    return r <= pol.bound(norm), r, norm
 
 
-def require_self_adjoint(x: np.ndarray, pol: TolerancePolicy, what: str) -> None:
+def require_self_adjoint(x: np.ndarray, pol: TolerancePolicy, what: str):
     """Raise :class:`NotSelfAdjoint`, naming ``what`` and the first failing
-    trial's residual, unless every trial passes :func:`self_adjointness`."""
-    holds, r = self_adjointness(x, pol)
+    trial's residual, unless every trial passes :func:`self_adjointness`;
+    return ``||x||_F``."""
+    holds, r, norm = self_adjointness(x, pol)
     witness = failing(holds, r)
     if witness is not None:
         raise NotSelfAdjoint(f"{what} is not self-adjoint: ||x - x*||_F = {witness:.3e}")
+    return norm
 
 
 def positivity(w: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):

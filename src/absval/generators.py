@@ -37,85 +37,87 @@ from .core import as_matrix, symmetrize, adjoint, operator_norm
 # ---------------------------------------------------------------------------
 # seed streams
 #
-# A stream's PCG64 is seeded as numpy's SeedSequence would seed it: the
-# entropy words are hashed into a pool of four 32-bit words, and the pool is
-# hashed out into the generator's state (O'Neill's seed_seq hash, as numpy
-# documents it).  It is written out here in arithmetic masked to 32 bits so
-# that one function serves a single trial (Python ints) and a block of
-# trials (uint64 arrays, one entry per trial); the hash constants never
-# depend on the data, only on the number of entropy words.
+# A stream's PCG64 is seeded by SeedSequence([replay master, *tag words]).
+# One stream calls numpy's; a block of streams calls _pool_words, the same
+# hash (O'Neill's seed_seq) on four uint32 lanes of N streams each, its
+# constants uint32 arrays (legacy value-based casting keeps them uint32).
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.array([[0xCA01F9DD], [0x4973F715]], dtype=np.uint32)
+_OTHERS = [np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE)]
 
 
-def _pool_words(entropy: list, n_words: int) -> list:
-    """``SeedSequence(entropy).generate_state(n_words, np.uint32)``, where
-    ``entropy`` lists 32-bit words (Python ints, or uint64 arrays holding
-    one word per trial)."""
-    const = _INIT_A
-    pool = []
-    # hashmix(value): value ^= const; const *= MULT_A; value *= const;
-    # value ^= value >> 16 -- inlined below; mix(x, y) likewise
-    for i in range(_POOL_SIZE):
-        value = (entropy[i] if i < len(entropy) else 0) ^ const
-        const = (const * _MULT_A) & _MASK32
-        value = (value * const) & _MASK32
-        pool.append(value ^ (value >> 16))
-    sources = [(i, None) for i in range(_POOL_SIZE)]  # mix every pool word into the others,
-    sources += [(None, word) for word in entropy[_POOL_SIZE:]]  # then the remaining entropy
-    for src, word in sources:
-        for dst in range(_POOL_SIZE):
-            if dst == src:
-                continue
-            value = (pool[src] if word is None else word) ^ const
-            const = (const * _MULT_A) & _MASK32
-            value = (value * const) & _MASK32
-            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ (value >> 16))) & _MASK32
-            pool[dst] = mixed ^ (mixed >> 16)
-    out = []
-    const = _INIT_B
-    for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = (const * _MULT_B) & _MASK32
-        value = (value * const) & _MASK32
-        out.append(value ^ (value >> 16))
-    return out
+@cache
+def _schedule(n_entropy: int, n_words: int) -> list:
+    """The ``(xor, multiply)`` uint32 columns of each step of
+    :func:`_pool_words` in turn: the pool's words, each pool word mixed into
+    the three others, each entropy word past the pool mixed into all four,
+    and the output words."""
+    steps, sizes = [], [4, 3, 3, 3, 3] + [4] * (n_entropy - _POOL_SIZE)
+    for const, mult, counts in ((_INIT_A, _MULT_A, sizes), (_INIT_B, _MULT_B, [n_words])):
+        for size in counts:
+            consts = [const]
+            for _ in range(size):
+                consts.append(consts[-1] * mult & _MASK32)
+            const, column = consts[-1], np.array(consts, dtype=np.uint32)[:, None]
+            steps.append((column[:-1], column[1:]))
+    return steps
+
+
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> 16)
+
+
+def _pool_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy[:, j]).generate_state(n_words, np.uint32)`` for
+    every column ``j`` of the ``(E, N)`` uint32 ``entropy``, as rows."""
+    steps = iter(_schedule(len(entropy), n_words))
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, *next(steps))
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, *next(steps)))
+    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], *next(steps))
 
 
 def _int_words(value: int) -> list[int]:
     """A nonnegative integer as little-endian 32-bit words, at least one."""
     if value < 0:
         raise ValueError(f"seed values must be nonnegative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _derived(prefix: list, values: np.ndarray, suffix: list, n_words: int) -> np.ndarray:
-    """``_pool_words(prefix + _int_words(v) + suffix, n_words)`` for every
-    uint64 ``v`` in ``values``, packed into ``(len(values), n_words // 2)``
-    64-bit words.  A ``suffix`` word is one int for every entry, or a uint64
-    array with one word per entry.  Values are grouped by their word count,
-    which decides the hash constants."""
-    out = np.empty((len(values), n_words // 2), dtype=np.uint64)
+def _derived(prefix: list, values: np.ndarray, suffix, n_words: int) -> np.ndarray:
+    """``SeedSequence(prefix + _int_words(v) + suffix).generate_state(n_words
+    // 2, np.uint64)`` as the row of each uint64 ``v`` in ``values``.  A
+    ``suffix`` row is one word for every entry, or an array of one per
+    entry.  Values are grouped by word count, which decides the constants."""
     wide = values > _MASK32
-    for two_words in (False, True):
-        idx = np.flatnonzero(wide == two_words)
-        if idx.size:
-            v = values[idx]
+    parts = [np.flatnonzero(~wide), np.flatnonzero(wide)] if wide.any() else [slice(None)]
+    out = np.empty((len(values), n_words // 2), dtype=np.uint64)
+    for idx, two_words in zip(parts, (False, True)):
+        v = values[idx]
+        if v.size:
             words = [v & _MASK32, v >> 32] if two_words else [v]
-            tail = [w[idx] if isinstance(w, np.ndarray) else w for w in suffix]
-            state = _pool_words(prefix + words + tail, n_words)
-            for j in range(n_words // 2):
-                out[idx, j] = state[2 * j] | (state[2 * j + 1] << 32)
+            rows = [*prefix, *words, *(w[idx] if isinstance(w, np.ndarray) else w for w in suffix)]
+            entropy = np.empty((len(rows), v.size), dtype=np.uint32)
+            for i, row in enumerate(rows):
+                entropy[i] = row
+            # numpy's own packing of 32-bit words into 64: little-endian pairs
+            state = np.ascontiguousarray(_pool_words(entropy, n_words).T, dtype="<u4")
+            out[idx] = state.view("<u8")
     return out
 
 
@@ -128,8 +130,7 @@ def _mix64(master: int, trial: int) -> int:
     """
     if trial == 0:
         return int(master)
-    lo, hi = _pool_words(_int_words(int(master)) + _int_words(int(trial)), 2)
-    return lo | (hi << 32)
+    return int(np.random.SeedSequence([int(master), int(trial)]).generate_state(1, np.uint64)[0])
 
 
 @cache
@@ -139,9 +140,8 @@ def _tag_words(tag: str) -> tuple[int, ...]:
 
 
 class _StateWords:
-    """Already-derived PCG64 seed words: the four uint64 values that
-    ``SeedSequence(entropy).generate_state(4, np.uint64)`` returns.  A
-    BitGenerator seeds from any registered ``ISeedSequence``."""
+    """What ``SeedSequence(entropy).generate_state(4, np.uint64)`` returns,
+    derived already; a BitGenerator seeds from any ``ISeedSequence``."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -180,9 +180,8 @@ class Seed:
         return _mix64(self.master, self.trial)
 
     def generator(self) -> np.random.Generator:
-        words = _pool_words(_int_words(self.replay_master) + list(_tag_words(self.claim_tag)), 8)
-        packed = [words[2 * j] | (words[2 * j + 1] << 32) for j in range(4)]
-        return _generator(np.array(packed, dtype=np.uint64))
+        entropy = [self.replay_master, *_tag_words(self.claim_tag)]
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _block_generators(master: int, tags, start: int, count: int):
@@ -202,8 +201,8 @@ def _block_generators(master: int, tags, start: int, count: int):
     replay = _derived(_int_words(int(master)), trials, [], 2)[:, 0]
     if start == 0 and not head:
         replay = np.concatenate((np.array([master], dtype=np.uint64), replay))
-    tag_words = np.array([_tag_words(tag) for tag in tags], dtype=np.uint64).repeat(len(replay), 0)
-    words = _derived([], np.tile(replay, len(tags)), list(tag_words.T), 8)
+    lanes = np.array([_tag_words(tag) for tag in tags], dtype=np.uint32).T.repeat(len(replay), 1)
+    words = _derived([], np.tile(replay, len(tags)), lanes, 8)
     for i, tag in enumerate(tags):
         if head:
             yield Seed(master, tag, 0).generator()

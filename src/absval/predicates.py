@@ -40,7 +40,7 @@ class PredicateResult:
 
 def is_self_adjoint(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
     """a == a* by :func:`~absval.core.self_adjointness`; residual is ||a - a*||_F."""
-    return PredicateResult(*self_adjointness(a, pol))
+    return PredicateResult(*self_adjointness(a, pol)[:2])
 
 
 def is_normal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:

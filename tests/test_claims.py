@@ -1,5 +1,10 @@
 """Claim catalog, check_claim, suites, registry, probes."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -177,6 +182,19 @@ class TestCheckClaim:
         }
         assert result.conclusion_ok is False
 
+    def test_inverse_abs_estimates_the_condition_once(self, monkeypatch):
+        # C-INV2's conclusion hands the estimate it reports to the guarded
+        # inverse: one eigvalsh of A's Gram matrix, for one trial or a stack
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h.shape) or real(h))
+        (a,) = gen_commuting_normal_family(3, 1, Seed(3, "C-INV2:3"), invertible=True)
+        for mats in ((a,), (np.stack([a, 2 * a]),)):
+            calls.clear()
+            ok, _, extras = catalog()["C-INV2"].conclusion(mats, TolerancePolicy())
+            assert np.all(ok) and np.all(extras["condition"] < 1e3)
+            assert calls == [mats[0].shape]
+
     def test_arity_validation(self):
         with pytest.raises(ValueError):
             ClaimInstance("C-TRI", (np.eye(2, dtype=complex),))
@@ -270,13 +288,23 @@ class TestRunSuite:
             def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(claims_module, "ProcessPoolExecutor", SerialPool)
+        # run_suite imports the pool class when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(claims_module.os, "cpu_count", lambda: cpus)
         report = run_suite(["C-TRI", "C-PRODNORM"], [2, 3], 5, 1, jobs=jobs)
         assert started == ([] if workers is None else [workers])
         assert report.config["jobs"] == jobs
         serial = run_suite(["C-TRI", "C-PRODNORM"], [2, 3], 5, 1)
         assert [c.to_dict() for c in report.claims] == [c.to_dict() for c in serial.claims]
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # one-process runs (replays, probes) never pay for concurrent.futures
+        code = "import sys, absval; print('concurrent.futures' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(claims_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_pinned_dimension_families_ignore_requested_dims(self):
         report = run_suite(["C-PRODSA"], dims=[5, 6], trials=4, master_seed=1)

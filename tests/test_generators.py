@@ -324,6 +324,33 @@ class TestSeedDerivation:
                 ref = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
                 assert row.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n_words", (2, 8))
+    @pytest.mark.parametrize("lanes", (1, 2, 29, 250, 1000))
+    def test_lane_kernel_matches_seed_sequence(self, lanes, n_words):
+        # entropy of 1 to 7 words: a prefix every lane shares, the lane's
+        # value (one word, two for a wide one), then suffix rows of one word
+        # for every lane or of a word per lane
+        rng = np.random.default_rng(lanes)
+        special = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+        draws = rng.integers(0, 2**64, lanes, dtype=np.uint64, endpoint=False)
+        values = np.where(rng.random(lanes) < 0.5, draws >> np.uint64(32), draws)
+        value_sets = [np.array([v], dtype=np.uint64) for v in special] if lanes == 1 else [values]
+        if lanes > 1:
+            values[: len(special)] = special[:lanes]
+        for extra in range(6):
+            prefix = rng.integers(0, 2**32, extra // 2).tolist()
+            suffix = [
+                int(rng.integers(2**32)) if i % 2 else rng.integers(0, 2**32, lanes, dtype=np.uint32)
+                for i in range(extra - extra // 2)
+            ]
+            for vals in value_sets:
+                got = generators._derived(prefix, vals, suffix, n_words)
+                assert got.shape == (len(vals), n_words // 2) and got.dtype == np.uint64
+                for j, v in enumerate(vals):
+                    tail = [int(w[j]) if isinstance(w, np.ndarray) else w for w in suffix]
+                    seq = np.random.SeedSequence([*prefix, int(v), *tail])
+                    assert got[j].tobytes() == seq.generate_state(n_words // 2, np.uint64).tobytes()
+
     def test_replay_master_matches_seed_sequence(self):
         for master in self.WIDE_MASTERS:
             for trial in (1, 2, 99, 2**32 + 5):

@@ -11,7 +11,15 @@ general draws and one conclusion per trial.
 import numpy as np
 import pytest
 
-from absval import DEFAULT_POLICY, ProbeStats, Seed, catalog, gen_general, probe_conclusions
+from absval import (
+    DEFAULT_POLICY,
+    ProbeStats,
+    Seed,
+    TolerancePolicy,
+    catalog,
+    gen_general,
+    probe_conclusions,
+)
 from absval import claims as claims_module
 
 THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]
@@ -124,3 +132,19 @@ def test_a_shared_stack_that_raises_counts_each_trial_alone(monkeypatch, stack_s
     assert all(ps.errors and ps.evaluated for ps in expected)
     assert probe_conclusions(claim_ids, dim, 40, 13) == expected
     assert max(stack_sizes) == (1 if dim == 1 else 3 * 40)
+
+
+FORCED = TolerancePolicy(rel=1e-15, abs=1e-300)
+
+
+@pytest.mark.parametrize("pol", (DEFAULT_POLICY, FORCED), ids=("default", "forced"))
+@pytest.mark.parametrize("dim", (1, 2, 3, 4, 8))
+def test_a_reused_plan_counts_what_the_loop_counts(dim, pol):
+    # the second call of each count runs on the plan the first one made
+    claims_module._probe_plan.cache_clear()
+    for count in (1, 7, 40):
+        expected = reference_probe(THEOREM_IDS, dim, count, 5, pol)
+        for _ in range(2):
+            assert probe_conclusions(THEOREM_IDS, dim, count, 5, pol) == expected
+    info = claims_module._probe_plan.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
