@@ -46,10 +46,10 @@ class ConvergenceError(NumericalError, RuntimeError):
 # per-trial values: Python scalars for one matrix, arrays for a stack
 
 
-def _trial_extreme(pick, ufunc):
+def _trial_extreme(name, pick, ufunc):
     """``pick(values)``, ``pick`` being max or min; elementwise by ``ufunc``
     when the values hold stacks of trials.  NaN where a value is NaN, for
-    one trial as on a stack."""
+    one trial as on a stack.  The function is called ``name``."""
 
     def extreme(*values):
         for v in values:
@@ -59,11 +59,12 @@ def _trial_extreme(pick, ufunc):
                 return next(v for v in values if v != v)  # max and min keep it only first
         return pick(values)
 
+    extreme.__name__ = extreme.__qualname__ = name
     return extreme
 
 
-trial_max = _trial_extreme(max, np.maximum)
-trial_min = _trial_extreme(min, np.minimum)
+trial_max = _trial_extreme("trial_max", max, np.maximum)
+trial_min = _trial_extreme("trial_min", min, np.minimum)
 
 
 def trial_sqrt(x):
