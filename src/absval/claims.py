@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Callable
 
 import numpy as np
@@ -56,7 +56,7 @@ from .predicates import (
     is_positive,
     is_self_adjoint,
 )
-from .generators import EnsembleSpec, Seed, _block_generators, sample_block, sample_general
+from .generators import EnsembleSpec, Seed, _block_generators, sample, sample_block, sample_general
 
 ALWAYS_HOLDS = "ALWAYS_HOLDS"
 REGISTRY_VIOLATION = "REGISTRY_VIOLATION"
@@ -386,21 +386,20 @@ def _concl_nfold_product(mats, pol):
     return *equality(whole, reduce(operator.matmul, factors), pol), {}
 
 
-_POWZ_EXPONENTS = (-3, -2, -1, 0, 1, 2, 3)
-
-
 def _concl_integer_powers(mats, pol):
     (a,) = mats
     eye = np.eye(a.shape[-1], dtype=complex)
     abs_a = abs_value(a, pol)
-    a_inv = inverse(a)
-    abs_inv = inverse(abs_a)
-    bases = [(a, abs_a) if e >= 0 else (a_inv, abs_inv) for e in _POWZ_EXPONENTS]
-    powers = (  # (A^e, |A|^e) as products from the identity, made as they are asked for
-        tuple(reduce(operator.matmul, [m] * abs(e), eye) for m in pair)
-        for e, pair in zip(_POWZ_EXPONENTS, bases)
-    )
-    same, residuals = zip(*_grouped(lambda x, y: equality(abs_value(x, pol), y, pol), powers))
+
+    def powers(b, c):  # (B^e, C^e), e = 1..3, from eye @ B: B alone may differ in a zero's sign
+        pb, pc = eye, eye
+        for _ in range(3):
+            pb, pc = pb @ b, pc @ c
+            yield pb, pc
+
+    # (A^e, |A|^e) for e = -3 .. 3 in turn, the positive powers made as they are asked for
+    rows = chain(reversed([*powers(inverse(a), inverse(abs_a))]), [(eye, eye)], powers(a, abs_a))
+    same, residuals = zip(*_grouped(lambda x, y: equality(abs_value(x, pol), y, pol), rows))
     return _all(same), trial_max(0.0, *residuals), {}
 
 
@@ -1051,6 +1050,8 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     """Run a contiguous block of trials for one (claim, dim) into a
     :class:`ClaimStats`, which process pools ship back whole.
 
+    A block of one trial, as every replay is, is :func:`sample` and
+    :func:`_evaluate` on that trial's matrices.  For a larger block
     :func:`sample_block` derives the block's seeds in one pass, draws each
     trial from its own seed and builds the matrices as ``(B, n, n)`` stacks
     of at most ``STACK_BYTES``, each slice bit-for-bit what :func:`sample`
@@ -1061,11 +1062,21 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     claim = catalog()[claim_id]
     stats = ClaimStats(claim_id, trials=count)
     tag = f"{claim_id}:{dim}"
-    for seeds, stack in sample_block(claim.ensemble, dim, master, tag, start, count, STACK_BYTES):
-        if isinstance(stack, Exception):
-            stats.errors.append({**_seed_record(seeds[0], dim), "message": str(stack)})
+    spec = claim.ensemble
+    if count == 1:  # a replay: the trial's own matrices, no stack to build or split
+        seed = Seed(master, tag, start)
+        try:
+            hyp_ok, concl_ok, _, residuals = _evaluate(claim, sample(spec, dim, seed), pol)
+        except Exception as exc:
+            stats.errors.append({**_seed_record(seed, dim), "message": str(exc)})
         else:
-            _run_group(claim, dim, seeds, stack, pol, stats)
+            stats.record(_verdict(hyp_ok, concl_ok), residuals, _seed_record(seed, dim))
+    else:
+        for seeds, stack in sample_block(spec, dim, master, tag, start, count, STACK_BYTES):
+            if isinstance(stack, Exception):
+                stats.errors.append({**_seed_record(seeds[0], dim), "message": str(stack)})
+            else:
+                _run_group(claim, dim, seeds, stack, pol, stats)
     kept = [*stats.violations, *stats.errors]
     if stats.worst_residual_seed is not None:  # the block's one worst-trial record
         kept.append(stats.worst_residual_seed)

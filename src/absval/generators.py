@@ -197,10 +197,13 @@ def _block_generators(master: int, tags, start: int, count: int):
         for tag in tags:
             yield from (Seed(master, tag, t).generator() for t in range(start, start + count))
         return
-    trials = np.arange(max(start, 1), start + count, dtype=np.uint64)
-    replay = _derived(_int_words(int(master)), trials, [], 2)[:, 0]
-    if start == 0 and not head:
-        replay = np.concatenate((np.array([master], dtype=np.uint64), replay))
+    if start == 0 and count == 1:  # trial 0 alone, as a probe of one trial asks: no fold
+        replay = np.array([master], dtype=np.uint64)
+    else:
+        trials = np.arange(max(start, 1), start + count, dtype=np.uint64)
+        replay = _derived(_int_words(int(master)), trials, [], 2)[:, 0]
+        if start == 0 and not head:
+            replay = np.concatenate((np.array([master], dtype=np.uint64), replay))
     lanes = np.array([_tag_words(tag) for tag in tags], dtype=np.uint32).T.repeat(len(replay), 1)
     words = _derived([], np.tile(replay, len(tags)), lanes, 8)
     for i, tag in enumerate(tags):

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: flags, reports, exit codes, replay."""
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -200,6 +202,27 @@ class TestForcedViolationAndReplay:
         assert code2 == 1
         replayed = json.loads(out2)["claims"][0]["violations"][0]
         assert replayed["residuals"] == violation["residuals"]
+
+
+class TestOneTrialReplays:
+    THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]
+    # SHA-256 of the outputs below as the stacked one-trial route gave them:
+    # whatever route a one-trial run takes, a replay's bytes stay the same
+    PINNED = "a89769c737fdd01b69c204e07439f17bb5d54efae201ea6e18ef641e9a1674bb"
+
+    def test_replay_outputs_are_pinned(self, capsys):
+        runs = [
+            ["--claims", cid, "--dims", str(n), "--seed", str(seed)]
+            for cid in self.THEOREM_IDS for n in (2, 3, 4, 8) for seed in range(3)
+        ]
+        runs.append(["--claims", "all", "--dims", "1,2,3,8", "--seed", "4",
+                     "--tol-rel", "1e-15", "--tol-abs", "1e-300"])
+        digest = hashlib.sha256()
+        for argv in runs:
+            code, out, _ = run_cli(capsys, *argv, "--trials", "1", "--format", "json")
+            out = re.sub(r'"wall_time_seconds": [^,}]*', '"wall_time_seconds": null', out)
+            digest.update(f"{argv} {code}\n{out}".encode())
+        assert digest.hexdigest() == self.PINNED
 
 
 # key order as the report emits it: seed, claim_tag, dim, trial

@@ -309,6 +309,23 @@ class TestSeedDerivation:
                     ref = reference_generator(master, tag, trial)
                     assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("master", (0, 1, 2**32 - 1, 2**64 - 1, 2**70 + 3))
+    def test_one_trial_probe_skips_the_trial_fold(self, monkeypatch, master):
+        # trial 0 of every probe tag is the master itself: the one array pass
+        # left is the tags' own, and a master wider than 64 bits takes the
+        # Python-int route with none
+        theorems = tuple(cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS")
+        _, tags, _ = claims_module._probe_plan(theorems, 4, 1, claims_module.STACK_BYTES)
+        passes = []
+        real = generators._derived
+        monkeypatch.setattr(generators, "_derived", lambda *a: passes.append(a[1]) or real(*a))
+        rngs = list(generators._block_generators(master, tags, 0, 1))
+        assert len(tags) == len(rngs) == 29
+        for tag, rng in zip(tags, rngs):
+            assert rng.bit_generator.state == Seed(master, tag, 0).generator().bit_generator.state
+        folds = [] if master > 2**64 - 1 else [[master] * 29]  # the tags' pass, no trial fold
+        assert [values.tolist() for values in passes] == folds
+
     def test_mixed_word_counts_in_one_pass(self):
         # replay masters of one and two 32-bit words, derived in one call,
         # with one tag for all of them or a tag of their own each

@@ -152,6 +152,24 @@ def integer_powers(mats, pol):
     return ok, worst, {}
 
 
+def integer_powers_by_reduce(mats, pol):
+    """C-POWZ with each power its own product chain from the identity,
+    ``reduce(matmul, [m] * |e|, eye)``, every row's call in exponent order."""
+    (a,) = mats
+    eye = np.eye(a.shape[-1], dtype=complex)
+    abs_a = abs_value(a, pol)
+    a_inv, abs_inv = inverse(a), inverse(abs_a)
+    ok = True
+    worst = 0.0
+    for exponent in (-3, -2, -1, 0, 1, 2, 3):
+        bases = (a, abs_a) if exponent >= 0 else (a_inv, abs_inv)
+        power, abs_power = (reduce(operator.matmul, [m] * abs(exponent), eye) for m in bases)
+        same, residual = equality(abs_value(power, pol), abs_power, pol)
+        ok = ok & same
+        worst = trial_max(worst, residual)
+    return ok, worst, {}
+
+
 def triangle_sum(mats, pol):
     a, b = mats
     return _loewner(abs_value(a + b, pol), abs_value(a, pol) + abs_value(b, pol), pol)
@@ -325,6 +343,24 @@ def test_every_conclusion_matches_its_per_operand_form(cid, pol):
     for n in (1, 2, 3, 8):
         for group in [*own_trials(cid, n), general_trials(cid, n)]:
             check_trials(cid, group, pol, f"{cid} n={n}")
+
+
+@pytest.mark.parametrize("pol", POLICIES, ids=("default", "rel=1e-15"))
+def test_integer_powers_match_their_product_chains(pol):
+    """C-POWZ's running products A^1..A^3 are the chains of each exponent,
+    bit for bit: on one trial, on a 250-trial sweep stack and at the deepest
+    stack of its byte cap."""
+    claim = catalog()["C-POWZ"]
+    for n in (1, 2, 8):
+        trials = [sample(claim.ensemble, n, Seed(43, f"C-POWZ:{n}", t)) for t in range(250)]
+        depth = max(1, claims_module.STACK_BYTES // (16 * n * n))
+        for t in (0, 1):
+            want = integer_powers_by_reduce(trials[t], pol)
+            assert_same(claim.conclusion(trials[t], pol), want, f"n={n} trial {t}")
+        for size in sorted({2, min(depth, 250), 250}):
+            stack = tuple(np.stack(slot) for slot in zip(*trials[:size]))
+            want = integer_powers_by_reduce(stack, pol)
+            assert_same(claim.conclusion(stack, pol), want, f"n={n} stack of {size}")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

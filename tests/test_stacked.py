@@ -261,7 +261,7 @@ def stack_log(monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, stack_log):
     bad_trial = 5
-    real_sample_block = claims_module.sample_block
+    real_sample_block, real_sample = claims_module.sample_block, claims_module.sample
 
     def sample_block_with_bad_trial(*args):
         for seeds, stack in real_sample_block(*args):
@@ -272,7 +272,11 @@ def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, sta
                     m[trials.index(bad_trial)] = bad
             yield seeds, stack
 
+    def sample_with_bad_trial(spec, n, seed):  # the draw of a block of one
+        return GATE_FAILING if seed.trial == bad_trial else real_sample(spec, n, seed)
+
     monkeypatch.setattr(claims_module, "sample_block", sample_block_with_bad_trial)
+    monkeypatch.setattr(claims_module, "sample", sample_with_bad_trial)
     _, block = claims_module._run_block("L-ANTI", 2, 0, DEPTH, 77, TolerancePolicy())
     _, single = claims_module._run_block("L-ANTI", 2, bad_trial, 1, 77, TolerancePolicy())
     assert stack_log == [("L-ANTI", DEPTH, DEPTH * 64, False)]
@@ -281,6 +285,36 @@ def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, sta
     assert record["message"] == "left operand is not self-adjoint: ||x - x*||_F = nan"
     assert block.errors == single.errors
     assert block.passes == DEPTH - 1 and block.trials == DEPTH
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("pol", (TolerancePolicy(), TolerancePolicy(rel=1e-15, abs=1e-300)),
+                         ids=("default", "rel=1e-15"))
+def test_a_block_of_one_is_its_trial_in_a_larger_block(pol):
+    # a block of one trial takes its own path (sample, then _evaluate); each
+    # such block gives trial t's records of the block of 8, and together
+    # they give the block's counts and its worst-trial record
+    seen = set()
+    for cid in THEOREM_IDS:
+        for n in (1, 2, 3, 8):
+            _, block = claims_module._run_block(cid, n, 0, 8, 31, pol)
+            merged = claims_module.ClaimStats(cid)
+            for t in range(8):
+                _, single = claims_module._run_block(cid, n, t, 1, 31, pol)
+                where = f"{cid} n={n} trial {t}"
+                for kind in ("violations", "errors"):
+                    own = [r for r in getattr(block, kind) if r["trial"] == t]
+                    assert getattr(single, kind) == own, where
+                    if own:
+                        seen.add(kind)
+                assert single.trials == 1 and single.passes + single.hypothesis_failures <= 1
+                claims_module._merge_block(merged, single)
+            assert dataclasses.replace(merged, violations=[], errors=[]) == dataclasses.replace(
+                block, violations=[], errors=[]
+            ), f"{cid} n={n}"
+            if block.passes:
+                seen.add("passes")
+    assert seen == ({"passes", "violations", "errors"} if pol.rel == 1e-15 else {"passes", "errors"})
 
 
 FORCED_CLAIMS = ["C-EIGHT", "C-NFOLD", "C-POWZ", "L-FUG", "C-PRODSA-COR", "T-LH", "C-ABSCOMM"]
