@@ -933,7 +933,7 @@ def _evaluate(claim: Claim, mats: tuple, pol: TolerancePolicy):
     The conclusion runs under a failed hypothesis too (the registry needs
     both flags).  A one-trial conclusion that raises under a failed
     hypothesis gives ``conclusion_ok`` None and a NaN residual; any other
-    raise propagates, a stack's to be split by :func:`_split_on_raise`.
+    raise propagates, and a stack that raises has its trials run alone.
     """
     hyp_ok, flags, residuals = claim.hypothesis(mats, pol)
     stacked = mats[0].ndim > 2
@@ -1050,33 +1050,22 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     """Run a contiguous block of trials for one (claim, dim) into a
     :class:`ClaimStats`, which process pools ship back whole.
 
-    A block of one trial, as every replay is, is :func:`sample` and
-    :func:`_evaluate` on that trial's matrices.  For a larger block
-    :func:`sample_block` derives the block's seeds in one pass, draws each
-    trial from its own seed and builds the matrices as ``(B, n, n)`` stacks
-    of at most ``STACK_BYTES``, each slice bit-for-bit what :func:`sample`
-    gives that trial.  :func:`_run_group` reads every verdict and record of
-    a stack from its arrays; only a stack that raises is evaluated again
-    trial by trial, so each of its trials counts as it would alone.
+    :func:`sample_block` derives the block's seeds in one pass and builds
+    the matrices as ``(B, n, n)`` stacks of at most ``STACK_BYTES``, each
+    slice bit-for-bit what :func:`sample` gives its trial; :func:`_run_group`
+    reads a stack's verdicts and records from its arrays.  A trial that runs
+    alone (the only trial of a block, as every replay is, a 1x1 trial, and
+    each trial of a stack whose draw, build or evaluation raises) runs
+    through :func:`_run_trial`, so it counts as it would in any block.
     """
     claim = catalog()[claim_id]
     stats = ClaimStats(claim_id, trials=count)
     tag = f"{claim_id}:{dim}"
-    spec = claim.ensemble
-    if count == 1:  # a replay: the trial's own matrices, no stack to build or split
-        seed = Seed(master, tag, start)
-        try:
-            hyp_ok, concl_ok, _, residuals = _evaluate(claim, sample(spec, dim, seed), pol)
-        except Exception as exc:
-            stats.errors.append({**_seed_record(seed, dim), "message": str(exc)})
+    for seeds, drawn in sample_block(claim.ensemble, dim, master, tag, start, count, STACK_BYTES):
+        if isinstance(seeds, Seed):
+            _run_trial(claim, dim, seeds, drawn, pol, stats)
         else:
-            stats.record(_verdict(hyp_ok, concl_ok), residuals, _seed_record(seed, dim))
-    else:
-        for seeds, stack in sample_block(spec, dim, master, tag, start, count, STACK_BYTES):
-            if isinstance(stack, Exception):
-                stats.errors.append({**_seed_record(seeds[0], dim), "message": str(stack)})
-            else:
-                _run_group(claim, dim, seeds, stack, pol, stats)
+            _run_group(claim, dim, seeds, drawn, pol, stats)
     kept = [*stats.violations, *stats.errors]
     if stats.worst_residual_seed is not None:  # the block's one worst-trial record
         kept.append(stats.worst_residual_seed)
@@ -1085,61 +1074,63 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     return claim_id, stats
 
 
-def _split_on_raise(evaluate, stack: tuple, size: int):
-    """Yield ``(None, evaluate(stack))`` for a stack of ``size`` > 1 trials
-    that does not raise.  Otherwise yield ``(i, evaluate(trial i))`` for each
-    trial in turn, with the exception in place of the value of a trial that
-    raises, so that each trial counts as it would alone.  At ``size`` 1,
-    ``stack`` holds the trial's own matrices."""
-    if size > 1:
-        try:
-            value = evaluate(stack)
-        except Exception:
-            pass
-        else:
-            yield None, value
-            return
-    for i in range(size):
-        try:
-            value = evaluate(stack if size == 1 else tuple([m[i] for m in stack]))
-        except Exception as exc:
-            value = exc
-        yield i, value
+def _run_trial(claim: Claim, dim: int, seed: Seed, source, pol: TolerancePolicy, stats: ClaimStats):
+    """Count one trial alone: :func:`sample` from ``source`` (its generator or
+    :class:`Seed`), :func:`_evaluate` on the 2-D matrices and a record, or an
+    error record when the draw, the build or the evaluation raises."""
+    try:
+        hyp_ok, concl_ok, _, residuals = _evaluate(claim, sample(claim.ensemble, dim, source), pol)
+    except Exception as exc:
+        stats.errors.append({**_seed_record(seed, dim), "message": str(exc)})
+    else:
+        stats.record(_verdict(hyp_ok, concl_ok), residuals, _seed_record(seed, dim))
 
 
-def _run_group(
-    claim: Claim, dim: int, seeds: list, stack: tuple, pol: TolerancePolicy, stats: ClaimStats
-):
-    """Count one group's trials into ``stats`` as :meth:`ClaimStats.record`
-    counts each.  A stack is read from its arrays: PASS and HYPOTHESIS_FAIL
-    by number, each VIOLATION from its slice of the residual columns, the
-    worst trial with one pick.  A one-trial group, and each trial of a stack
-    that raises, is recorded on Python scalars."""
+def _run_group(claim: Claim, dim: int, seeds: list, stack, pol: TolerancePolicy, stats: ClaimStats):
+    """Count one stack's trials into ``stats`` as :meth:`ClaimStats.record`
+    counts each: PASS and HYPOTHESIS_FAIL by number, each VIOLATION from its
+    slice of the residual columns, the worst trial with one pick.  When the
+    stack's evaluation raises, each of its trials runs alone."""
+    try:
+        hyp_ok, concl_ok, _, residuals = _evaluate(claim, stack, pol)
+    except Exception:
+        for seed in seeds:
+            _run_trial(claim, dim, seed, seed, pol, stats)
+        return
     size = len(seeds)
-    if size == 1:
-        stack = tuple([m[0] for m in stack])
-    for i, value in _split_on_raise(lambda mats: _evaluate(claim, mats, pol), stack, size):
-        if isinstance(value, Exception):
-            stats.errors.append({**_seed_record(seeds[i], dim), "message": str(value)})
-            continue
-        hyp_ok, concl_ok, _, residuals = value
-        if i is not None:
-            stats.record(_verdict(hyp_ok, concl_ok), residuals, _seed_record(seeds[i], dim))
-            continue
-        verdicts = np.broadcast_to(_verdict(hyp_ok, concl_ok), (size,))
-        stats.passes += int(np.count_nonzero(verdicts == PASS))
-        stats.hypothesis_failures += int(np.count_nonzero(verdicts == HYPOTHESIS_FAIL))
-        violated = np.flatnonzero(verdicts == VIOLATION)
-        if violated.size:
-            columns = {name: np.broadcast_to(v, (size,)) for name, v in residuals.items()}
-            for t in violated:
-                row = _trial_residuals(claim, {name: c[t] for name, c in columns.items()})
-                stats.record(VIOLATION, row, _seed_record(seeds[t], dim))
-        worst = np.broadcast_to(residuals["conclusion"], (size,))
-        finite = worst[np.isfinite(worst)]
-        if finite.size:  # the stack's worst by (residual, trial): the last of its largest
-            t = np.flatnonzero(worst == finite.max())[-1]
-            stats._keep_worst(float(worst[t]), _seed_record(seeds[t], dim))
+    verdicts = np.broadcast_to(_verdict(hyp_ok, concl_ok), (size,))
+    stats.passes += int(np.count_nonzero(verdicts == PASS))
+    stats.hypothesis_failures += int(np.count_nonzero(verdicts == HYPOTHESIS_FAIL))
+    violated = np.flatnonzero(verdicts == VIOLATION)
+    if violated.size:
+        columns = {name: np.broadcast_to(v, (size,)) for name, v in residuals.items()}
+        for t in violated:
+            row = _trial_residuals(claim, {name: c[t] for name, c in columns.items()})
+            stats.record(VIOLATION, row, _seed_record(seeds[t], dim))
+    worst = np.broadcast_to(residuals["conclusion"], (size,))
+    finite = worst[np.isfinite(worst)]
+    if finite.size:  # the stack's worst by (residual, trial): the last of its largest
+        t = np.flatnonzero(worst == finite.max())[-1]
+        stats._keep_worst(float(worst[t]), _seed_record(seeds[t], dim))
+
+
+def _check_master_seed(master_seed) -> None:
+    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise ValueError(f"master seed must be a nonnegative integer, got {master_seed!r}")
+
+
+def _checked_claims(claim_ids, dims=()) -> dict:
+    """The catalog, once ``claim_ids`` name claims in it and neither they nor
+    ``dims`` repeat: a repeated claim or dim would count the same trials twice."""
+    table = catalog()
+    unknown = [c for c in claim_ids if c not in table]
+    if unknown:
+        raise KeyError(f"unknown claim ids: {unknown}")
+    for name, values in (("claim ids", claim_ids), ("dims", dims)):
+        if len(set(values)) < len(values):
+            repeated = [v for v, times in Counter(values).items() if times > 1]
+            raise ValueError(f"duplicate {name}: {repeated}")
+    return table
 
 
 def _merge_block(agg: ClaimStats, block: ClaimStats):
@@ -1171,15 +1162,10 @@ def run_suite(
         raise ValueError("trials must be >= 1")
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be nonempty and each >= 1, got {list(dims)}")
-    table = catalog()
-    unknown = [c for c in claim_ids if c not in table]
-    if unknown:
-        raise KeyError(f"unknown claim ids: {unknown}")
-    # a repeated claim or dim would count the same trials twice
-    for name, values in (("claim ids", claim_ids), ("dims", dims)):
-        if len(set(values)) < len(values):
-            repeated = [v for v, times in Counter(values).items() if times > 1]
-            raise ValueError(f"duplicate {name}: {repeated}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_master_seed(master_seed)
+    table = _checked_claims(claim_ids, dims)
     started = time.perf_counter()
     stats = {cid: ClaimStats(claim_id=cid, note=table[cid].note) for cid in claim_ids}
 
@@ -1200,7 +1186,7 @@ def run_suite(
         from concurrent.futures import ProcessPoolExecutor  # imported by the runs that start one
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_block_star, tasks, chunksize=1))
+            results = list(pool.map(_run_block, *zip(*tasks), chunksize=1))
     else:
         results = [_run_block(*t) for t in tasks]
     for cid, blk in results:
@@ -1243,10 +1229,6 @@ def run_suite(
     )
 
 
-def _run_block_star(args):
-    return _run_block(*args)
-
-
 @dataclass(frozen=True)
 class ProbeStats:
     claim_id: str
@@ -1262,7 +1244,7 @@ def _probe_plan(claim_ids: tuple, dim: int, count: int, stack_bytes: int):
     order, their tags, and per draw of ``size`` trials of arity ``k`` the
     ``(conclusion, at, stop, flip)`` of each run of rows that share a
     conclusion, ``flip`` the rows of A - B forms among them if any."""
-    table = catalog()
+    table = _checked_claims(claim_ids)
     runs = {}  # the claims of one arity share each draw, of one conclusion each stack
     for cid in claim_ids:
         f = table[cid].conclusion
@@ -1286,6 +1268,27 @@ def _probe_plan(claim_ids: tuple, dim: int, count: int, stack_bytes: int):
     return order, tuple(f"probe:{cid}:{dim}" for cid in order), draws
 
 
+def _split_on_raise(evaluate, stack: tuple, size: int):
+    """The probe's split: ``(None, evaluate(stack))`` for a stack of ``size``
+    > 1 trials that does not raise, else ``(i, evaluate(trial i))`` for each
+    trial in turn, the exception in place of the value of a trial that
+    raises.  At ``size`` 1, ``stack`` holds the trial's own matrices."""
+    if size > 1:
+        try:
+            value = evaluate(stack)
+        except Exception:
+            pass
+        else:
+            yield None, value
+            return
+    for i in range(size):
+        try:
+            value = evaluate(stack if size == 1 else tuple([m[i] for m in stack]))
+        except Exception as exc:
+            value = exc
+        yield i, value
+
+
 def probe_conclusions(
     claim_ids,
     dim: int,
@@ -1306,12 +1309,13 @@ def probe_conclusions(
     ``STACK_BYTES`` (1x1 trials one at a time, as in :func:`sample_block`);
     claims that share a conclusion share its stacks, an A - B form on the
     negated second operand (:func:`_minus_form`).  A stack that raises is
-    split by :func:`_split_on_raise`, as in :func:`run_suite`.
+    split by :func:`_split_on_raise`, so each trial counts as it would alone.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_master_seed(master_seed)
     order, tags, draws = _probe_plan(tuple(claim_ids), dim, count, STACK_BYTES)
     rngs = _block_generators(master_seed, tags, 0, count)
     verdicts = np.empty(len(order) * count, dtype=np.int8)  # 1 holds, 0 fails, -1 raised

@@ -549,33 +549,37 @@ def sample_block(
     spec: EnsembleSpec, n: int, master: int, tag: str, start: int, count: int, max_bytes: int
 ):
     """Generate trials ``start .. start + count - 1`` of the stream
-    ``(master, tag)`` and yield them in stacks.
+    ``(master, tag)`` and yield them in stacks, or alone.
 
-    Yields ``(seeds, matrices)``: a list of :class:`Seed` and, for them, a
-    tuple of ``(B, n, n)`` stacks whose slice ``i`` is bit-for-bit
+    A stack is yielded as ``(seeds, matrices)``: a list of :class:`Seed` and
+    a tuple of ``(B, n, n)`` stacks whose slice ``i`` is bit-for-bit
     ``sample(spec, n, seeds[i])``, at most ``max_bytes`` of matrices (and at
-    least one trial) per yield.  A trial whose generation raises is yielded
-    alone as ``([seed], exception)``.
+    least one trial).  A trial that runs alone is yielded as ``(seed,
+    source)`` with ``sample(spec, n, source)`` its matrices.  The only trial
+    of a block and every 1x1 trial come with their undrawn generator (numpy
+    rounds the complex product ``u * d`` with a one-element ``d`` otherwise
+    on a stack); a trial whose draw, or whose stack's build, raises comes
+    with its Seed.
 
     Trials are drawn one by one into buffers, one set per drawn shape (a
     family of 3 or 4, a branch taken), and a full set is built as one stack:
     a set holds as many trials as fit in ``max_bytes``, counting a trial's
-    draws or its matrices, whichever is larger.  A stack whose build raises
-    is built again trial by trial, so each failing trial reports its own
-    error.  1x1 trials are built one at a time: numpy rounds the complex
-    product ``u * d`` with a one-element ``d`` differently from the same
-    product on a stack.
+    draws or its matrices, whichever is larger.
     """
     n = spec.dim if spec.dim is not None else n
-    draw, build = _KINDS[spec.kind]
     end = start + count
+    rngs = zip(range(start, end), _block_generators(master, [tag], start, count))
+    if n == 1 or count == 1:
+        yield from ((Seed(master, tag, trial), rng) for trial, rng in rngs)
+        return
+    draw, build = _KINDS[spec.kind]
     groups = {}  # drawn shapes -> (seeds, one buffer per drawn array)
-    for trial, rng in zip(range(start, end), _block_generators(master, [tag], start, count)):
+    for trial, rng in rngs:
         seed = Seed(master, tag, trial)
         try:
             drawn = draw(rng, n, spec)
-        except Exception as exc:
-            yield [seed], exc
+        except Exception:
+            yield seed, seed
             continue
         # from a list: tuple() of a generator allocates 10 slots and shrinks
         # the tuple, and CPython's free lists then keep such tuples by the
@@ -583,10 +587,8 @@ def sample_block(
         key = tuple([getattr(x, "shape", ()) for x in drawn])
         if key not in groups:
             arrays = [np.asarray(x) for x in drawn]
-            depth = 1
-            if n > 1 and end - trial > 1:
-                per_trial = max(sum(a.nbytes for a in arrays), _matrix_bytes(spec, key))
-                depth = max(1, min(end - trial, max_bytes // per_trial))
+            per_trial = max(sum(a.nbytes for a in arrays), _matrix_bytes(spec, key))
+            depth = max(1, min(end - trial, max_bytes // per_trial))
             groups[key] = ([], [np.empty((depth,) + a.shape, a.dtype) for a in arrays])
         seeds, slots = groups[key]
         for slot, x in zip(slots, drawn):
@@ -594,9 +596,9 @@ def sample_block(
         seeds.append(seed)
         if len(seeds) == len(slots[0]):
             del groups[key]
-            yield from _built_stacks(spec, build, seeds, slots)
+            yield from _built_stack(spec, build, seeds, slots)
     for seeds, slots in groups.values():
-        yield from _built_stacks(spec, build, seeds, [s[: len(seeds)] for s in slots])
+        yield from _built_stack(spec, build, seeds, [s[: len(seeds)] for s in slots])
 
 
 def sample_general(n: int, k: int, rngs: list) -> tuple[np.ndarray, ...]:
@@ -622,21 +624,13 @@ def _matrix_bytes(spec: EnsembleSpec, shapes: tuple) -> int:
     return sum(m.nbytes for m in build(spec, *(np.zeros(shape) for shape in shapes)))
 
 
-def _built_stacks(spec, build, seeds, slots):
-    """Build one set of draws as one stack, or trial by trial when the
-    stack's build raises."""
+def _built_stack(spec, build, seeds, slots):
+    """One set of draws built as one stack, or its trials yielded alone when
+    the build raises."""
     try:
-        if len(seeds) == 1:  # the one-trial build, as sample runs it
-            row = (s[0].item() if s.ndim == 1 else s[0] for s in slots)
-            mats = tuple(as_matrix(m)[None] for m in build(spec, *row))
-        else:
-            mats = tuple(map(as_matrix, build(spec, *slots)))
-    except Exception as exc:
-        if len(seeds) == 1:
-            yield seeds, exc
-            return
-        for i, seed in enumerate(seeds):
-            yield from _built_stacks(spec, build, [seed], [s[i : i + 1] for s in slots])
+        mats = tuple(map(as_matrix, build(spec, *slots)))
+    except Exception:
+        yield from ((seed, seed) for seed in seeds)
         return
     yield seeds, mats
 

@@ -26,6 +26,8 @@ from absval import (
 from absval import claims as claims_module
 from absval.claims import ALWAYS_HOLDS, ClaimInstance, HYPOTHESIS_FAIL, PASS, REGISTRY_VIOLATION
 
+THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == ALWAYS_HOLDS]
+
 EXPECTED_IDS = [
     "L-SQRT-PROD",
     "L-SQRT-FACTOR",
@@ -256,6 +258,19 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="duplicate dims: \\[2\\]"):
             run_suite(["C-TRI"], [2, 3, 2], 3, 1)
 
+    @pytest.mark.parametrize("trials", (1, 2))
+    @pytest.mark.parametrize("master_seed", (-1, -(2**70), 1.5, "3"))
+    def test_rejects_a_bad_master_seed_before_any_trial(self, trials, master_seed):
+        # one usage error, not an error record for a block of one and a
+        # ValueError from the seed hash for a larger block
+        with pytest.raises(ValueError, match="master seed must be a nonnegative integer"):
+            run_suite(["C-TRI", "CE-4"], [1, 2], trials, master_seed)
+
+    @pytest.mark.parametrize("jobs", (0, -5))
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_suite(["C-TRI"], [2], 3, 1, jobs=jobs)
+
     def test_small_full_suite_passes(self):
         report = run_suite(list(catalog()), dims=[2, 3], trials=10, master_seed=42)
         assert report.verdict == "pass"
@@ -285,8 +300,8 @@ class TestRunSuite:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize):
-                return map(fn, tasks)
+            def map(self, fn, *columns, chunksize):
+                return map(fn, *columns)
 
         # run_suite imports the pool class when it starts a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -380,6 +395,29 @@ class TestProbe:
         for dim in (0, -1):
             with pytest.raises(ValueError, match="dim must be >= 1"):
                 probe_conclusions(["C-TRI"], dim=dim, count=5, master_seed=1)
+
+    @pytest.mark.parametrize("claims", (["C-TRI"], THEOREM_IDS))
+    @pytest.mark.parametrize("master_seed", (-1, -(2**70), 2.0, "3"))
+    def test_rejects_a_bad_master_seed(self, claims, master_seed):
+        # one claim or many, the same error
+        with pytest.raises(ValueError, match="master seed must be a nonnegative integer"):
+            probe_conclusions(claims, dim=2, count=3, master_seed=master_seed)
+
+    def test_rejects_unknown_and_repeated_claims_as_run_suite_does(self, monkeypatch):
+        with pytest.raises(KeyError, match="unknown claim ids: \\['NOPE'\\]"):
+            probe_conclusions(["C-TRI", "NOPE"], dim=2, count=3, master_seed=1)
+        with pytest.raises(ValueError, match="duplicate claim ids: \\['C-TRI'\\]"):
+            probe_conclusions(["C-TRI", "C-PRODNORM", "C-TRI"], dim=2, count=3, master_seed=1)
+        # checked with the probe's plan, once per claim list
+        checks = []
+        real = claims_module._checked_claims
+        monkeypatch.setattr(
+            claims_module, "_checked_claims", lambda ids: checks.append(ids) or real(ids)
+        )
+        claims_module._probe_plan.cache_clear()
+        for master_seed in (1, 2, 3):
+            probe_conclusions(["C-TRI", "L-FUG"], dim=2, count=3, master_seed=master_seed)
+        assert checks == [("C-TRI", "L-FUG")]
 
     def test_probe_bookkeeping_adds_up(self):
         ids = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]

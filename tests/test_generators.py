@@ -379,7 +379,7 @@ def block_slices(spec, n, master, tag, count, max_bytes=claims_module.STACK_BYTE
     """Every yielded stack of a block, checked slice by slice against sample."""
     depths = []
     for seeds, stack in sample_block(spec, n, master, tag, 0, count, max_bytes):
-        assert not isinstance(stack, Exception), (seeds, stack)
+        assert not isinstance(seeds, Seed), (seeds, stack)  # a stack, no trial alone
         depths.append(len(seeds))
         for i, seed in enumerate(seeds):
             single = sample(spec, n, seed)
@@ -628,7 +628,15 @@ def test_non_finite_draw_gives_the_one_trial_error_record(monkeypatch):
     assert 0 < len(finite) < 24
     assert block.errors == [r for s in singles for r in s.errors]
     assert block.passes == sum(s.passes for s in singles)
-    for seeds, stack in sample_block(huge.ensemble, 2, 9, "L-ANTI:2", 0, 24, 1 << 16):
-        if isinstance(stack, Exception):
-            with pytest.raises(ValueError, match=str(stack)):
-                sample(huge.ensemble, 2, seeds[0])
+    # a stack whose build raises yields its trials alone, each with its Seed,
+    # and sample raises the record's error for exactly the trials that have one
+    raised = []
+    for seeds, source in sample_block(huge.ensemble, 2, 9, "L-ANTI:2", 0, 24, 1 << 16):
+        if isinstance(seeds, Seed):
+            assert source == seeds
+            try:
+                sample(huge.ensemble, 2, source)
+            except ValueError as exc:
+                assert str(exc) == "matrix entries must be finite"
+                raised.append(seeds.trial)
+    assert raised == [r["trial"] for r in finite]

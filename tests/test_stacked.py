@@ -49,7 +49,7 @@ from absval import (
     sample,
     symmetrize,
 )
-from absval import claims as claims_module
+from absval import claims as claims_module, generators
 from absval.core import eigh_exact, equality, positivity
 
 DIMS = (2, 3, 4, 8)
@@ -262,18 +262,20 @@ def stack_log(monkeypatch):
 def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, stack_log):
     bad_trial = 5
     real_sample_block, real_sample = claims_module.sample_block, claims_module.sample
+    bad_state = Seed(77, "L-ANTI:2", bad_trial).generator().bit_generator.state
 
     def sample_block_with_bad_trial(*args):
         for seeds, stack in real_sample_block(*args):
-            trials = [seed.trial for seed in seeds]
+            trials = [] if isinstance(seeds, Seed) else [seed.trial for seed in seeds]
             if bad_trial in trials:
                 stack = tuple(m.copy() for m in stack)
                 for m, bad in zip(stack, GATE_FAILING):
                     m[trials.index(bad_trial)] = bad
             yield seeds, stack
 
-    def sample_with_bad_trial(spec, n, seed):  # the draw of a block of one
-        return GATE_FAILING if seed.trial == bad_trial else real_sample(spec, n, seed)
+    def sample_with_bad_trial(spec, n, source):  # the draw of a trial run alone
+        rng = generators._as_generator(source)  # its Seed, or a block of one's generator
+        return GATE_FAILING if rng.bit_generator.state == bad_state else real_sample(spec, n, rng)
 
     monkeypatch.setattr(claims_module, "sample_block", sample_block_with_bad_trial)
     monkeypatch.setattr(claims_module, "sample", sample_with_bad_trial)
@@ -333,15 +335,15 @@ def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, sta
     assert any(ok for *_, ok in stack_log) and not all(ok for *_, ok in stack_log)
     depths = {depth for _, depth, _, _ in stack_log}
 
-    monkeypatch.setattr(claims_module, "STACK_BYTES", 2048)  # 16 deep at n = 2, none at n = 8
+    monkeypatch.setattr(claims_module, "STACK_BYTES", 2048)  # 16 deep at n = 2, 1 at n = 8
     stack_log.clear()
     partial, _ = _report_json(pol)
     assert stack_log and {depth for _, depth, _, _ in stack_log} != depths
 
-    monkeypatch.setattr(claims_module, "STACK_BYTES", 1)  # every trial on its own
+    monkeypatch.setattr(claims_module, "STACK_BYTES", 1)  # every trial in a stack of its own
     stack_log.clear()
     single, _ = _report_json(pol)
-    assert stack_log == []
+    assert {depth for _, depth, _, _ in stack_log} == {1}
     assert full == partial == single
 
 
@@ -372,7 +374,7 @@ def _prodsa_cor_trials(depth):
     return trials
 
 
-def test_prodsa_cor_records_keep_the_keys_of_their_trial(stack_log):
+def test_prodsa_cor_records_keep_the_keys_of_their_trial(monkeypatch, stack_log):
     # C-PRODSA-COR's product extras exist only for A, B >= 0; a stack gives
     # the other trials NaN there, and their records must leave them out
     claim, depth = catalog()["C-PRODSA-COR"], 32
@@ -383,9 +385,9 @@ def test_prodsa_cor_records_keep_the_keys_of_their_trial(stack_log):
     stack = tuple(np.stack(slot) for slot in zip(*trials))
     claims_module._run_group(claim, 2, seeds, stack, pol, stacked)
     assert stack_log == [(claim.id, depth, depth * 128, False)]  # one stack, no split
+    monkeypatch.setattr(claims_module, "sample", lambda spec, n, mats: mats)  # trials as given
     for seed, mats in zip(seeds, trials):
-        one = tuple(m[None] for m in mats)
-        claims_module._run_group(claim, 2, [seed], one, pol, single)
+        claims_module._run_trial(claim, 2, seed, mats, pol, single)
     assert stacked.violations == single.violations
     for got, expected in zip(stacked.violations, single.violations):
         assert list(got["residuals"]) == list(expected["residuals"])
