@@ -13,9 +13,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .core import NumericalError, TolerancePolicy, matrix_from_literal
+from .core import DEFAULT_POLICY, NumericalError, TolerancePolicy, matrix_from_literal
 from .claims import (
     ClaimInstance,
     ClaimStats,
@@ -104,11 +105,10 @@ def parse_config(argv) -> RunConfig:
         parser.error("--seed must be nonnegative")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    defaults = TolerancePolicy()
     try:
         policy = TolerancePolicy(
-            rel=args.tol_rel if args.tol_rel is not None else defaults.rel,
-            abs=args.tol_abs if args.tol_abs is not None else defaults.abs,
+            rel=args.tol_rel if args.tol_rel is not None else DEFAULT_POLICY.rel,
+            abs=args.tol_abs if args.tol_abs is not None else DEFAULT_POLICY.abs,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -133,19 +133,30 @@ def parse_config(argv) -> RunConfig:
     )
 
 
-def _jsonable(value):
-    """Make report payloads strictly JSON: plain types, finite numbers."""
+def _json(value, pad: str = "") -> str:
+    """What ``json.dumps(value, indent=2)`` writes at indent ``pad`` once keys
+    are ``str(k)`` (distinct), tuples lists, numpy scalars ``.item()`` and
+    non-finite floats the strings "nan", "inf" and "-inf": in one walk, with
+    no encoder left behind whose closures form a reference cycle."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):  # np.float64 too, whose repr names numpy
+        return float.__repr__(value) if math.isfinite(value) else f'"{float(value)!r}"'
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        items = [f"{inner}{encode_basestring_ascii(str(k))}: {_json(v, inner)}"
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, int) or value is None:  # bool too
-        return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else repr(value)
+        items = [inner + _json(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
     if hasattr(value, "item"):  # numpy scalars
-        return _jsonable(value.item())
-    return value
+        return _json(value.item(), pad)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def format_catalog() -> str:
@@ -197,7 +208,7 @@ def execute(cfg: RunConfig) -> tuple[SuiteReport, int]:
 
 def emit_report(report: SuiteReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonable(report.to_dict()), indent=2, allow_nan=False) + "\n"
+        return _json(report.to_dict()) + "\n"
     lines = [
         f"{'claim':<14} {'trials':>7} {'passes':>7} {'viol':>5} {'hypfail':>8} {'errors':>7}  worst residual",
     ]

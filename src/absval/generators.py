@@ -566,10 +566,14 @@ def sample_block(
     a set holds as many trials as fit in ``max_bytes``, counting a trial's
     draws or its matrices, whichever is larger.
     """
+    if count == 1:  # the trial's Seed once, and its generator from it
+        seed = Seed(master, tag, start)
+        yield seed, seed.generator()
+        return
     n = spec.dim if spec.dim is not None else n
     end = start + count
     rngs = zip(range(start, end), _block_generators(master, [tag], start, count))
-    if n == 1 or count == 1:
+    if n == 1:
         yield from ((Seed(master, tag, trial), rng) for trial, rng in rngs)
         return
     draw, build = _KINDS[spec.kind]

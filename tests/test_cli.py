@@ -1,13 +1,21 @@
 """End-to-end CLI behavior: flags, reports, exit codes, replay."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
+import math
 import re
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import absval
 from absval import as_matrix, gen_commuting_normal_family, matrix_to_literal
@@ -225,6 +233,48 @@ class TestOneTrialReplays:
         assert digest.hexdigest() == self.PINNED
 
 
+# claim, matrices and extra flags of TestUserMatrices::test_whole_claim_entry
+USER_RUNS = {
+    "hypothesis-failure": (
+        "C-TRI", lambda: (as_matrix([[-1, 1], [1, -1]]), as_matrix([[2, 0], [0, 0]])), []
+    ),
+    "pass": ("C-PRODNORM", lambda: gen_commuting_normal_family(3, 2, 5), []),
+    "forced-violation": (
+        "C-PRODNORM",
+        lambda: (as_matrix(1000.0 * np.eye(3)), as_matrix([[1, 2, 0], [2, 5, 1], [0, 1, 3]])),
+        ["--tol-rel", "1e-17", "--tol-abs", "1e-300"],
+    ),
+}
+
+
+class TestReportBytes:
+    """The bytes TestOneTrialReplays leaves unpinned: registry runs, user
+    matrices, and a forced multi-trial run with violation and error records,
+    each in both formats."""
+
+    # SHA-256 of the outputs below as json.dumps(..., indent=2) wrote them
+    PINNED = "a6510c1e12d0dc472a5bb402b7d948329afc8a988f5cacdfe9154de0e79bcbde"
+
+    def test_outputs_are_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the report names the matrix files
+        runs = [["--claims", "CE-0,CE-1,CE-2,CE-3,CE-4"]]
+        for name, (claim, slots, extra) in USER_RUNS.items():
+            files = [write_matrix(Path(f"{name}-{i}.json"), m) for i, m in enumerate(slots())]
+            runs.append(["--claims", claim, *extra] + [
+                arg for path in files for arg in ("--matrix-file", path)
+            ])
+        runs.append(["--claims", "all", "--dims", "1,2,8", "--seed", "4", "--trials", "5",
+                     "--tol-rel", "1e-15", "--tol-abs", "1e-300"])
+        digest = hashlib.sha256()
+        for argv in runs:
+            for fmt in ("json", "text"):
+                code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+                out = re.sub(r'"wall_time_seconds": [^,}]*', '"wall_time_seconds": null', out)
+                out = re.sub(r"\(\d+\.\d+s\)\n$", "(-)\n", out)
+                digest.update(f"{argv} {fmt} {code}\n{out}".encode())
+        assert digest.hexdigest() == self.PINNED
+
+
 # key order as the report emits it: seed, claim_tag, dim, trial
 USER_SEED = {"seed": "USER", "claim_tag": None, "dim": None, "trial": 0}
 
@@ -274,9 +324,7 @@ class TestUserMatrices:
         "claim, slots, extra, expected",
         [
             pytest.param(
-                "C-TRI",
-                lambda: (as_matrix([[-1, 1], [1, -1]]), as_matrix([[2, 0], [0, 0]])),
-                [],
+                *USER_RUNS["hypothesis-failure"],
                 {
                     "id": "C-TRI", "trials": 1, "passes": 0, "violations": [],
                     "hypothesis_failures": 1, "errors": [],
@@ -288,9 +336,7 @@ class TestUserMatrices:
                 id="hypothesis-failure",
             ),
             pytest.param(
-                "C-PRODNORM",
-                lambda: gen_commuting_normal_family(3, 2, 5),
-                [],
+                *USER_RUNS["pass"],
                 {
                     "id": "C-PRODNORM", "trials": 1, "passes": 1, "violations": [],
                     "hypothesis_failures": 0, "errors": [],
@@ -301,12 +347,7 @@ class TestUserMatrices:
                 id="pass",
             ),
             pytest.param(
-                "C-PRODNORM",
-                lambda: (
-                    as_matrix(1000.0 * np.eye(3)),
-                    as_matrix([[1, 2, 0], [2, 5, 1], [0, 1, 3]]),
-                ),
-                ["--tol-rel", "1e-17", "--tol-abs", "1e-300"],
+                *USER_RUNS["forced-violation"],
                 {
                     "id": "C-PRODNORM", "trials": 1, "passes": 0,
                     "violations": [
@@ -467,3 +508,88 @@ class TestParallelFlagAndEntryPoint:
         assert payload["claims"][0]["id"] == "CE-0"
         text = emit_report(report, "text")
         assert "verdict: pass" in text
+
+
+class TestNoCyclicGarbage:
+    def test_replays_leave_no_cycles(self):
+        """A replay leaves nothing for the cyclic collector: JSON output keeps
+        no encoder whose closures refer to each other."""
+        ids = TestOneTrialReplays.THEOREM_IDS
+        argvs = [
+            ["--claims", ids[i % len(ids)], "--dims", str(2 + i % 7), "--seed", str(i),
+             "--trials", "1", "--format", "json"]
+            if i % 20 else ["--claims", "CE-0,CE-1,CE-2,CE-3,CE-4", "--format", "json"]
+            for i in range(200)
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argvs[1])  # lazy set-up
+            gc.collect()
+            gc.disable()
+            try:
+                codes = {main(argv) for argv in argvs}
+                found = gc.collect()
+            finally:
+                gc.enable()
+        assert codes == {0}
+        assert found == 0
+
+
+def _jsonable(value):
+    """The CLI's JSON mapping before its one-pass writer, kept as the oracle
+    for ``json.dumps(_jsonable(x), indent=2, allow_nan=False)``.  A non-finite
+    float goes through ``float()`` as the writer's does: numpy 2 reprs
+    ``np.float64("nan")`` as ``np.float64(nan)``, numpy 1 as ``nan``."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, int) or value is None:  # bool too
+        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if hasattr(value, "item"):  # numpy scalars
+        return _jsonable(value.item())
+    return value
+
+
+def _emitted(value):
+    return emit_report(SimpleNamespace(to_dict=lambda: value), "json")
+
+
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan])
+TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600 a')
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | FLOATS | TEXT
+    | FLOATS.map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+)
+# the writer writes keys as str(k), so two keys with one str() would repeat
+KEYS = st.none() | st.booleans() | st.integers() | FLOATS | TEXT
+VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4).filter(
+        lambda d: len({str(k) for k in d}) == len(d)
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _emitted(value) == json.dumps(_jsonable(value), indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numpy_float_is_its_python_repr(self, value):
+        assert _emitted([np.float64(value), np.float32(value)]) == _emitted([value, value])
+        assert _emitted(np.float64(value)) == f'"{value!r}"\n'
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, 1j, np.complex128(1j), b"x"])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _emitted({"a": [value]})
+        with pytest.raises(TypeError):
+            json.dumps(_jsonable({"a": [value]}))
