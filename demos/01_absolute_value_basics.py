@@ -54,4 +54,4 @@ h = gen_general(3, seed=4)
 a = b + symmetrize(adjoint(h) @ h)  # a >= b by construction
 for t in (0.25, 0.5, 0.75):
     verdict = loewner_leq(psd_power(b, t), psd_power(a, t))
-    print(f"t={t}: B^t <= A^t holds: {verdict.holds} (witness {verdict.witness_lambda_min:.2e})")
+    print(f"t={t}: B^t <= A^t holds: {verdict.holds} (witness {verdict.residual:.2e})")

@@ -10,14 +10,14 @@ self-adjoint factors with a normal product.
 import numpy as np
 
 from absval import (
+    EnsembleSpec,
     abs_value,
     as_matrix,
     frobenius,
-    gen_commuting_normal_family,
-    gen_sa_pair_normal_product,
     inverse,
     is_normal,
     is_self_adjoint,
+    sample,
 )
 
 # Failure 1: self-adjoint A, B whose product is not normal.
@@ -34,7 +34,7 @@ print("\nAB =\n", (a @ b).real, "\n|AB| =\n", abs_value(a @ b).real)
 print("|A||B| =\n", (abs_value(a) @ abs_value(b)).real)
 
 # Repair 1: commuting factors with one of them normal.
-a, b = gen_commuting_normal_family(3, 2, seed=11)
+a, b = sample(EnsembleSpec("commuting_normal_family", k=2), 3, seed=11)
 gap = frobenius(abs_value(a @ b) - abs_value(a) @ abs_value(b))
 print("\ncommuting normal pair: || |AB| - |A||B| || =", gap)
 
@@ -48,7 +48,7 @@ ref = abs_value(products[0])
 print("eight-product spread:", max(frobenius(abs_value(p) - ref) for p in products))
 
 # The identity survives inverses and integer powers of normal matrices.
-(c,) = gen_commuting_normal_family(3, 1, seed=5, invertible=True)
+(c,) = sample(EnsembleSpec("commuting_normal_family", k=1, invertible=True), 3, seed=5)
 print("\n|| |C^-1| |C| - I || =", frobenius(abs_value(inverse(c)) @ abs_value(c) - np.eye(3)))
 cube = c @ c @ c
 abs_cube = abs_value(c) @ abs_value(c) @ abs_value(c)
@@ -56,7 +56,7 @@ print("|| |C^3| - |C|^3 || =", frobenius(abs_value(cube) - abs_cube))
 
 # Repair 2: self-adjoint factors whose product happens to be normal.  Scaled
 # reflections do this: the product of two reflections is a rotation.
-a, b = gen_sa_pair_normal_product(seed=2)
+a, b = sample(EnsembleSpec("sa_pair_normal_product", dim=2), 2, seed=2)
 print("\nreflection pair: A, B self-adjoint:",
       bool(is_self_adjoint(a)), bool(is_self_adjoint(b)),
       "AB normal:", bool(is_normal(a @ b)),

@@ -12,20 +12,18 @@ from .core import (
     DimensionMismatch,
     NotSelfAdjoint,
     NumericalError,
+    PredicateResult,
     TolerancePolicy,
     adjoint,
-    approx_eq,
     as_matrix,
     frobenius,
     hermitian_eigen,
     matrix_from_literal,
     matrix_to_literal,
     operator_norm,
-    rel_residual,
     symmetrize,
 )
 from .calculus import (
-    LoewnerVerdict,
     MAX_CONDITION,
     NotPositiveSemidefinite,
     NumericallySingular,
@@ -38,9 +36,6 @@ from .calculus import (
     psd_sqrt_iterative,
 )
 from .predicates import (
-    ClassReport,
-    PredicateResult,
-    class_report,
     commutes,
     is_anti_symmetric,
     is_hyponormal,
@@ -51,18 +46,7 @@ from .predicates import (
 from .generators import (
     EnsembleSpec,
     Seed,
-    gen_anti_symmetric,
-    gen_commuting_family_one_nonnormal,
-    gen_commuting_normal_family,
-    gen_commuting_positive_pair,
-    gen_fuglede_pair,
     gen_general,
-    gen_negative_cross_pair,
-    gen_ordered_psd_pair,
-    gen_sa_pair_normal_product,
-    gen_sandwich_pair,
-    gen_self_adjoint,
-    gen_unitary,
     sample,
 )
 from .claims import (

@@ -9,8 +9,6 @@ collapsed into one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -18,6 +16,7 @@ from .core import (
     ConvergenceError,
     DimensionMismatch,
     NumericalError,
+    PredicateResult,
     TolerancePolicy,
     adjoint,
     eigh_exact,
@@ -34,6 +33,8 @@ from .core import (
 
 # Hard ceiling on the condition number accepted by inverse().
 MAX_CONDITION = 1e8
+# Steps psd_sqrt_iterative takes before it raises ConvergenceError.
+MAX_ITERATIONS = 100
 
 
 class NotPositiveSemidefinite(NumericalError, ValueError):
@@ -46,24 +47,6 @@ class NotPositiveSemidefinite(NumericalError, ValueError):
 
 class NumericallySingular(NumericalError, ValueError):
     """Condition estimate exceeds MAX_CONDITION or is NaN."""
-
-
-@dataclass(frozen=True)
-class LoewnerVerdict:
-    """Outcome of a semidefinite-order comparison A <= B.
-
-    ``witness_lambda_min`` is the smallest eigenvalue of B - A; ``margin`` is
-    that eigenvalue plus the tolerance actually applied, so a negative margin
-    means the comparison failed and by how much.  For a stack of pairs each
-    field holds one entry per pair.
-    """
-
-    holds: bool
-    witness_lambda_min: float
-    margin: float
-
-    def __bool__(self) -> bool:
-        return bool(self.holds)
 
 
 def _psd_eigenvalues(w: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
@@ -93,11 +76,7 @@ def psd_sqrt(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray
     return _spectral(np.sqrt(_psd_eigenvalues(w, pol)), u)
 
 
-def psd_sqrt_iterative(
-    p: np.ndarray,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-    max_iterations: int = 100,
-) -> np.ndarray:
+def psd_sqrt_iterative(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Principal square root via the coupled Denman-Beavers iteration.
 
     Takes one ``(n, n)`` matrix, unlike every other routine here: a stack
@@ -116,7 +95,7 @@ def psd_sqrt_iterative(
     z = np.eye(n, dtype=complex)
     scaling = True
     delta = np.inf
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         try:
             if scaling:
                 _, logdet_y = np.linalg.slogdet(y)
@@ -137,7 +116,7 @@ def psd_sqrt_iterative(
             y = symmetrize(0.5 * (y + np.linalg.inv(y) @ a))
             return y
     raise ConvergenceError(
-        f"square root iteration did not converge in {max_iterations} steps", delta
+        f"square root iteration did not converge in {MAX_ITERATIONS} steps", delta
     )
 
 
@@ -168,13 +147,13 @@ def psd_power(p: np.ndarray, alpha, pol: TolerancePolicy = DEFAULT_POLICY):
 
 def loewner_leq(
     a: np.ndarray, b: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
-) -> LoewnerVerdict:
-    """Decide a <= b in the semidefinite order, keeping the witness eigenvalue."""
+) -> PredicateResult:
+    """Decide a <= b in the semidefinite order; the residual is the witness
+    eigenvalue lambda_min(b - a), held to ``-pol.bound(||a||_F, ||b||_F)``."""
     norm_a = require_self_adjoint(a, pol, "left operand")
     norm_b = require_self_adjoint(b, pol, "right operand")
     witness = extreme_eigenvalues(np.linalg.eigvalsh(symmetrize(b - a)))[0]
-    tol = pol.bound(norm_a, norm_b)
-    return LoewnerVerdict(holds=witness >= -tol, witness_lambda_min=witness, margin=witness + tol)
+    return PredicateResult(witness >= -pol.bound(norm_a, norm_b), witness)
 
 
 def condition_estimate(a: np.ndarray):

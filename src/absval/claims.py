@@ -25,6 +25,7 @@ from .core import (
     DEFAULT_POLICY,
     DimensionMismatch,
     NumericalError,
+    PredicateResult,
     TolerancePolicy,
     adjoint,
     as_matrix,
@@ -48,7 +49,6 @@ from .calculus import (
     psd_sqrt,
 )
 from .predicates import (
-    PredicateResult,
     commutes,
     is_anti_symmetric,
     is_hyponormal,
@@ -171,7 +171,7 @@ def _concl_loewner(x, y, pol):
     """Order conclusion x <= y; residual is the negated witness eigenvalue,
     so larger means closer to (or deeper into) violation."""
     v = loewner_leq(x, y, pol)
-    return v.holds, -v.witness_lambda_min, {"witness_lambda_min": v.witness_lambda_min}
+    return v.holds, -v.residual, {"witness_lambda_min": v.residual}
 
 
 def _concl_opnorm_leq(x, y, pol, scale_of):
@@ -219,11 +219,6 @@ def _cross_term(mats):
     return cross, np.zeros_like(cross)
 
 
-def _loewner_pred(a, b, pol) -> PredicateResult:
-    v = loewner_leq(a, b, pol)
-    return PredicateResult(v.holds, v.witness_lambda_min)
-
-
 def _invertible_pred(a, pol) -> PredicateResult:
     kappa = condition_estimate(a)
     return PredicateResult(kappa <= MAX_CONDITION, kappa)
@@ -252,7 +247,7 @@ _NORMAL_A = ("normal_a", is_normal, _slots(0))
 _NORMAL_B = ("normal_b", is_normal, _slots(1))
 _POSITIVE_A = ("positive_a", is_positive, _slots(0))
 _POSITIVE_B = ("positive_b", is_positive, _slots(1))
-_ORDER_B_LEQ_A = ("order_b_leq_a", _loewner_pred, _slots(1, 0))
+_ORDER_B_LEQ_A = ("order_b_leq_a", loewner_leq, _slots(1, 0))
 _HYPONORMAL_B = ("hyponormal_b", is_hyponormal, _slots(1))
 _PAIRWISE_COMMUTE = ("pairwise_commute", _pairwise_commute, _family)
 _ALL_BUT_ONE_NORMAL = ("all_but_one_normal", _every(is_normal, trial_max, but=1), _family)
@@ -301,8 +296,8 @@ def _concl_loewner_heinz(mats, pol):
     a, b = mats
     lower, upper = psd_power(b, _LH_ALPHAS, pol), psd_power(a, _LH_ALPHAS, pol)
     orders = [loewner_leq(x, y, pol) for x, y in zip(lower, upper)]
-    worst = trial_max(*(-v.witness_lambda_min for v in orders))
-    extras = {f"witness_alpha_{t}": v.witness_lambda_min for t, v in zip(_LH_ALPHAS, orders)}
+    worst = trial_max(*(-v.residual for v in orders))
+    extras = {f"witness_alpha_{t}": v.residual for t, v in zip(_LH_ALPHAS, orders)}
     return _all(v.holds for v in orders), worst, extras
 
 
@@ -696,8 +691,8 @@ def _build_catalog() -> dict[str, Claim]:
                 ("self_adjoint_t", is_self_adjoint, _slots(0)),
                 ("self_adjoint_s", is_self_adjoint, _slots(1)),
                 ("positive_s", is_positive, _slots(1)),
-                ("lower", _loewner_pred, lambda mats: [-mats[1], mats[0]]),
-                ("upper", _loewner_pred, _slots(0, 1)),
+                ("lower", loewner_leq, lambda mats: [-mats[1], mats[0]]),
+                ("upper", loewner_leq, _slots(0, 1)),
             ),
             _concl_sandwich_norm,
         ),
@@ -723,7 +718,7 @@ def _build_catalog() -> dict[str, Claim]:
             2,
             EnsembleSpec("negative_cross_pair"),
             _conjunction(
-                _COMMUTES, _NORMAL_A, ("cross_nonpositive", _loewner_pred, _cross_term)
+                _COMMUTES, _NORMAL_A, ("cross_nonpositive", loewner_leq, _cross_term)
             ),
             _concl_triangle_sum,
         ),

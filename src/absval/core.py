@@ -16,6 +16,7 @@ per-trial values without caring which of the two forms they hold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -95,6 +96,19 @@ def extreme_eigenvalues(w):
     if w.ndim == 1:
         return float(w[0]), float(w[-1])
     return w[..., 0], w[..., -1]
+
+
+@dataclass(frozen=True)
+class PredicateResult:
+    """The verdict of a predicate or an order comparison: ``holds`` and its
+    numerical witness ``residual``, a bool and a float for one matrix and
+    arrays with one entry per trial for a stack."""
+
+    holds: bool
+    residual: float
+
+    def __bool__(self) -> bool:
+        return bool(self.holds)
 
 
 @dataclass(frozen=True)
@@ -183,16 +197,6 @@ def equality(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
     return gap <= pol.bound(nx, ny), gap / trial_max(1.0, nx, ny)
 
 
-def approx_eq(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
-    """The verdict of :func:`equality`."""
-    return equality(x, y, pol)[0]
-
-
-def rel_residual(x: np.ndarray, y: np.ndarray):
-    """The residual of :func:`equality`, which no tolerance changes."""
-    return equality(x, y)[1]
-
-
 def self_adjointness(x: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
     """The one self-adjointness rule, as ``(holds, residual, norm)``:
     ``holds`` is ``||x - x*||_F <= pol.bound(||x||_F)``, False where ``x``
@@ -259,13 +263,14 @@ def matrix_to_literal(a: np.ndarray) -> dict:
 
 
 def matrix_from_literal(obj: dict) -> np.ndarray:
-    """Parse the literal produced by :func:`matrix_to_literal`, validating shape."""
+    """Parse the literal produced by :func:`matrix_to_literal`.  A missing
+    key, a ``dim`` that is not an int (``2.0`` included), or entries that are
+    not ``dim * dim`` pairs of numbers raise ValueError."""
     try:
-        n = int(obj["dim"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+        n = operator.index(obj["dim"])
+        flat = [complex(re, im) for re, im in obj["entries"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix literal: {exc}") from exc
-    if n < 1 or len(entries) != n * n:
-        raise ValueError(f"literal claims dim {n} but carries {len(entries)} entries")
-    flat = [complex(re, im) for re, im in entries]
+    if n < 1 or len(flat) != n * n:
+        raise ValueError(f"literal claims dim {n} but carries {len(flat)} entries")
     return as_matrix(np.array(flat, dtype=complex).reshape(n, n))

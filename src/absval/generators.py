@@ -323,6 +323,7 @@ def _draw_family(rng, n, k):
 
 
 def _build_family(g, r, scale, invertible):
+    """Pairwise-commuting normal matrices sharing one random eigenbasis."""
     u = _unitary(g)
     return tuple(
         _conjugate(u, _diagonal(r[..., i, :, :], scale, invertible)) for i in range(r.shape[-3])
@@ -330,6 +331,7 @@ def _build_family(g, r, scale, invertible):
 
 
 def _build_positive_pair(g, d):
+    """Two commuting PSD matrices: one eigenbasis, nonnegative diagonals."""
     u = _unitary(g)
     return _conjugate(u, d[..., 0, :]), _conjugate(u, d[..., 1, :])
 
@@ -394,6 +396,9 @@ def _draw_sa_pair(rng, scale):
 
 
 def _build_sa_pair(g, a, b):
+    """A and B conjugated by one random unitary.  The product of two
+    reflections is a rotation, hence normal; it is neither self-adjoint nor
+    commuting while the axes are neither aligned nor perpendicular."""
     u = _unitary(g)
     adj = u.conj().swapaxes(-1, -2)
     return u @ a @ adj, u @ b @ adj
@@ -410,7 +415,8 @@ def _draw_sandwich(rng, n, scale):
 
 
 def _build_sandwich(g_re, g_im, c_re, c_im, top, slack, scale):
-    """T = S^(1/2) C S^(1/2) with S = G* G >= 0 and C a Hermitian contraction."""
+    """T = S^(1/2) C S^(1/2) with S = G* G >= 0 and C a Hermitian
+    contraction, so -S <= T <= S exactly rather than by filtering."""
     g = _general(g_re, g_im, scale)
     s = symmetrize(adjoint(g) @ g)
     w, u = np.linalg.eigh(s)
@@ -457,6 +463,7 @@ def _draw_fuglede(rng, n):
 
 
 def _build_fuglede(g, r, other, scale):
+    """A normal; B on A's eigenbasis, so commuting, or a general matrix."""
     u = _unitary(g)
     a = _conjugate(u, _diagonal(r, scale, False))
     if other.ndim == r.ndim:  # the commuting branch
@@ -639,95 +646,9 @@ def _built_stack(spec, build, seeds, slots):
     yield seeds, mats
 
 
-# ---------------------------------------------------------------------------
-# the ensembles as functions of (n, seed)
-
-
 def gen_general(n: int, seed, scale: float = 1.0) -> np.ndarray:
-    """Independent complex Gaussian entries with standard deviation ``scale``."""
+    """One matrix of independent complex Gaussian entries with standard
+    deviation ``scale``: ``sample(EnsembleSpec("general", scale=scale), n,
+    seed)[0]``.  Called in turn on one generator, it draws a probe trial's
+    operands (see :func:`sample_general`)."""
     return sample(EnsembleSpec("general", scale=scale), n, seed)[0]
-
-
-def gen_unitary(n: int, seed) -> np.ndarray:
-    """Haar-like random unitary: QR of a complex Gaussian matrix with the
-    triangular factor's diagonal phases normalized away."""
-    return sample(EnsembleSpec("unitary"), n, seed)[0]
-
-
-def gen_self_adjoint(n: int, seed, scale: float = 1.0) -> np.ndarray:
-    return sample(EnsembleSpec("self_adjoint", scale=scale), n, seed)[0]
-
-
-def gen_anti_symmetric(n: int, seed, scale: float = 1.0) -> np.ndarray:
-    """A* = -A, built as the skew part of a general matrix."""
-    return sample(EnsembleSpec("anti_symmetric", scale=scale), n, seed)[0]
-
-
-def gen_commuting_normal_family(
-    n: int,
-    k: int,
-    seed,
-    scale: float = 1.0,
-    invertible: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """k pairwise-commuting normal matrices sharing one random eigenbasis;
-    the invertible flag keeps all eigenvalue moduli away from zero."""
-    spec = EnsembleSpec("commuting_normal_family", k=k, scale=scale, invertible=invertible)
-    return sample(spec, n, seed)
-
-
-def gen_commuting_family_one_nonnormal(
-    n: int, k: int, seed, scale: float = 1.0
-) -> tuple[np.ndarray, ...]:
-    """Pairwise-commuting family in which one random member is non-normal.
-
-    The non-normal member carries a 2x2 upper-triangular block on the first
-    two basis vectors; every other member's diagonal is constant on that
-    block, which is exactly what pairwise commutation requires.  Needs n >= 2.
-    """
-    return sample(EnsembleSpec("commuting_family_one_nonnormal", k=k, scale=scale), n, seed)
-
-
-def gen_commuting_positive_pair(n: int, seed, scale: float = 1.0):
-    """Two commuting PSD matrices (shared eigenbasis, nonnegative diagonals)."""
-    return sample(EnsembleSpec("commuting_positive_pair", scale=scale), n, seed)
-
-
-def gen_sa_pair_normal_product(seed, scale: float = 1.0):
-    """2x2 self-adjoint pair whose product is normal but not self-adjoint.
-
-    A and B are real multiples of plane reflections (Hermitian unitaries)
-    conjugated by one random unitary; the product of two reflections is a
-    rotation, hence normal, and it fails to be self-adjoint or to commute
-    whenever the two reflection axes are neither aligned nor perpendicular.
-    The magnitudes are kept apart so |A| and |B| stay distinguishable.
-    """
-    return sample(EnsembleSpec("sa_pair_normal_product", scale=scale, dim=2), 2, seed)
-
-
-def gen_negative_cross_pair(n: int, seed, scale: float = 1.0):
-    """(A, B) with A normal, B = c A for Re(c) <= 0, so A*B + B*A <= 0 and
-    the pair commutes exactly."""
-    return sample(EnsembleSpec("negative_cross_pair", scale=scale), n, seed)
-
-
-def gen_ordered_psd_pair(n: int, seed, commuting: bool, scale: float = 1.0):
-    """(A, B) with A >= B >= 0; the increment lives on B's eigenbasis when a
-    commuting pair is requested."""
-    return sample(EnsembleSpec("ordered_psd_pair", scale=scale, commuting=commuting), n, seed)
-
-
-def gen_sandwich_pair(n: int, seed, scale: float = 1.0):
-    """(T, S) with S >= 0 and -S <= T <= S.
-
-    T = S^(1/2) C S^(1/2) for a Hermitian contraction C; squeezing through
-    the square root is what makes the sandwich exact rather than filtered.
-    """
-    return sample(EnsembleSpec("sandwich_pair", scale=scale), n, seed)
-
-
-def gen_fuglede_pair(n: int, seed, scale: float = 1.0):
-    """(A, B) with A normal; B commutes with A for half the seeds and is an
-    unconstrained general matrix for the other half, so commutation-equivalence
-    checks see both truth values."""
-    return sample(EnsembleSpec("fuglede_pair", scale=scale), n, seed)

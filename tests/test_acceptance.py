@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from absval import (
+    EnsembleSpec,
     Seed,
     TolerancePolicy,
     abs_value,
@@ -18,7 +19,6 @@ from absval import (
     check_registry_instance,
     frobenius,
     gen_general,
-    gen_ordered_psd_pair,
     is_hyponormal,
     is_normal,
     operator_norm,
@@ -28,6 +28,7 @@ from absval import (
     psd_sqrt_iterative,
     registry,
     run_suite,
+    sample,
     symmetrize,
 )
 
@@ -129,7 +130,7 @@ def test_criterion_4_loewner_heinz_margins():
     worst = np.inf
     for n in (2, 4):
         for trial in range(500):
-            a, b = gen_ordered_psd_pair(n, Seed(MASTER, f"lh:{n}", trial), commuting=False)
+            a, b = sample(EnsembleSpec("ordered_psd_pair"), n, Seed(MASTER, f"lh:{n}", trial))
             for alpha in (0.25, 0.5, 0.75):
                 diff = psd_power(a, alpha) - psd_power(b, alpha)
                 worst = min(worst, float(np.linalg.eigvalsh(diff)[0]))

@@ -14,16 +14,15 @@ from absval import (
     as_matrix,
     condition_estimate,
     frobenius,
-    gen_commuting_positive_pair,
+    EnsembleSpec,
     gen_general,
-    gen_ordered_psd_pair,
-    gen_unitary,
     inverse,
     loewner_leq,
     operator_norm,
     psd_power,
     psd_sqrt,
     psd_sqrt_iterative,
+    sample,
     symmetrize,
 )
 from absval import calculus
@@ -110,7 +109,7 @@ class TestAbsValue:
         np.testing.assert_allclose(abs_value(cm([[0, 2], [-1, 0]])), cm([[1, 0], [0, 2]]), atol=1e-12)
 
     def test_unitary_gives_identity(self):
-        u = gen_unitary(5, 77)
+        (u,) = sample(EnsembleSpec("unitary"), 5, 77)
         np.testing.assert_allclose(abs_value(u), np.eye(5), atol=1e-10)
 
     def test_norm_identity_random(self):
@@ -163,28 +162,30 @@ class TestLoewner:
     def test_holds_with_witness(self):
         v = loewner_leq(cm([[1, 0], [0, 1]]), cm([[2, 0], [0, 3]]))
         assert v.holds and bool(v)
-        assert v.witness_lambda_min == pytest.approx(1.0, abs=1e-12)
+        assert v.residual == pytest.approx(1.0, abs=1e-12)
 
     def test_triangle_counterexample_fails(self):
         # det(B - sqrt(2) I) = 4 - 4 sqrt(2) < 0 forces a negative eigenvalue,
         # which is 2 - 2 sqrt(2)
         v = loewner_leq(SQRT2 * np.eye(2), cm([[3, -1], [-1, 1]]))
         assert not v.holds
-        assert v.witness_lambda_min == pytest.approx(2 - 2 * SQRT2, abs=1e-12)
-        assert v.margin < 0
+        assert v.residual == pytest.approx(2 - 2 * SQRT2, abs=1e-12)
 
     def test_equal_operands(self):
         a = random_psd(3, 4)
         v = loewner_leq(a, a)
         assert v.holds
-        assert v.witness_lambda_min == 0.0
+        assert v.residual == 0.0
 
-    def test_margin_is_witness_plus_tolerance(self):
+    def test_holds_within_the_tolerance(self):
+        # a witness eigenvalue down to -bound(||a||_F, ||b||_F) still holds
         pol = TolerancePolicy(rel=1e-6, abs=1e-9)
-        a, b = np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex)
-        v = loewner_leq(a, b, pol)
-        tol = pol.rel * max(1.0, frobenius(a), frobenius(b)) + pol.abs
-        assert v.margin == pytest.approx(v.witness_lambda_min + tol)
+        a = 2 * np.eye(2, dtype=complex)
+        tol = pol.rel * frobenius(a) + pol.abs
+        for slack, holds in ((0.5, True), (2.0, False)):
+            v = loewner_leq(a, a - slack * tol * np.eye(2), pol)
+            assert bool(v) is holds
+            assert v.residual == pytest.approx(-slack * tol)
 
     def test_rejects_non_self_adjoint(self):
         with pytest.raises(NotSelfAdjoint):
@@ -198,7 +199,7 @@ class TestInverse:
         )
 
     def test_unitary_inverse_is_adjoint(self):
-        u = gen_unitary(4, 13)
+        (u,) = sample(EnsembleSpec("unitary"), 4, 13)
         assert frobenius(inverse(u) - adjoint(u)) <= 1e-10
 
     def test_product_diagonal(self):
@@ -227,7 +228,7 @@ class TestOrderAndRootLemmas:
 
     def test_sqrt_lemmas_on_commuting_positive_pairs(self):
         for seed in range(50):
-            a, b = gen_commuting_positive_pair(3, seed)
+            a, b = sample(EnsembleSpec("commuting_positive_pair"), 3, seed)
             prod = a @ b
             assert loewner_leq(np.zeros_like(prod), symmetrize(prod)).holds
             lhs = psd_sqrt(symmetrize(prod))
@@ -236,14 +237,14 @@ class TestOrderAndRootLemmas:
 
     def test_fractional_power_preserves_order(self):
         for seed in range(50):
-            a, b = gen_ordered_psd_pair(3, seed, commuting=False)
+            a, b = sample(EnsembleSpec("ordered_psd_pair"), 3, seed)
             for alpha in (0.25, 0.5, 0.75):
                 diff = psd_power(a, alpha) - psd_power(b, alpha)
                 assert np.linalg.eigvalsh(diff)[0] >= -1e-9
 
     def test_square_preserves_order_when_commuting(self):
         for seed in range(50):
-            a, b = gen_ordered_psd_pair(3, seed, commuting=True)
+            a, b = sample(EnsembleSpec("ordered_psd_pair", commuting=True), 3, seed)
             assert loewner_leq(b @ b, a @ a).holds
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from absval import (
+    EnsembleSpec,
     Seed,
     TolerancePolicy,
     abs_value,
@@ -17,7 +18,6 @@ from absval import (
     check_claim,
     check_registry_instance,
     frobenius,
-    gen_commuting_normal_family,
     probe_conclusions,
     registry,
     run_suite,
@@ -165,7 +165,7 @@ class TestCatalogLint:
 
 class TestCheckClaim:
     def test_product_claim_passes_on_commuting_normals(self):
-        mats = gen_commuting_normal_family(3, 2, Seed(11, "C-PRODNORM:3", 0))
+        mats = sample(EnsembleSpec("commuting_normal_family", k=2), 3, Seed(11, "C-PRODNORM:3", 0))
         result = check_claim(ClaimInstance("C-PRODNORM", mats))
         assert result.verdict == PASS
         assert result.hypothesis_ok and result.conclusion_ok
@@ -190,7 +190,8 @@ class TestCheckClaim:
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h.shape) or real(h))
-        (a,) = gen_commuting_normal_family(3, 1, Seed(3, "C-INV2:3"), invertible=True)
+        spec = EnsembleSpec("commuting_normal_family", k=1, invertible=True)
+        (a,) = sample(spec, 3, Seed(3, "C-INV2:3"))
         for mats in ((a,), (np.stack([a, 2 * a]),)):
             calls.clear()
             ok, _, extras = catalog()["C-INV2"].conclusion(mats, TolerancePolicy())

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import absval
-from absval import as_matrix, gen_commuting_normal_family, matrix_to_literal
+from absval import EnsembleSpec, as_matrix, matrix_to_literal, sample
 from absval.claims import catalog
 from absval.cli import build_parser, emit_report, main, parse_config
 
@@ -233,12 +233,14 @@ class TestOneTrialReplays:
         assert digest.hexdigest() == self.PINNED
 
 
+COMMUTING_PAIR = EnsembleSpec("commuting_normal_family", k=2)
+
 # claim, matrices and extra flags of TestUserMatrices::test_whole_claim_entry
 USER_RUNS = {
     "hypothesis-failure": (
         "C-TRI", lambda: (as_matrix([[-1, 1], [1, -1]]), as_matrix([[2, 0], [0, 0]])), []
     ),
-    "pass": ("C-PRODNORM", lambda: gen_commuting_normal_family(3, 2, 5), []),
+    "pass": ("C-PRODNORM", lambda: sample(COMMUTING_PAIR, 3, 5), []),
     "forced-violation": (
         "C-PRODNORM",
         lambda: (as_matrix(1000.0 * np.eye(3)), as_matrix([[1, 2, 0], [2, 5, 1], [0, 1, 3]])),
@@ -293,7 +295,7 @@ class TestUserMatrices:
         assert report["claims"][0]["hypothesis_failures"] == 1
 
     def test_satisfied_hypotheses_pass(self, capsys, tmp_path):
-        ma, mb = gen_commuting_normal_family(3, 2, 5)
+        ma, mb = sample(COMMUTING_PAIR, 3, 5)
         a = write_matrix(tmp_path / "a.json", ma)
         b = write_matrix(tmp_path / "b.json", mb)
         code, out, _ = run_cli(
@@ -416,6 +418,23 @@ class TestUserMatrices:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 2, "entries": [1, 2, 3, 4]}',
+            '{"dim": 1, "entries": null}',
+            '{"dim": 1, "entries": [["a", "b"]]}',
+            '{"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+        ],
+        ids=["flat-entries", "null-entries", "string-entries", "fractional-dim"],
+    )
+    def test_malformed_literal_exits_two(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "--claims", "L-ANTI", "--matrix-file", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("absval: malformed matrix literal: ") and err.count("\n") == 1
+
     def test_missing_file_reports_usage_error(self, capsys, tmp_path):
         a = write_matrix(tmp_path / "a.json", np.eye(2, dtype=complex))
         missing = str(tmp_path / "nope.json")
@@ -471,7 +490,7 @@ class TestNumericalErrorsExitOne:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        ma, mb = gen_commuting_normal_family(3, 2, 5)
+        ma, mb = sample(COMMUTING_PAIR, 3, 5)
         a = write_matrix(tmp_path / "a.json", ma)
         b = write_matrix(tmp_path / "b.json", mb)
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)

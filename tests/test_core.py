@@ -9,20 +9,20 @@ from hypothesis import strategies as st
 
 from absval import (
     DimensionMismatch,
+    EnsembleSpec,
     Seed,
     NotSelfAdjoint,
     TolerancePolicy,
     adjoint,
     as_matrix,
     frobenius,
-    gen_self_adjoint,
-    gen_unitary,
     hermitian_eigen,
     is_self_adjoint,
     loewner_leq,
     matrix_from_literal,
     matrix_to_literal,
     operator_norm,
+    sample,
     symmetrize,
 )
 from absval.core import trial_max, trial_min
@@ -80,7 +80,7 @@ class TestOperatorNorm:
 
     def test_unitaries_have_norm_one(self):
         for seed in range(25):
-            u = gen_unitary(4, seed)
+            (u,) = sample(EnsembleSpec("unitary"), 4, seed)
             assert abs(operator_norm(u) - 1.0) <= 1e-10
 
 
@@ -106,7 +106,7 @@ class TestHermitianEigen:
             hermitian_eigen(cm([[0, 1], [0, 0]]))
 
     def test_ascending_and_deterministic(self):
-        h = gen_self_adjoint(6, 11)
+        (h,) = sample(EnsembleSpec("self_adjoint"), 6, 11)
         (w1, u1), (w2, u2) = hermitian_eigen(h), hermitian_eigen(h)
         assert np.all(np.diff(w1) >= 0)
         assert w1.tobytes() == w2.tobytes()
@@ -116,7 +116,7 @@ class TestHermitianEigen:
         # unitarity within 64 n eps sqrt(n), reconstruction within 64 n eps ||h||
         for n in range(2, 17):
             for trial in range(500):
-                h = gen_self_adjoint(n, Seed(11, f"eig:{n}", trial))
+                (h,) = sample(EnsembleSpec("self_adjoint"), n, Seed(11, f"eig:{n}", trial))
                 w, u = hermitian_eigen(h)
                 assert frobenius(u @ u.conj().T - np.eye(n)) <= 64 * n * EPS * np.sqrt(n)
                 assert frobenius((u * w) @ u.conj().T - h) <= 64 * n * EPS * frobenius(h)
@@ -185,6 +185,28 @@ class TestValidationAndLiterals:
             matrix_from_literal({"dim": 2, "entries": [[1, 0]]})
         with pytest.raises(ValueError):
             matrix_from_literal({"entries": []})
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            {"dim": 2, "entries": [1, 2, 3, 4]},
+            {"dim": 1, "entries": None},
+            {"dim": 1, "entries": [["a", "b"]]},
+            {"dim": 1, "entries": [[1, 2, 3]]},
+            {"dim": 1, "entries": [[10**400, 0]]},
+            {"dim": 2.5, "entries": [[1, 0]] * 4},
+            {"dim": 2.0, "entries": [[1, 0]] * 4},
+            {"dim": "2", "entries": [[1, 0]] * 4},
+            [[1, 0]],
+        ],
+        ids=[
+            "flat-entries", "null-entries", "string-entries", "triple-entry", "huge-entry",
+            "fractional-dim", "float-dim", "string-dim", "not-a-dict",
+        ],
+    )
+    def test_malformed_literal_is_a_value_error(self, literal):
+        with pytest.raises(ValueError, match="malformed matrix literal"):
+            matrix_from_literal(literal)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -16,16 +16,7 @@ from absval import (
     commutes,
     condition_estimate,
     frobenius,
-    gen_anti_symmetric,
-    gen_commuting_family_one_nonnormal,
-    gen_commuting_normal_family,
-    gen_fuglede_pair,
     gen_general,
-    gen_negative_cross_pair,
-    gen_ordered_psd_pair,
-    gen_sa_pair_normal_product,
-    gen_sandwich_pair,
-    gen_unitary,
     is_anti_symmetric,
     is_normal,
     is_positive,
@@ -36,6 +27,10 @@ from absval import (
 from absval import claims as claims_module
 from absval import generators
 from absval.generators import sample_block
+
+
+UNITARY = EnsembleSpec("unitary")
+SA_PAIR = EnsembleSpec("sa_pair_normal_product", dim=2)
 
 
 class TestSeedStreams:
@@ -64,18 +59,18 @@ class TestUnitary:
     def test_unitarity_residual(self):
         for n in (1, 2, 5, 8):
             for seed in range(20):
-                u = gen_unitary(n, Seed(seed, f"u:{n}"))
+                (u,) = sample(UNITARY, n, Seed(seed, f"u:{n}"))
                 assert frobenius(adjoint(u) @ u - np.eye(n)) <= 1e-10 * n
 
     def test_scalar_case_has_unit_modulus(self):
-        u = gen_unitary(1, 5)
+        (u,) = sample(UNITARY, 1, 5)
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
 
 class TestCommutingNormalFamily:
     def test_pairwise_commuting_and_normal(self):
         for seed in range(50):
-            fam = gen_commuting_normal_family(4, 3, seed)
+            fam = sample(EnsembleSpec("commuting_normal_family", k=3), 4, seed)
             for m in fam:
                 res = is_normal(m)
                 assert res.holds and res.residual <= 1e-9
@@ -86,14 +81,14 @@ class TestCommutingNormalFamily:
 
     def test_invertible_flag_bounds_condition(self):
         for seed in range(20):
-            (a,) = gen_commuting_normal_family(4, 1, seed, invertible=True)
+            (a,) = sample(EnsembleSpec("commuting_normal_family", k=1, invertible=True), 4, seed)
             assert condition_estimate(a) <= 11.0  # annulus 0.1..1 plus rounding
 
 
 class TestOneNonNormalFamily:
     def test_structure(self):
         for seed in range(40):
-            fam = gen_commuting_family_one_nonnormal(4, 3, seed)
+            fam = sample(EnsembleSpec("commuting_family_one_nonnormal", k=3), 4, seed)
             non_normal = [m for m in fam if not is_normal(m)]
             assert len(non_normal) == 1
             # the non-normal member is robustly non-normal, not borderline
@@ -104,22 +99,20 @@ class TestOneNonNormalFamily:
 
     def test_needs_dimension_two(self):
         with pytest.raises(ValueError):
-            gen_commuting_family_one_nonnormal(1, 3, 0)
+            sample(EnsembleSpec("commuting_family_one_nonnormal", k=3), 1, 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_function_and_spec_draw_the_same_family(self, k):
-        # k = 1 is a family of one on both routes; only an unset k draws 3 or 4
+    def test_explicit_k_is_the_family_size(self, k):
+        # k = 1 is a family of one; only an unset k draws 3 or 4
         spec = EnsembleSpec("commuting_family_one_nonnormal", k=k)
         for seed in range(10):
-            family = gen_commuting_family_one_nonnormal(3, k, seed)
-            assert len(family) == k
-            assert [m.tobytes() for m in family] == [m.tobytes() for m in sample(spec, 3, seed)]
+            assert len(sample(spec, 3, seed)) == k
 
 
 class TestSelfAdjointPairNormalProduct:
     def test_hypotheses_hold(self):
         for seed in range(60):
-            a, b = gen_sa_pair_normal_product(seed)
+            a, b = sample(SA_PAIR, 2, seed)
             assert a.shape == (2, 2)
             assert is_self_adjoint(a).residual <= 1e-12
             assert is_self_adjoint(b).residual <= 1e-12
@@ -127,7 +120,7 @@ class TestSelfAdjointPairNormalProduct:
 
     def test_product_is_not_self_adjoint_nor_commuting(self):
         for seed in range(60):
-            a, b = gen_sa_pair_normal_product(seed)
+            a, b = sample(SA_PAIR, 2, seed)
             prod = a @ b
             assert frobenius(prod - adjoint(prod)) > 1e-4
             assert not commutes(a, b)
@@ -136,7 +129,7 @@ class TestSelfAdjointPairNormalProduct:
 class TestNegativeCrossPair:
     def test_cross_term_nonpositive_and_commuting(self):
         for seed in range(50):
-            a, b = gen_negative_cross_pair(3, seed)
+            a, b = sample(EnsembleSpec("negative_cross_pair"), 3, seed)
             assert is_normal(a)
             assert commutes(a, b).residual <= 1e-12
             cross = adjoint(a) @ b + adjoint(b) @ a
@@ -147,7 +140,7 @@ class TestOrderedPsdPair:
     @pytest.mark.parametrize("commuting", [False, True])
     def test_order_and_positivity(self, commuting):
         for seed in range(50):
-            a, b = gen_ordered_psd_pair(3, seed, commuting)
+            a, b = sample(EnsembleSpec("ordered_psd_pair", commuting=commuting), 3, seed)
             assert is_positive(b)
             assert loewner_leq(b, a).holds
             if commuting:
@@ -155,7 +148,7 @@ class TestOrderedPsdPair:
 
     def test_noncommuting_pairs_usually_do_not_commute(self):
         hits = sum(
-            bool(commutes(*gen_ordered_psd_pair(3, seed, False))) for seed in range(20)
+            bool(commutes(*sample(EnsembleSpec("ordered_psd_pair"), 3, seed))) for seed in range(20)
         )
         assert hits == 0
 
@@ -163,7 +156,7 @@ class TestOrderedPsdPair:
 class TestSandwichPair:
     def test_sandwich_holds(self):
         for seed in range(50):
-            t, s = gen_sandwich_pair(3, seed)
+            t, s = sample(EnsembleSpec("sandwich_pair"), 3, seed)
             assert is_self_adjoint(t) and is_self_adjoint(s)
             assert is_positive(s)
             assert loewner_leq(-s, t).holds
@@ -174,7 +167,7 @@ class TestFugledePair:
     def test_both_truth_values_appear(self):
         verdicts = set()
         for seed in range(40):
-            a, b = gen_fuglede_pair(3, seed)
+            a, b = sample(EnsembleSpec("fuglede_pair"), 3, seed)
             assert is_normal(a)
             verdicts.add(bool(commutes(a, b)))
         assert verdicts == {True, False}
@@ -205,7 +198,7 @@ class TestGeneralAndSpecs:
         assert np.all(np.isfinite(gen_general(2, 9)))
 
     def test_anti_symmetric_kind(self):
-        assert is_anti_symmetric(gen_anti_symmetric(4, 3))
+        assert is_anti_symmetric(*sample(EnsembleSpec("anti_symmetric"), 4, 3))
 
     def test_ensemble_spec_validation(self):
         with pytest.raises(ValueError):

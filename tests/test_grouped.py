@@ -47,7 +47,7 @@ DEPTH = 6
 
 def _loewner(x, y, pol):
     v = loewner_leq(x, y, pol)
-    return v.holds, -v.witness_lambda_min, {"witness_lambda_min": v.witness_lambda_min}
+    return v.holds, -v.residual, {"witness_lambda_min": v.residual}
 
 
 def _opnorm_leq(x, y, pol, scale_of):
@@ -60,8 +60,8 @@ def loewner_heinz(mats, pol):
     a, b = mats
     alphas = (0.25, 0.5, 0.75)
     orders = [loewner_leq(psd_power(b, t, pol), psd_power(a, t, pol), pol) for t in alphas]
-    worst = trial_max(*(-v.witness_lambda_min for v in orders))
-    extras = {f"witness_alpha_{t}": v.witness_lambda_min for t, v in zip(alphas, orders)}
+    worst = trial_max(*(-v.residual for v in orders))
+    extras = {f"witness_alpha_{t}": v.residual for t, v in zip(alphas, orders)}
     return reduce(operator.and_, (v.holds for v in orders)), worst, extras
 
 

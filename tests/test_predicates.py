@@ -5,22 +5,20 @@ import pytest
 
 from absval import (
     DimensionMismatch,
+    EnsembleSpec,
     Seed,
     adjoint,
     as_matrix,
-    class_report,
     commutes,
     frobenius,
-    gen_commuting_normal_family,
     gen_general,
-    gen_unitary,
     is_anti_symmetric,
     is_hyponormal,
     is_normal,
     is_positive,
     is_self_adjoint,
     loewner_leq,
-    registry,
+    sample,
 )
 
 
@@ -43,7 +41,7 @@ class TestSelfAdjoint:
 
 class TestNormal:
     def test_unitary(self):
-        assert is_normal(gen_unitary(3, 8))
+        assert is_normal(*sample(EnsembleSpec("unitary"), 3, 8))
 
     def test_weighted_shift(self):
         assert not is_normal(cm([[0, 1], [2, 0]]))
@@ -57,7 +55,7 @@ class TestNormal:
 
 class TestHyponormal:
     def test_normal_is_hyponormal(self):
-        (a,) = gen_commuting_normal_family(3, 1, 21)
+        (a,) = sample(EnsembleSpec("commuting_normal_family", k=1), 3, 21)
         assert is_hyponormal(a)
 
     def test_nilpotent_is_not(self):
@@ -142,7 +140,7 @@ class TestFugledeEquivalences:
 
     def test_commuting_and_general_witnesses(self):
         for seed in range(100):
-            a, b_comm = gen_commuting_normal_family(3, 2, seed)
+            a, b_comm = sample(EnsembleSpec("commuting_normal_family", k=2), 3, seed)
             assert set(self._four_conditions(a, b_comm)) == {True}
             b_free = gen_general(3, 10_000 + seed)
             assert len(set(self._four_conditions(a, b_free))) == 1
@@ -156,29 +154,3 @@ class TestFiniteDimensionalCollapse:
                 a = gen_general(n, Seed(5, f"collapse:{n}", trial))
                 assert is_hyponormal(a).holds == is_normal(a).holds
 
-
-class TestClassReport:
-    def test_implication_chain_on_random_input(self):
-        mats = [gen_general(3, s) for s in range(30)]
-        mats += [gen_unitary(3, s) for s in range(5)]
-        mats += [m for inst in registry() for m in inst.matrices]
-        (normal,) = gen_commuting_normal_family(3, 1, 99)
-        mats.append(normal)
-        for a in mats:
-            rep = class_report(a)
-            assert not rep.positive or rep.self_adjoint
-            assert not rep.self_adjoint or rep.normal
-            assert not rep.normal or rep.hyponormal
-            assert set(rep.residuals) == {
-                "self_adjoint",
-                "normal",
-                "hyponormal",
-                "positive",
-                "anti_symmetric",
-            }
-
-    def test_gram_matrix_report(self):
-        g = gen_general(3, 1)
-        rep = class_report(adjoint(g) @ g)
-        assert rep.positive and rep.self_adjoint and rep.normal and rep.hyponormal
-        assert not rep.anti_symmetric

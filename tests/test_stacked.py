@@ -16,23 +16,17 @@ import numpy as np
 import pytest
 
 from absval import (
+    EnsembleSpec,
     Seed,
     TolerancePolicy,
     abs_value,
     adjoint,
-    approx_eq,
     as_matrix,
     catalog,
-    class_report,
     commutes,
     condition_estimate,
     frobenius,
-    gen_anti_symmetric,
-    gen_commuting_normal_family,
     gen_general,
-    gen_ordered_psd_pair,
-    gen_self_adjoint,
-    gen_unitary,
     hermitian_eigen,
     inverse,
     is_anti_symmetric,
@@ -44,7 +38,6 @@ from absval import (
     operator_norm,
     psd_power,
     psd_sqrt,
-    rel_residual,
     run_suite,
     sample,
     symmetrize,
@@ -95,13 +88,12 @@ def _operands(n, depth=DEPTH):
     seeds = [Seed(31, f"stacked:{n}", t) for t in range(depth)]
     g = [gen_general(n, s) for s in seeds]
     h = [gen_general(n, Seed(32, s.claim_tag, s.trial)) for s in seeds]
-    sa = [gen_self_adjoint(n, Seed(33, s.claim_tag, s.trial)) for s in seeds]
+    sa = [sample(EnsembleSpec("self_adjoint"), n, Seed(33, s.claim_tag, s.trial))[0] for s in seeds]
     psd = [symmetrize(adjoint(x) @ x) for x in g]
-    pairs = [
-        gen_ordered_psd_pair(n, Seed(34, s.claim_tag, s.trial), commuting=False) for s in seeds
-    ]
-    normal = [gen_commuting_normal_family(n, 1, s)[0] for s in seeds]
-    anti = [gen_anti_symmetric(n, s) for s in seeds]
+    ordered = EnsembleSpec("ordered_psd_pair")
+    pairs = [sample(ordered, n, Seed(34, s.claim_tag, s.trial)) for s in seeds]
+    normal = [sample(EnsembleSpec("commuting_normal_family", k=1), n, s)[0] for s in seeds]
+    anti = [sample(EnsembleSpec("anti_symmetric"), n, s)[0] for s in seeds]
     def alternate(odd, even=g):  # both verdicts within one stack
         return [odd[t] if t % 2 else even[t] for t in range(depth)]
 
@@ -126,10 +118,8 @@ def _operands(n, depth=DEPTH):
         "adjoint": (adjoint, g),
         "frobenius": (frobenius, g),
         "symmetrize": (symmetrize, g),
-        "approx_eq": (approx_eq, g, near),
-        "approx_eq_far": (approx_eq, g, h),
-        "rel_residual": (rel_residual, g, near),
         "equality": (equality, g, near),
+        "equality_far": (equality, g, h),
         "operator_norm": (operator_norm, g),
         "hermitian_eigen": (hermitian_eigen, sa),
         "eigh_exact": (lambda x: eigh_exact(symmetrize(x)), g),
@@ -151,7 +141,6 @@ def _operands(n, depth=DEPTH):
         "is_anti_symmetric": (is_anti_symmetric, alternate(anti)),
         "commutes": (commutes, g, h),
         "commutes_normal": (commutes, normal, [x @ x for x in normal]),
-        "class_report": (class_report, mixed),
     }
 
 
@@ -366,7 +355,7 @@ def _prodsa_cor_trials(depth):
     A <= 0 <= B on odd ones."""
     trials = []
     for t in range(depth):
-        u = gen_unitary(2, Seed(5, "prodsa-cor", t))
+        (u,) = sample(EnsembleSpec("unitary"), 2, Seed(5, "prodsa-cor", t))
         rng = np.random.default_rng(t)
         alpha, beta = rng.uniform(0.5, 3.0, 2), rng.uniform(0.5, 3.0, 2)
         a = symmetrize((u * alpha) @ adjoint(u))
