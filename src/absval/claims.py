@@ -1027,11 +1027,11 @@ class SuiteReport:
         }
 
 
-def _seed_record(seed: Seed, dim: int) -> dict:
-    """The record of a seeded trial.  Its "seed" holds the :class:`Seed`
-    itself until :func:`_run_block` swaps in the replay seed, a hash fold
-    that only the records a block keeps pay for."""
-    return {"seed": seed, "claim_tag": seed.claim_tag, "dim": dim, "trial": seed.trial}
+def _seed_record(claim: Claim, dim: int, trial: int) -> dict:
+    """The record of a seeded trial.  Its "seed" is None until
+    :func:`_run_block` puts in the replay seed, a hash fold that only the
+    records a block keeps pay for."""
+    return {"seed": None, "claim_tag": f"{claim.id}:{dim}", "dim": dim, "trial": trial}
 
 
 # Cap on the bytes of input matrices evaluated in one stacked call.  A stack's
@@ -1045,54 +1045,60 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     """Run a contiguous block of trials for one (claim, dim) into a
     :class:`ClaimStats`, which process pools ship back whole.
 
-    :func:`sample_block` derives the block's seeds in one pass and builds
-    the matrices as ``(B, n, n)`` stacks of at most ``STACK_BYTES``, each
-    slice bit-for-bit what :func:`sample` gives its trial; :func:`_run_group`
-    reads a stack's verdicts and records from its arrays.  A trial that runs
-    alone (the only trial of a block, as every replay is, a 1x1 trial, and
-    each trial of a stack whose draw, build or evaluation raises) runs
-    through :func:`_run_trial`, so it counts as it would in any block.
+    :func:`sample_block` derives the block's seeds in one pass and draws and
+    builds the matrices as ``(B, n, n)`` stacks of at most ``STACK_BYTES``,
+    each slice bit-for-bit what :func:`sample` gives its trial, and yields
+    them with their trial numbers; :func:`_run_group` reads a stack's
+    verdicts and records from its arrays.  A trial that runs alone (the only
+    trial of a block, as every replay is, a 1x1 trial, and each trial of a
+    stack whose draw, build or evaluation raises) runs through
+    :func:`_run_trial`, so it counts as it would in any block.  A
+    :class:`Seed` is made only for a trial re-run alone and for a record
+    the block keeps.
     """
     claim = catalog()[claim_id]
     stats = ClaimStats(claim_id, trials=count)
     tag = f"{claim_id}:{dim}"
-    for seeds, drawn in sample_block(claim.ensemble, dim, master, tag, start, count, STACK_BYTES):
-        if isinstance(seeds, Seed):
-            _run_trial(claim, dim, seeds, drawn, pol, stats)
+    for trials, drawn in sample_block(claim.ensemble, dim, master, tag, start, count, STACK_BYTES):
+        if isinstance(trials, int):
+            _run_trial(claim, dim, trials, drawn, pol, stats)
         else:
-            _run_group(claim, dim, seeds, drawn, pol, stats)
+            _run_group(claim, dim, master, trials, drawn, pol, stats)
     kept = [*stats.violations, *stats.errors]
     if stats.worst_residual_seed is not None:  # the block's one worst-trial record
         kept.append(stats.worst_residual_seed)
     for record in kept:
-        record["seed"] = record["seed"].replay_master
+        record["seed"] = Seed(master, tag, record["trial"]).replay_master
     return claim_id, stats
 
 
-def _run_trial(claim: Claim, dim: int, seed: Seed, source, pol: TolerancePolicy, stats: ClaimStats):
+def _run_trial(claim: Claim, dim: int, trial: int, source, pol: TolerancePolicy, stats: ClaimStats):
     """Count one trial alone: :func:`sample` from ``source`` (its generator or
     :class:`Seed`), :func:`_evaluate` on the 2-D matrices and a record, or an
     error record when the draw, the build or the evaluation raises."""
     try:
         hyp_ok, concl_ok, _, residuals = _evaluate(claim, sample(claim.ensemble, dim, source), pol)
     except Exception as exc:
-        stats.errors.append({**_seed_record(seed, dim), "message": str(exc)})
+        stats.errors.append({**_seed_record(claim, dim, trial), "message": str(exc)})
     else:
-        stats.record(_verdict(hyp_ok, concl_ok), residuals, _seed_record(seed, dim))
+        stats.record(_verdict(hyp_ok, concl_ok), residuals, _seed_record(claim, dim, trial))
 
 
-def _run_group(claim: Claim, dim: int, seeds: list, stack, pol: TolerancePolicy, stats: ClaimStats):
-    """Count one stack's trials into ``stats`` as :meth:`ClaimStats.record`
-    counts each: PASS and HYPOTHESIS_FAIL by number, each VIOLATION from its
-    slice of the residual columns, the worst trial with one pick.  When the
-    stack's evaluation raises, each of its trials runs alone."""
+def _run_group(
+    claim: Claim, dim: int, master: int, trials, stack, pol: TolerancePolicy, stats: ClaimStats
+):
+    """Count one stack's trials, numbered ``trials``, into ``stats`` as
+    :meth:`ClaimStats.record` counts each: PASS and HYPOTHESIS_FAIL by
+    number, each VIOLATION from its slice of the residual columns, the worst
+    trial with one pick.  When the stack's evaluation raises, each of its
+    trials runs alone from its :class:`Seed`."""
     try:
         hyp_ok, concl_ok, _, residuals = _evaluate(claim, stack, pol)
     except Exception:
-        for seed in seeds:
-            _run_trial(claim, dim, seed, seed, pol, stats)
+        for t in trials.tolist():
+            _run_trial(claim, dim, t, Seed(master, f"{claim.id}:{dim}", t), pol, stats)
         return
-    size = len(seeds)
+    size = len(trials)
     verdicts = np.broadcast_to(_verdict(hyp_ok, concl_ok), (size,))
     stats.passes += int(np.count_nonzero(verdicts == PASS))
     stats.hypothesis_failures += int(np.count_nonzero(verdicts == HYPOTHESIS_FAIL))
@@ -1101,12 +1107,12 @@ def _run_group(claim: Claim, dim: int, seeds: list, stack, pol: TolerancePolicy,
         columns = {name: np.broadcast_to(v, (size,)) for name, v in residuals.items()}
         for t in violated:
             row = _trial_residuals(claim, {name: c[t] for name, c in columns.items()})
-            stats.record(VIOLATION, row, _seed_record(seeds[t], dim))
+            stats.record(VIOLATION, row, _seed_record(claim, dim, int(trials[t])))
     worst = np.broadcast_to(residuals["conclusion"], (size,))
     finite = worst[np.isfinite(worst)]
     if finite.size:  # the stack's worst by (residual, trial): the last of its largest
         t = np.flatnonzero(worst == finite.max())[-1]
-        stats._keep_worst(float(worst[t]), _seed_record(seeds[t], dim))
+        stats._keep_worst(float(worst[t]), _seed_record(claim, dim, int(trials[t])))
 
 
 def _check_master_seed(master_seed) -> None:

@@ -8,26 +8,30 @@ generic random matrices.  Every generator is a pure function of its
 
 Every ensemble kind is two phases, held in one table (``_KINDS``):
 
-- a per-trial *draw* makes all of the kind's ``rng`` calls, in a fixed
-  order, into plain arrays: one call for all of its Gaussians and one for
-  all of its uniforms (``integers``, rejection loops and the sandwich's
-  draws stay apart, as the stream or the draw's own branching needs);
+- a *draw* runs over a stack's generators, one per trial, and makes each
+  trial's ``rng`` calls on its own generator, in a fixed order, into the
+  stack's ``(B, ...)`` buffers with ``out=``: one call for all of a
+  trial's Gaussians and one for all of its uniforms (``integers``,
+  rejection loops and the sandwich's draws stay apart, as the stream or
+  the draw's own branching needs).  Draws that depend on earlier ones are
+  made in stages over the same generators;
 - a shape-polymorphic *build* turns drawn arrays into matrices: the maps
   of uniforms onto their ranges, the QR, phase normalization,
   eigendecompositions and products.  It takes one trial's draws, or the
   draws of ``B`` trials stacked on a leading axis, and each slice of a
   stacked build is bit-for-bit the one-trial build.
 
-:func:`sample` is the one-trial case; :func:`sample_block` derives the seeds
-of a whole block of trials at once, draws trial by trial and builds stacks.
-:func:`sample_general` builds the unconstrained family of the conclusion
-probe from generators derived beforehand.
+:func:`sample` is the draw over one generator and the one-trial build;
+:func:`sample_block` derives the seeds of a whole block of trials at once
+and draws and builds it stack by stack.  :func:`sample_general` is the
+``general`` kind's draw and build over generators derived beforehand, as
+the conclusion probe asks.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -250,11 +254,17 @@ class EnsembleSpec:
 
 
 # ---------------------------------------------------------------------------
-# draws (one trial, rng calls only) and builds (one trial or a stack)
+# draws (rng calls only, over a stack's generators) and builds (one trial or
+# a stack)
 
 
-def _draw_gaussian(rng, n):
-    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+def _fill(rngs, method: str, shape) -> np.ndarray:
+    """A ``(len(rngs),) + shape`` buffer whose row ``i`` is one ``method``
+    call (``standard_normal`` or ``random``) on ``rngs[i]``, made with ``out=``."""
+    out = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, out):
+        getattr(rng, method)(out=row)
+    return out
 
 
 def _general(re, im, scale):
@@ -271,13 +281,6 @@ def _uniform(r, lo, hi):
     """``rng.uniform(lo, hi, size)`` bit for bit, from ``r = rng.random(size)``:
     numpy makes each uniform as ``lo + (hi - lo) * next_double``."""
     return lo + (hi - lo) * r
-
-
-def _draw_general(rng, n, k):
-    """A family of ``k`` complex Gaussians in one call: ``(k, 2, n, n)``
-    entries, the same numbers as k successive (real, imaginary) pairs of
-    :func:`_draw_gaussian`."""
-    return rng.standard_normal((k, 2, n, n))
 
 
 def _skew(t):
@@ -317,9 +320,9 @@ def _conjugate(u, d):
     return (u * _per_column(d)) @ u.conj().swapaxes(-1, -2)
 
 
-def _draw_family(rng, n, k):
+def _draw_family(rngs, n, k):
     """The eigenbasis' Gaussians, then each member's diagonal."""
-    return rng.standard_normal((2, n, n)), rng.random((k, 2, n))
+    return _fill(rngs, "standard_normal", (2, n, n)), _fill(rngs, "random", (k, 2, n))
 
 
 def _build_family(g, r, scale, invertible):
@@ -336,15 +339,25 @@ def _build_positive_pair(g, d):
     return _conjugate(u, d[..., 0, :]), _conjugate(u, d[..., 1, :])
 
 
-def _draw_one_nonnormal(rng, n, k):
+def _draw_one_nonnormal(rngs, n, k):
     """The unitary's Gaussians, the index of the non-normal member, then
     each member's diagonal with the non-normal member's off-diagonal entry
-    right after its own: ``2kn + 2`` uniforms."""
+    right after its own: ``2kn + 2`` uniforms.  With ``k`` None each trial
+    first draws a family of 3 or 4, and the trials of each size draw the
+    rest together, as the group ``(rows, drawn)`` of a list."""
     if n < 2:
         raise ValueError("non-normal commuting families need n >= 2")
-    g = rng.standard_normal((2, n, n))
-    special = int(rng.integers(k))
-    return g, special, rng.random(2 * k * n + 2)
+    if k is None:
+        sizes = np.array([3 + rng.integers(2) for rng in rngs])
+        groups = [(np.flatnonzero(sizes == size), size) for size in (3, 4)]
+        return [
+            (rows, _draw_one_nonnormal([rngs[i] for i in rows], n, size))
+            for rows, size in groups
+            if rows.size
+        ]
+    g = _fill(rngs, "standard_normal", (2, n, n))
+    special = np.array([rng.integers(k) for rng in rngs])
+    return g, special, _fill(rngs, "random", (2 * k * n + 2,))
 
 
 def _build_one_nonnormal(g, special, r, scale):
@@ -377,21 +390,23 @@ def _plane_reflection(angle: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def _draw_sa_pair(rng, scale):
+def _draw_sa_pair(rngs, scale):
     """The unitary's Gaussians, then A and B before conjugation: real
-    multiples of plane reflections, drawn by rejection."""
-    g = rng.standard_normal((2, 2, 2))
-    while True:
-        phi, psi = rng.uniform(0.0, np.pi, 2)
-        if abs(np.sin(2 * (phi - psi))) >= 0.1:
-            break
-    while True:
-        mags = rng.uniform(0.1 * scale, scale, 2)
-        if abs(mags[0] - mags[1]) >= 0.05 * scale:
-            break
-    signs = rng.choice([-1.0, 1.0], 2)
-    a = signs[0] * mags[0] * _plane_reflection(phi)
-    b = signs[1] * mags[1] * _plane_reflection(psi)
+    multiples of plane reflections, drawn by rejection, trial by trial."""
+    g = _fill(rngs, "standard_normal", (2, 2, 2))
+    a, b = np.empty((2, len(rngs), 2, 2), dtype=complex)
+    for i, rng in enumerate(rngs):
+        while True:
+            phi, psi = rng.uniform(0.0, np.pi, 2)
+            if abs(np.sin(2 * (phi - psi))) >= 0.1:
+                break
+        while True:
+            mags = rng.uniform(0.1 * scale, scale, 2)
+            if abs(mags[0] - mags[1]) >= 0.05 * scale:
+                break
+        signs = rng.choice([-1.0, 1.0], 2)
+        a[i] = signs[0] * mags[0] * _plane_reflection(phi)
+        b[i] = signs[1] * mags[1] * _plane_reflection(psi)
     return g, a, b
 
 
@@ -404,14 +419,19 @@ def _build_sa_pair(g, a, b):
     return u @ a @ adj, u @ b @ adj
 
 
-def _draw_sandwich(rng, n, scale):
-    """G and C's Gaussians, ||C|| and, when C != 0, the slack that squeezes C
+def _draw_sandwich(rngs, n):
+    """G's and C's Gaussians (four calls a trial), ||C|| for the whole stack
+    in one call and, for each trial whose C != 0, the slack that squeezes C
     into a contraction: whether that uniform is drawn depends on C."""
-    g = _draw_gaussian(rng, n)
-    c = _draw_gaussian(rng, n)
-    top = operator_norm(symmetrize(_general(*c, 1.0)))
-    slack = rng.uniform(0.05, 1.0) if top > 0 else 0.0
-    return *g, *c, top, slack
+    gc = np.empty((len(rngs), 4, n, n))
+    for rng, row in zip(rngs, gc):
+        for part in row:
+            rng.standard_normal(out=part)
+    top = operator_norm(symmetrize(_general(gc[:, 2], gc[:, 3], 1.0)))
+    slack = np.zeros(len(rngs))
+    for i in np.flatnonzero(top > 0):
+        slack[i] = rngs[i].uniform(0.05, 1.0)
+    return *gc.swapaxes(0, 1), top, slack
 
 
 def _build_sandwich(g_re, g_im, c_re, c_im, top, slack, scale):
@@ -431,11 +451,12 @@ def _build_sandwich(g_re, g_im, c_re, c_im, top, slack, scale):
     return symmetrize(root @ c @ root), s
 
 
-def _draw_ordered_psd(rng, n, commuting):
+def _draw_ordered_psd(rngs, n, commuting):
     """B's Gaussians, then the increment's eigenvalues or its Gaussians."""
     if commuting:
-        return rng.standard_normal((2, n, n)), rng.random(n)
-    return tuple(rng.standard_normal((2, 2, n, n)))
+        return _fill(rngs, "standard_normal", (2, n, n)), _fill(rngs, "random", (n,))
+    g = _fill(rngs, "standard_normal", (2, 2, n, n))
+    return g[:, 0], g[:, 1]
 
 
 def _build_ordered_psd(g, other, scale, commuting):
@@ -452,23 +473,28 @@ def _build_ordered_psd(g, other, scale, commuting):
     return symmetrize(a), b
 
 
-def _draw_fuglede(rng, n):
-    """A's Gaussians and diagonal, then a branch: B's diagonal on A's basis
-    (``(2, n)`` uniforms) or B's Gaussians (``(2, n, n)``).  The two
-    branches draw different shapes, so the runner stacks them apart."""
-    g, r = rng.standard_normal((2, n, n)), rng.random((2, n))
-    if int(rng.integers(2)):
-        return g, r, rng.random((2, n))
-    return g, r, rng.standard_normal((2, n, n))
+def _draw_fuglede(rngs, n):
+    """A's Gaussians and diagonal, then a branch per trial and its tail: B's
+    diagonal on A's basis (``(2, n)`` uniforms) or B's Gaussians
+    (``(2, n, n)``).  Each tail buffer holds zeros for the other branch."""
+    g, r = _fill(rngs, "standard_normal", (2, n, n)), _fill(rngs, "random", (2, n))
+    commuting = np.array([rng.integers(2) for rng in rngs], dtype=bool)
+    diagonal, gaussian = np.zeros((len(rngs), 2, n)), np.zeros((len(rngs), 2, n, n))
+    for rng, branch, d, h in zip(rngs, commuting, diagonal, gaussian):
+        if branch:
+            rng.random(out=d)
+        else:
+            rng.standard_normal(out=h)
+    return g, r, commuting, diagonal, gaussian
 
 
-def _build_fuglede(g, r, other, scale):
-    """A normal; B on A's eigenbasis, so commuting, or a general matrix."""
+def _build_fuglede(g, r, commuting, diagonal, gaussian, scale):
+    """A normal; B on A's eigenbasis, so commuting, or a general matrix:
+    both are built, and each trial takes its branch's."""
     u = _unitary(g)
     a = _conjugate(u, _diagonal(r, scale, False))
-    if other.ndim == r.ndim:  # the commuting branch
-        return a, _conjugate(u, _diagonal(other, scale, False))
-    return a, _general(*_pair(other), scale)
+    b = _conjugate(u, _diagonal(diagonal, scale, False))
+    return a, np.where(commuting[..., None, None], b, _general(*_pair(gaussian), scale))
 
 
 def _build_negative_cross(g, r, scale):
@@ -481,61 +507,57 @@ def _build_negative_cross(g, r, scale):
     return a, (c[..., None, None] if c.ndim else c) * a
 
 
-# kind -> (draw(rng, n, spec) -> drawn arrays, build(spec, *drawn) -> matrices)
+def _gaussian(rngs, n, spec):
+    """One ``(2, n, n)`` Gaussian draw per trial: a kind's only draw."""
+    return (_fill(rngs, "standard_normal", (2, n, n)),)
+
+
+# kind -> (draw(rngs, n, spec) -> drawn stacks, build(spec, *drawn) -> matrices).
+# A draw's arrays hold one row per generator; a kind whose trials draw
+# different shapes returns a list of groups (rows, drawn) instead.
 _KINDS = {
-    "unitary": (
-        lambda rng, n, spec: (rng.standard_normal((2, n, n)),),
-        lambda spec, g: (_unitary(g),),
-    ),
-    "self_adjoint": (
-        lambda rng, n, spec: (rng.standard_normal((2, n, n)),),
-        lambda spec, g: (symmetrize(_general(*_pair(g), spec.scale)),),
-    ),
+    "unitary": (_gaussian, lambda spec, g: (_unitary(g),)),
+    "self_adjoint": (_gaussian, lambda spec, g: (symmetrize(_general(*_pair(g), spec.scale)),)),
     "normal": (
-        lambda rng, n, spec: _draw_family(rng, n, 1),
+        lambda rngs, n, spec: _draw_family(rngs, n, 1),
         lambda spec, g, r: _build_family(g, r, spec.scale, spec.invertible),
     ),
-    "general": (
-        lambda rng, n, spec: (_draw_general(rng, n, spec.k or 1),),
+    "general": (  # a family of k in one call: k successive (real, imaginary) pairs
+        lambda rngs, n, spec: (_fill(rngs, "standard_normal", (spec.k or 1, 2, n, n)),),
         lambda spec, drawn: tuple(np.moveaxis(_general(*_pair(drawn), spec.scale), -3, 0)),
     ),
-    "anti_symmetric": (
-        lambda rng, n, spec: (rng.standard_normal((2, n, n)),),
-        lambda spec, g: (_skew(_general(*_pair(g), spec.scale)),),
-    ),
+    "anti_symmetric": (_gaussian, lambda spec, g: (_skew(_general(*_pair(g), spec.scale)),)),
     "commuting_normal_family": (
-        lambda rng, n, spec: _draw_family(rng, n, spec.k or 1),
+        lambda rngs, n, spec: _draw_family(rngs, n, spec.k or 1),
         lambda spec, g, r: _build_family(g, r, spec.scale, spec.invertible),
     ),
     "commuting_family_one_nonnormal": (
-        lambda rng, n, spec: _draw_one_nonnormal(  # k unset: a family of 3 or 4 per trial
-            rng, n, spec.k or int(3 + rng.integers(2))
-        ),
+        lambda rngs, n, spec: _draw_one_nonnormal(rngs, n, spec.k),
         lambda spec, g, special, r: _build_one_nonnormal(g, special, r, spec.scale),
     ),
     "commuting_positive_pair": (
-        lambda rng, n, spec: (rng.standard_normal((2, n, n)), rng.random((2, n))),
+        lambda rngs, n, spec: (*_gaussian(rngs, n, spec), _fill(rngs, "random", (2, n))),
         lambda spec, g, r: _build_positive_pair(g, _uniform(r, 0.0, spec.scale)),
     ),
     "sa_pair_normal_product": (
-        lambda rng, n, spec: _draw_sa_pair(rng, spec.scale),
+        lambda rngs, n, spec: _draw_sa_pair(rngs, spec.scale),
         lambda spec, g, a, b: _build_sa_pair(g, a, b),
     ),
     "negative_cross_pair": (
-        lambda rng, n, spec: (rng.standard_normal((2, n, n)), rng.random(2 * n + 2)),
+        lambda rngs, n, spec: (*_gaussian(rngs, n, spec), _fill(rngs, "random", (2 * n + 2,))),
         lambda spec, g, r: _build_negative_cross(g, r, spec.scale),
     ),
     "ordered_psd_pair": (
-        lambda rng, n, spec: _draw_ordered_psd(rng, n, spec.commuting),
+        lambda rngs, n, spec: _draw_ordered_psd(rngs, n, spec.commuting),
         lambda spec, g, other: _build_ordered_psd(g, other, spec.scale, spec.commuting),
     ),
     "sandwich_pair": (
-        lambda rng, n, spec: _draw_sandwich(rng, n, spec.scale),
+        lambda rngs, n, spec: _draw_sandwich(rngs, n),
         lambda spec, *drawn: _build_sandwich(*drawn, spec.scale),
     ),
     "fuglede_pair": (
-        lambda rng, n, spec: _draw_fuglede(rng, n),
-        lambda spec, g, r, other: _build_fuglede(g, r, other, spec.scale),
+        lambda rngs, n, spec: _draw_fuglede(rngs, n),
+        lambda spec, *drawn: _build_fuglede(*drawn, spec.scale),
     ),
 }
 
@@ -546,10 +568,12 @@ _KINDS = {
 
 def sample(spec: EnsembleSpec, n: int, seed) -> tuple[np.ndarray, ...]:
     """Draw one tuple of matrices for ``spec`` at dimension ``n`` (or the
-    spec's pinned dimension)."""
+    spec's pinned dimension): the draw over a list of one generator, and the
+    build of its one row."""
     n = spec.dim if spec.dim is not None else n
     draw, build = _KINDS[spec.kind]
-    return tuple(map(as_matrix, build(spec, *draw(_as_generator(seed), n, spec))))
+    ((_, drawn),) = _groups(draw([_as_generator(seed)], n, spec))
+    return tuple(map(as_matrix, build(spec, *[x[0] for x in drawn])))
 
 
 def sample_block(
@@ -558,92 +582,74 @@ def sample_block(
     """Generate trials ``start .. start + count - 1`` of the stream
     ``(master, tag)`` and yield them in stacks, or alone.
 
-    A stack is yielded as ``(seeds, matrices)``: a list of :class:`Seed` and
-    a tuple of ``(B, n, n)`` stacks whose slice ``i`` is bit-for-bit
-    ``sample(spec, n, seeds[i])``, at most ``max_bytes`` of matrices (and at
-    least one trial).  A trial that runs alone is yielded as ``(seed,
-    source)`` with ``sample(spec, n, source)`` its matrices.  The only trial
-    of a block and every 1x1 trial come with their undrawn generator (numpy
-    rounds the complex product ``u * d`` with a one-element ``d`` otherwise
-    on a stack); a trial whose draw, or whose stack's build, raises comes
-    with its Seed.
+    A stack is yielded as ``(trials, matrices)``: an array of trial numbers
+    and a tuple of ``(B, n, n)`` stacks whose slice ``i`` is bit-for-bit
+    ``sample(spec, n, Seed(master, tag, trials[i]))``, at most ``max_bytes``
+    of matrices (and at least one trial).  A trial that runs alone is
+    yielded as ``(trial, source)``, an int and what ``sample`` takes.  The
+    only trial of a block and every 1x1 trial come with their undrawn
+    generator (numpy rounds the complex product ``u * d`` with a one-element
+    ``d`` otherwise on a stack); each trial of a stack whose draw or build
+    raises comes with its :class:`Seed`.
 
-    Trials are drawn one by one into buffers, one set per drawn shape (a
-    family of 3 or 4, a branch taken), and a full set is built as one stack:
-    a set holds as many trials as fit in ``max_bytes``, counting a trial's
-    draws or its matrices, whichever is larger.
+    A stack holds as many trials as fit in ``max_bytes``, counting a trial's
+    draws or its matrices, whichever is larger.  Its draw makes each
+    trial's calls on that trial's generator, into the stack's buffers; a
+    kind whose trials draw different shapes (a family of 3 or 4) splits the
+    stack into one per shape.
     """
     if count == 1:  # the trial's Seed once, and its generator from it
-        seed = Seed(master, tag, start)
-        yield seed, seed.generator()
+        yield start, Seed(master, tag, start).generator()
         return
     n = spec.dim if spec.dim is not None else n
     end = start + count
-    rngs = zip(range(start, end), _block_generators(master, [tag], start, count))
+    rngs = _block_generators(master, [tag], start, count)
     if n == 1:
-        yield from ((Seed(master, tag, trial), rng) for trial, rng in rngs)
+        yield from zip(range(start, end), rngs)
         return
     draw, build = _KINDS[spec.kind]
-    groups = {}  # drawn shapes -> (seeds, one buffer per drawn array)
-    for trial, rng in rngs:
-        seed = Seed(master, tag, trial)
+    depth = max(1, max_bytes // _trial_bytes(spec, n))
+    for at in range(start, end, depth):
+        trials = np.arange(at, min(at + depth, end))
+        stack = [next(rngs) for _ in range(len(trials))]
         try:
-            drawn = draw(rng, n, spec)
+            built = [
+                (trials[rows], tuple(map(as_matrix, build(spec, *drawn))))
+                for rows, drawn in _groups(draw(stack, n, spec))
+            ]
         except Exception:
-            yield seed, seed
-            continue
-        # from a list: tuple() of a generator allocates 10 slots and shrinks
-        # the tuple, and CPython's free lists then keep such tuples by the
-        # thousand, which showed as a megabyte of resident memory
-        key = tuple([getattr(x, "shape", ()) for x in drawn])
-        if key not in groups:
-            arrays = [np.asarray(x) for x in drawn]
-            per_trial = max(sum(a.nbytes for a in arrays), _matrix_bytes(spec, key))
-            depth = max(1, min(end - trial, max_bytes // per_trial))
-            groups[key] = ([], [np.empty((depth,) + a.shape, a.dtype) for a in arrays])
-        seeds, slots = groups[key]
-        for slot, x in zip(slots, drawn):
-            slot[len(seeds)] = x
-        seeds.append(seed)
-        if len(seeds) == len(slots[0]):
-            del groups[key]
-            yield from _built_stack(spec, build, seeds, slots)
-    for seeds, slots in groups.values():
-        yield from _built_stack(spec, build, seeds, [s[: len(seeds)] for s in slots])
+            built = [(t, Seed(master, tag, t)) for t in trials.tolist()]
+        yield from built
 
 
 def sample_general(n: int, k: int, rngs: list) -> tuple[np.ndarray, ...]:
     """``sample(EnsembleSpec("general", k=k), n, rng)`` for every generator
-    in ``rngs``, as one stack: the ``k`` matrices of a single generator, or
-    ``k`` stacks of ``(B, n, n)`` whose slice ``i`` is bit-for-bit what
-    ``rngs[i]`` gives.  One draw per generator, then one build and one
-    finiteness check for all of them."""
+    in ``rngs``: the ``k`` matrices of a single generator, or ``k`` stacks
+    of ``(B, n, n)`` whose slice ``i`` is bit-for-bit what ``rngs[i]``
+    gives, from the ``general`` kind's draw over all of them and one build."""
+    spec = EnsembleSpec("general", k=k)
     if len(rngs) == 1:
-        drawn = _draw_general(rngs[0], n, k)
-    else:  # (k, 2, B, n, n): each built matrix is a contiguous (B, n, n) stack
-        drawn = np.stack([_draw_general(rng, n, k) for rng in rngs], axis=2)
-    family = as_matrix(_general(drawn[:, 0], drawn[:, 1], 1.0))
-    return tuple(family)
+        return sample(spec, n, rngs[0])
+    draw, build = _KINDS["general"]
+    return tuple(map(as_matrix, build(spec, *draw(rngs, n, spec))))
+
+
+def _groups(drawn) -> list:
+    """A draw's groups ``(rows, drawn)``; a tuple of stacks is one group."""
+    return drawn if isinstance(drawn, list) else [(slice(None), drawn)]
 
 
 @cache
-def _matrix_bytes(spec: EnsembleSpec, shapes: tuple) -> int:
-    """Bytes of the matrices one trial makes from draws of these shapes, so
-    that a stack of draws builds into one stack of matrices within the
-    same bound; counted on a build from zeros."""
-    _, build = _KINDS[spec.kind]
-    return sum(m.nbytes for m in build(spec, *(np.zeros(shape) for shape in shapes)))
-
-
-def _built_stack(spec, build, seeds, slots):
-    """One set of draws built as one stack, or its trials yielded alone when
-    the build raises."""
-    try:
-        mats = tuple(map(as_matrix, build(spec, *slots)))
-    except Exception:
-        yield from ((seed, seed) for seed in seeds)
-        return
-    yield seeds, mats
+def _trial_bytes(spec: EnsembleSpec, n: int) -> int:
+    """A trial's share of a stack's bytes: its draws or its matrices,
+    whichever is larger, at the largest family it may draw (4 for an unset
+    C-NFOLD size); counted on the draw of one trial and a build from zeros."""
+    if spec.kind == "commuting_family_one_nonnormal" and spec.k is None:
+        spec = replace(spec, k=4)
+    draw, build = _KINDS[spec.kind]
+    drawn = draw([np.random.default_rng(0)], n, spec)
+    matrices = build(spec, *map(np.zeros_like, drawn))
+    return max(sum(x.nbytes for x in drawn), sum(m.nbytes for m in matrices))
 
 
 def gen_general(n: int, seed, scale: float = 1.0) -> np.ndarray:

@@ -14,6 +14,16 @@ def test_demo_runs(script):
     runpy.run_path(str(script), run_name="__main__")
 
 
+def test_full_suite_demo_prints_the_same_on_every_run(capsys):
+    # demo 05 prints its suite report without the wall-time line
+    outputs = []
+    for _ in range(2):
+        runpy.run_path(str(DEMO_DIR / "05_full_suite.py"), run_name="__main__")
+        outputs.append(capsys.readouterr().out)
+    assert "verdict: pass\n" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_readme_quickstart_runs():
     # the README's first python block, run as written
     text = (ROOT / "README.md").read_text(encoding="utf-8")

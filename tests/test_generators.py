@@ -368,20 +368,25 @@ class TestSeedDerivation:
                 assert Seed(master, "t", trial).replay_master == int(ref)
 
 
-def block_slices(spec, n, master, tag, count, max_bytes=claims_module.STACK_BYTES):
-    """Every yielded stack of a block, checked slice by slice against sample."""
-    depths = []
-    for seeds, stack in sample_block(spec, n, master, tag, 0, count, max_bytes):
-        assert not isinstance(seeds, Seed), (seeds, stack)  # a stack, no trial alone
-        depths.append(len(seeds))
-        for i, seed in enumerate(seeds):
+def block_slices(spec, n, master, tag, count, max_bytes=claims_module.STACK_BYTES, start=0):
+    """Every yielded stack of a block, checked slice by slice against sample;
+    the only trial of a block of one, checked whole."""
+    numbers = []
+    for trials, stack in sample_block(spec, n, master, tag, start, count, max_bytes):
+        if count == 1:  # the one trial alone, with its undrawn generator
+            assert trials == start and isinstance(stack, np.random.Generator)
+            trials, stack = [start], tuple(m[None] for m in sample(spec, n, stack))
+        assert not isinstance(trials, int), (trials, stack)  # a stack, no trial alone
+        numbers.extend(trials)
+        for i, trial in enumerate(trials):
+            seed = Seed(master, tag, int(trial))
             single = sample(spec, n, seed)
             assert len(stack) == len(single)
             for m, s in zip(stack, single):
                 assert m[i].dtype == s.dtype and m[i].shape == s.shape
                 assert m[i].tobytes() == s.tobytes(), (spec, n, seed)
-        yield seeds, stack
-    assert sum(depths) == count
+        yield trials, stack
+    assert sorted(numbers) == list(range(start, start + count))
 
 
 def spec_id(s):
@@ -395,21 +400,27 @@ def test_every_block_slice_is_sample(spec):
         for master in MASTERS:
             # trials 0 .. 11: trial 0 is the one whose seed is not folded
             yields = list(block_slices(spec, n, master, f"block:{n}", 12))
-            assert any(len(seeds) > 1 for seeds, _ in yields)  # stacks, not single trials
+            assert any(len(trials) > 1 for trials, _ in yields)  # stacks, not single trials
+        # every block size from 1 to 17, from trial 0 and from trial 5, in
+        # stacks of up to STACK_BYTES and of up to 1 KiB (one trial at n = 8)
+        for count in range(1, 18):
+            for start in (0, 5):
+                for cap in (claims_module.STACK_BYTES, 1024):
+                    list(block_slices(spec, n, MASTERS[2], f"sizes:{n}", count, cap, start))
 
 
 def test_block_stacks_respect_the_byte_cap():
     spec = EnsembleSpec(kind="commuting_normal_family", k=3)
-    for seeds, stack in block_slices(spec, 8, 5, "cap", 40, max_bytes=8192):
-        assert len(seeds) == 1 or sum(m.nbytes for m in stack) <= 8192
+    for trials, stack in block_slices(spec, 8, 5, "cap", 40, max_bytes=8192):
+        assert len(trials) == 1 or sum(m.nbytes for m in stack) <= 8192
 
 
 def test_nfold_blocks_mix_family_sizes():
     spec = catalog()["C-NFOLD"].ensemble
     for n in BLOCK_DIMS:
         sizes = Counter()
-        for seeds, stack in block_slices(spec, n, 20170228, f"C-NFOLD:{n}", 40):
-            sizes[len(stack)] += len(seeds)
+        for trials, stack in block_slices(spec, n, 20170228, f"C-NFOLD:{n}", 40):
+            sizes[len(stack)] += len(trials)
         assert set(sizes) == {3, 4} and sum(sizes.values()) == 40
 
 
@@ -417,8 +428,8 @@ def test_fuglede_blocks_take_both_branches():
     spec = EnsembleSpec(kind="fuglede_pair")
     for n in BLOCK_DIMS:
         verdicts = Counter()
-        for seeds, (a, b) in block_slices(spec, n, 3, f"L-FUG:{n}", 40):
-            for i in range(len(seeds)):
+        for trials, (a, b) in block_slices(spec, n, 3, f"L-FUG:{n}", 40):
+            for i in range(len(trials)):
                 verdicts[bool(commutes(a[i], b[i]))] += 1
         assert verdicts[True] > 1 and verdicts[False] > 1
 
@@ -515,9 +526,9 @@ def in_reference_layout(spec, drawn):
         (r,) = rest
         out += [*on(r[:-2]).reshape(2, -1), complex(-on(r[-2]), on(r[-1], -1.0, 1.0))]
     elif kind == "fuglede_pair":
-        r, other = rest
+        r, commuting, diagonal, gaussian = rest
         out += [on(r[0]), on(r[1])]
-        out += [on(other[0]), on(other[1])] if other.ndim == 2 else [other[0], other[1]]
+        out += [on(diagonal[0]), on(diagonal[1])] if commuting else [gaussian[0], gaussian[1]]
     return out
 
 
@@ -537,9 +548,15 @@ FUSED_SPECS = sorted(
 )
 
 
+def one_trial_draw(rng, n, spec):
+    """A kind's draw over a list of one generator, as the row of that trial."""
+    draw, _ = generators._KINDS[spec.kind]
+    ((_, drawn),) = generators._groups(draw([rng], n, spec))
+    return [x[0] for x in drawn]
+
+
 @pytest.mark.parametrize("spec", FUSED_SPECS, ids=spec_id)
 def test_fused_draws_give_the_per_call_numbers(spec):
-    draw, _ = generators._KINDS[spec.kind]
     seen = Counter()  # (family size, special) pairs, or the fuglede branch
     for n in (1, 2, 3, 4, 8):
         n = spec.dim or n
@@ -551,9 +568,9 @@ def test_fused_draws_give_the_per_call_numbers(spec):
                     expected = reference_draw(ref_rng, n, spec)
                 except ValueError as exc:
                     with pytest.raises(ValueError, match=str(exc)):
-                        draw(rng, n, spec)
+                        one_trial_draw(rng, n, spec)
                     continue
-                drawn = draw(rng, n, spec)
+                drawn = one_trial_draw(rng, n, spec)
                 got = in_reference_layout(spec, drawn)
                 assert len(got) == len(expected)
                 for x, y in zip(got, expected):
@@ -564,8 +581,8 @@ def test_fused_draws_give_the_per_call_numbers(spec):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 if spec.kind == "commuting_family_one_nonnormal":
                     seen[(len(drawn[2]) - 2) // (2 * n), drawn[1]] += 1
-                elif spec.kind == "fuglede_pair":
-                    seen[drawn[2].ndim] += 1
+                elif spec.kind == "fuglede_pair":  # the drawn tail's ndim
+                    seen[2 if drawn[2] else 3] += 1
     if spec.kind == "commuting_family_one_nonnormal":  # every member has been the non-normal one
         sizes = (spec.k,) if spec.k else (3, 4)
         assert set(seen) == {(k, s) for k in sizes for s in range(k)}
@@ -580,10 +597,12 @@ class _ZeroC:
     def __init__(self, rng):
         self.rng, self.calls = rng, []
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         self.calls.append("standard_normal")
-        x = self.rng.standard_normal(size)
-        return np.zeros_like(x) if self.calls.count("standard_normal") in (3, 4) else x
+        x = self.rng.standard_normal(size, out=out)
+        if self.calls.count("standard_normal") in (3, 4):
+            x[...] = 0
+        return x
 
     def uniform(self, *args):
         self.calls.append("uniform")
@@ -595,17 +614,27 @@ def test_sandwich_draws_its_slack_only_for_nonzero_c():
     draw, build = generators._KINDS["sandwich_pair"]
     for n in BLOCK_DIMS:
         zero = _ZeroC(Seed(1, "zero").generator())
-        drawn = draw(zero, n, spec)
+        drawn = draw([zero], n, spec)
         assert zero.calls == ["standard_normal"] * 4  # no slack drawn
-        t, s = build(spec, *drawn)
+        t, s = build(spec, *(x[0] for x in drawn))
         assert not t.any() and is_positive(s)
-        # a stack mixing both branches: each slice is its one-trial build
-        rows = [draw(Seed(1, "mixed", t).generator(), n, spec) for t in range(5)]
-        rows.insert(2, drawn)
-        stacked = build(spec, *(np.stack(slot) for slot in zip(*rows)))
-        for i, row in enumerate(rows):
-            for m, single in zip(stacked, build(spec, *row)):
-                assert m[i].tobytes() == single.tobytes()
+        # a stack mixing both branches, drawn as one: the trial whose C = 0
+        # draws no slack and its generator stops where its four Gaussian
+        # draws leave it, and each slice is its one-trial build
+        zero = _ZeroC(Seed(1, "zero").generator())
+        rngs = [Seed(1, "mixed", trial).generator() for trial in range(5)]
+        rngs.insert(2, zero)
+        stacked = build(spec, *draw(rngs, n, spec))
+        assert zero.calls == ["standard_normal"] * 4
+        alone = Seed(1, "zero").generator()
+        for _ in range(4):
+            alone.standard_normal((n, n))
+        assert zero.rng.bit_generator.state == alone.bit_generator.state
+        singles = [sample(spec, n, Seed(1, "mixed", trial)) for trial in range(5)]
+        singles.insert(2, (t, s))
+        for i, single in enumerate(singles):
+            for m, one in zip(stacked, single):
+                assert m[i].tobytes() == one.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -624,12 +653,12 @@ def test_non_finite_draw_gives_the_one_trial_error_record(monkeypatch):
     # a stack whose build raises yields its trials alone, each with its Seed,
     # and sample raises the record's error for exactly the trials that have one
     raised = []
-    for seeds, source in sample_block(huge.ensemble, 2, 9, "L-ANTI:2", 0, 24, 1 << 16):
-        if isinstance(seeds, Seed):
-            assert source == seeds
+    for trial, source in sample_block(huge.ensemble, 2, 9, "L-ANTI:2", 0, 24, 1 << 16):
+        if isinstance(trial, int):
+            assert source == Seed(9, "L-ANTI:2", trial)
             try:
                 sample(huge.ensemble, 2, source)
             except ValueError as exc:
                 assert str(exc) == "matrix entries must be finite"
-                raised.append(seeds.trial)
+                raised.append(trial)
     assert raised == [r["trial"] for r in finite]

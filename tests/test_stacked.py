@@ -254,13 +254,13 @@ def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, sta
     bad_state = Seed(77, "L-ANTI:2", bad_trial).generator().bit_generator.state
 
     def sample_block_with_bad_trial(*args):
-        for seeds, stack in real_sample_block(*args):
-            trials = [] if isinstance(seeds, Seed) else [seed.trial for seed in seeds]
-            if bad_trial in trials:
+        for trials, stack in real_sample_block(*args):
+            numbers = [] if isinstance(trials, int) else trials.tolist()
+            if bad_trial in numbers:
                 stack = tuple(m.copy() for m in stack)
                 for m, bad in zip(stack, GATE_FAILING):
-                    m[trials.index(bad_trial)] = bad
-            yield seeds, stack
+                    m[numbers.index(bad_trial)] = bad
+            yield trials, stack
 
     def sample_with_bad_trial(spec, n, source):  # the draw of a trial run alone
         rng = generators._as_generator(source)  # its Seed, or a block of one's generator
@@ -369,14 +369,13 @@ def test_prodsa_cor_records_keep_the_keys_of_their_trial(monkeypatch, stack_log)
     claim, depth = catalog()["C-PRODSA-COR"], 32
     pol = TolerancePolicy(rel=1e-16, abs=1e-300)
     trials = _prodsa_cor_trials(depth)
-    seeds = [Seed(5, "C-PRODSA-COR:2", t) for t in range(depth)]
     stacked, single = claims_module.ClaimStats(claim.id), claims_module.ClaimStats(claim.id)
     stack = tuple(np.stack(slot) for slot in zip(*trials))
-    claims_module._run_group(claim, 2, seeds, stack, pol, stacked)
+    claims_module._run_group(claim, 2, 5, np.arange(depth), stack, pol, stacked)
     assert stack_log == [(claim.id, depth, depth * 128, False)]  # one stack, no split
     monkeypatch.setattr(claims_module, "sample", lambda spec, n, mats: mats)  # trials as given
-    for seed, mats in zip(seeds, trials):
-        claims_module._run_trial(claim, 2, seed, mats, pol, single)
+    for t, mats in enumerate(trials):
+        claims_module._run_trial(claim, 2, t, mats, pol, single)
     assert stacked.violations == single.violations
     for got, expected in zip(stacked.violations, single.violations):
         assert list(got["residuals"]) == list(expected["residuals"])
@@ -407,18 +406,34 @@ def test_all_pass_stack_keeps_the_trial_that_ranks_worst(monkeypatch, residuals,
     passed = np.ones(len(residuals), dtype=bool)
     evaluated = (passed, passed, {}, {"conclusion": np.array(residuals)})
     monkeypatch.setattr(claims_module, "_evaluate", lambda *_: evaluated)
-    seeds = [Seed(3, "C-TRI:2", t) for t in range(10, 10 + len(residuals))]
+    claim, trials = catalog()["C-TRI"], np.arange(10, 10 + len(residuals))
     picked, looped = (claims_module.ClaimStats("C-TRI") for _ in range(2))
     if prior is not None:
         for stats in (picked, looped):
             stats._keep_worst(prior[0], {"dim": prior[1], "trial": 0})
-    claims_module._run_group(catalog()["C-TRI"], 2, seeds, (), TolerancePolicy(), picked)
-    for seed, residual in zip(seeds, residuals):
-        looped._keep_worst(residual, claims_module._seed_record(seed, 2))
+    claims_module._run_group(claim, 2, 3, trials, (), TolerancePolicy(), picked)
+    for t, residual in zip(trials.tolist(), residuals):
+        looped._keep_worst(residual, claims_module._seed_record(claim, 2, t))
     assert picked.passes == len(residuals)
     assert picked.worst_residual_seed == looped.worst_residual_seed
     assert np.float64(picked.worst_residual).tobytes() == np.float64(looped.worst_residual).tobytes()
     assert type(picked.worst_residual) is float
+
+
+def test_an_all_pass_block_makes_a_seed_only_for_the_records_it_keeps(monkeypatch):
+    # stacks come with trial numbers, and a Seed is made for a record the
+    # block keeps (here only the worst trial's), not for every trial
+    made, real = [], Seed.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Seed, "__init__", counting)
+    _, stats = claims_module._run_block("C-TRI", 4, 250, 250, 5, TolerancePolicy())
+    assert stats.passes == 250 and not stats.violations and not stats.errors
+    assert stats.worst_residual_seed is not None
+    assert len(made) <= 1, len(made)
 
 
 def test_stacks_stay_within_the_byte_cap(stack_log):
