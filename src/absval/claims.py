@@ -91,10 +91,11 @@ class Claim:
 class ClaimInstance:
     claim_id: str
     matrices: tuple
-    seed: Seed | None = None  # None marks a registry instance
 
     def __post_init__(self):
         claim = catalog()[self.claim_id]
+        if not self.matrices:
+            raise ValueError(f"{self.claim_id} takes at least one matrix, got none")
         if claim.arity > 0 and len(self.matrices) != claim.arity:
             raise ValueError(
                 f"{self.claim_id} takes {claim.arity} matrices, got {len(self.matrices)}"

@@ -6,7 +6,8 @@ algebraic hypotheses (commutation, self-adjointness) are measure zero for
 generic random matrices.  Every generator is a pure function of its
 :class:`Seed`, so any trial can be replayed bit-for-bit.
 
-Every ensemble kind is two phases, held in one table (``_KINDS``):
+Every ensemble kind is two phases, ``draw(rngs, n, spec)`` and
+``build(spec, *drawn)``, held in one table (``_KINDS``):
 
 - a *draw* runs over a stack's generators, one per trial, and makes each
   trial's ``rng`` calls on its own generator, in a fixed order, into the
@@ -226,20 +227,20 @@ def _as_generator(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """What to draw for one claim: a kind, a family size and a scale.
+    """What to draw for one claim: a kind, and its family size and variants.
 
     ``k`` is the family size; None leaves it to the kind: one matrix, or a
     family of 3 or 4, drawn per trial, for the commuting family with one
     non-normal member.  ``dim`` pins the dimension for families that only
     exist at one size (the self-adjoint pair with normal product is
     inherently 2x2); None means the suite's requested dimension is used.
-    ``invertible`` moves normal spectra onto an annulus away from zero;
-    ``commuting`` selects the commuting variant of the ordered-PSD ensemble.
+    ``invertible`` moves normal spectra from the unit disk onto the annulus
+    0.1 <= |z| <= 1; ``commuting`` selects the commuting variant of the
+    ordered-PSD ensemble.
     """
 
     kind: str
     k: int | None = None
-    scale: float = 1.0
     dim: int | None = None
     invertible: bool = False
     commuting: bool = False
@@ -267,9 +268,9 @@ def _fill(rngs, method: str, shape) -> np.ndarray:
     return out
 
 
-def _general(re, im, scale):
-    """Complex Gaussian entries with standard deviation ``scale``."""
-    return scale * (re + 1j * im) / np.sqrt(2)
+def _general(re, im):
+    """Complex Gaussian entries with standard deviation 1."""
+    return (re + 1j * im) / np.sqrt(2)
 
 
 def _pair(g):
@@ -306,12 +307,12 @@ def _unitary(g):
     return q * _per_column(d / np.abs(d))
 
 
-def _diagonal(r, scale, invertible):
-    """Diagonal entries from a disk of radius scale, or an annulus
-    0.1*scale <= |z| <= scale when invertibility is required, made from
-    ``(..., 2, n)`` uniforms on [0, 1): the turns, then the radii."""
+def _diagonal(r, invertible):
+    """Diagonal entries from the unit disk, or the annulus 0.1 <= |z| <= 1
+    when invertibility is required, made from ``(..., 2, n)`` uniforms on
+    [0, 1): the turns, then the radii."""
     turns, radii = r[..., 0, :], r[..., 1, :]
-    mag = _uniform(radii, 0.1 * scale, scale) if invertible else scale * np.sqrt(radii)
+    mag = _uniform(radii, 0.1, 1.0) if invertible else np.sqrt(radii)
     return mag * np.exp(2j * np.pi * turns)
 
 
@@ -320,26 +321,26 @@ def _conjugate(u, d):
     return (u * _per_column(d)) @ u.conj().swapaxes(-1, -2)
 
 
-def _draw_family(rngs, n, k):
+def _draw_family(rngs, n, spec):
     """The eigenbasis' Gaussians, then each member's diagonal."""
-    return _fill(rngs, "standard_normal", (2, n, n)), _fill(rngs, "random", (k, 2, n))
+    return _fill(rngs, "standard_normal", (2, n, n)), _fill(rngs, "random", (spec.k or 1, 2, n))
 
 
-def _build_family(g, r, scale, invertible):
+def _build_family(spec, g, r):
     """Pairwise-commuting normal matrices sharing one random eigenbasis."""
     u = _unitary(g)
     return tuple(
-        _conjugate(u, _diagonal(r[..., i, :, :], scale, invertible)) for i in range(r.shape[-3])
+        _conjugate(u, _diagonal(r[..., i, :, :], spec.invertible)) for i in range(r.shape[-3])
     )
 
 
-def _build_positive_pair(g, d):
-    """Two commuting PSD matrices: one eigenbasis, nonnegative diagonals."""
-    u = _unitary(g)
+def _build_positive_pair(spec, g, r):
+    """Two commuting PSD matrices: one eigenbasis, diagonals on [0, 1)."""
+    u, d = _unitary(g), _uniform(r, 0.0, 1.0)
     return _conjugate(u, d[..., 0, :]), _conjugate(u, d[..., 1, :])
 
 
-def _draw_one_nonnormal(rngs, n, k):
+def _draw_one_nonnormal(rngs, n, spec):
     """The unitary's Gaussians, the index of the non-normal member, then
     each member's diagonal with the non-normal member's off-diagonal entry
     right after its own: ``2kn + 2`` uniforms.  With ``k`` None each trial
@@ -347,20 +348,20 @@ def _draw_one_nonnormal(rngs, n, k):
     rest together, as the group ``(rows, drawn)`` of a list."""
     if n < 2:
         raise ValueError("non-normal commuting families need n >= 2")
-    if k is None:
+    if spec.k is None:
         sizes = np.array([3 + rng.integers(2) for rng in rngs])
         groups = [(np.flatnonzero(sizes == size), size) for size in (3, 4)]
         return [
-            (rows, _draw_one_nonnormal([rngs[i] for i in rows], n, size))
+            (rows, _draw_one_nonnormal([rngs[i] for i in rows], n, replace(spec, k=size)))
             for rows, size in groups
             if rows.size
         ]
     g = _fill(rngs, "standard_normal", (2, n, n))
-    special = np.array([rng.integers(k) for rng in rngs])
-    return g, special, _fill(rngs, "random", (2 * k * n + 2,))
+    special = np.array([rng.integers(spec.k) for rng in rngs])
+    return g, special, _fill(rngs, "random", (2 * spec.k * n + 2,))
 
 
-def _build_one_nonnormal(g, special, r, scale):
+def _build_one_nonnormal(spec, g, special, r):
     """The non-normal member carries a 2x2 upper-triangular block on the
     first two basis vectors; every other member's diagonal is constant on
     that block, which is exactly what pairwise commutation requires."""
@@ -372,11 +373,11 @@ def _build_one_nonnormal(g, special, r, scale):
     j = np.arange(2 * k * n)
     diagonals = np.take_along_axis(r, j + 2 * (j >= at), -1).reshape(r.shape[:-1] + (k, 2, n))
     corner = np.take_along_axis(r, at + np.arange(2), -1)
-    corner = _uniform(corner[..., 0], 0.3 * scale, scale) * np.exp(2j * np.pi * corner[..., 1])
+    corner = _uniform(corner[..., 0], 0.3, 1.0) * np.exp(2j * np.pi * corner[..., 1])
     adj = u.conj().swapaxes(-1, -2)
     out = []
     for member in range(k):
-        d = _diagonal(diagonals[..., member, :, :], scale, False)
+        d = _diagonal(diagonals[..., member, :, :], False)
         d[..., 1] = d[..., 0]
         inner = np.zeros(d.shape + (n,), dtype=complex)
         inner[..., range(n), range(n)] = d
@@ -390,7 +391,7 @@ def _plane_reflection(angle: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def _draw_sa_pair(rngs, scale):
+def _draw_sa_pair(rngs, n, spec):
     """The unitary's Gaussians, then A and B before conjugation: real
     multiples of plane reflections, drawn by rejection, trial by trial."""
     g = _fill(rngs, "standard_normal", (2, 2, 2))
@@ -401,8 +402,8 @@ def _draw_sa_pair(rngs, scale):
             if abs(np.sin(2 * (phi - psi))) >= 0.1:
                 break
         while True:
-            mags = rng.uniform(0.1 * scale, scale, 2)
-            if abs(mags[0] - mags[1]) >= 0.05 * scale:
+            mags = rng.uniform(0.1, 1.0, 2)
+            if abs(mags[0] - mags[1]) >= 0.05:
                 break
         signs = rng.choice([-1.0, 1.0], 2)
         a[i] = signs[0] * mags[0] * _plane_reflection(phi)
@@ -410,7 +411,7 @@ def _draw_sa_pair(rngs, scale):
     return g, a, b
 
 
-def _build_sa_pair(g, a, b):
+def _build_sa_pair(spec, g, a, b):
     """A and B conjugated by one random unitary.  The product of two
     reflections is a rotation, hence normal; it is neither self-adjoint nor
     commuting while the axes are neither aligned nor perpendicular."""
@@ -419,7 +420,7 @@ def _build_sa_pair(g, a, b):
     return u @ a @ adj, u @ b @ adj
 
 
-def _draw_sandwich(rngs, n):
+def _draw_sandwich(rngs, n, spec):
     """G's and C's Gaussians (four calls a trial), ||C|| for the whole stack
     in one call and, for each trial whose C != 0, the slack that squeezes C
     into a contraction: whether that uniform is drawn depends on C."""
@@ -427,21 +428,21 @@ def _draw_sandwich(rngs, n):
     for rng, row in zip(rngs, gc):
         for part in row:
             rng.standard_normal(out=part)
-    top = operator_norm(symmetrize(_general(gc[:, 2], gc[:, 3], 1.0)))
+    top = operator_norm(symmetrize(_general(gc[:, 2], gc[:, 3])))
     slack = np.zeros(len(rngs))
     for i in np.flatnonzero(top > 0):
         slack[i] = rngs[i].uniform(0.05, 1.0)
     return *gc.swapaxes(0, 1), top, slack
 
 
-def _build_sandwich(g_re, g_im, c_re, c_im, top, slack, scale):
+def _build_sandwich(spec, g_re, g_im, c_re, c_im, top, slack):
     """T = S^(1/2) C S^(1/2) with S = G* G >= 0 and C a Hermitian
     contraction, so -S <= T <= S exactly rather than by filtering."""
-    g = _general(g_re, g_im, scale)
+    g = _general(g_re, g_im)
     s = symmetrize(adjoint(g) @ g)
     w, u = np.linalg.eigh(s)
     root = (u * _per_column(np.sqrt(np.clip(w, 0.0, None)))) @ u.conj().swapaxes(-1, -2)
-    c = symmetrize(_general(c_re, c_im, 1.0))
+    c = symmetrize(_general(c_re, c_im))
     if np.ndim(top):  # a stack: squeeze every C that is not 0
         squeeze = top > 0
         denominator = np.where(squeeze, top * (1.0 + slack), 1.0)[..., None, None]
@@ -451,29 +452,29 @@ def _build_sandwich(g_re, g_im, c_re, c_im, top, slack, scale):
     return symmetrize(root @ c @ root), s
 
 
-def _draw_ordered_psd(rngs, n, commuting):
+def _draw_ordered_psd(rngs, n, spec):
     """B's Gaussians, then the increment's eigenvalues or its Gaussians."""
-    if commuting:
+    if spec.commuting:
         return _fill(rngs, "standard_normal", (2, n, n)), _fill(rngs, "random", (n,))
     g = _fill(rngs, "standard_normal", (2, 2, n, n))
     return g[:, 0], g[:, 1]
 
 
-def _build_ordered_psd(g, other, scale, commuting):
+def _build_ordered_psd(spec, g, other):
     """(A, B) with A >= B >= 0; the increment lives on B's eigenbasis when a
     commuting pair is requested."""
-    g = _general(*_pair(g), scale)
+    g = _general(*_pair(g))
     b = symmetrize(adjoint(g) @ g)
-    if commuting:
+    if spec.commuting:
         _, u = np.linalg.eigh(b)
-        a = b + (u * _per_column(_uniform(other, 0.0, scale))) @ u.conj().swapaxes(-1, -2)
+        a = b + (u * _per_column(_uniform(other, 0.0, 1.0))) @ u.conj().swapaxes(-1, -2)
     else:
-        h = _general(*_pair(other), scale)
+        h = _general(*_pair(other))
         a = b + symmetrize(adjoint(h) @ h)
     return symmetrize(a), b
 
 
-def _draw_fuglede(rngs, n):
+def _draw_fuglede(rngs, n, spec):
     """A's Gaussians and diagonal, then a branch per trial and its tail: B's
     diagonal on A's basis (``(2, n)`` uniforms) or B's Gaussians
     (``(2, n, n)``).  Each tail buffer holds zeros for the other branch."""
@@ -488,20 +489,20 @@ def _draw_fuglede(rngs, n):
     return g, r, commuting, diagonal, gaussian
 
 
-def _build_fuglede(g, r, commuting, diagonal, gaussian, scale):
+def _build_fuglede(spec, g, r, commuting, diagonal, gaussian):
     """A normal; B on A's eigenbasis, so commuting, or a general matrix:
     both are built, and each trial takes its branch's."""
     u = _unitary(g)
-    a = _conjugate(u, _diagonal(r, scale, False))
-    b = _conjugate(u, _diagonal(diagonal, scale, False))
-    return a, np.where(commuting[..., None, None], b, _general(*_pair(gaussian), scale))
+    a = _conjugate(u, _diagonal(r, False))
+    b = _conjugate(u, _diagonal(diagonal, False))
+    return a, np.where(commuting[..., None, None], b, _general(*_pair(gaussian)))
 
 
-def _build_negative_cross(g, r, scale):
+def _build_negative_cross(spec, g, r):
     """(A, B) with A normal, B = c A for Re(c) <= 0, so A*B + B*A <= 0 and
     the pair commutes exactly.  ``r`` holds A's diagonal, then c's two
     uniforms."""
-    (a,) = _build_family(g, r[..., :-2].reshape(r.shape[:-1] + (1, 2, -1)), scale, False)
+    a = _conjugate(_unitary(g), _diagonal(r[..., :-2].reshape(r.shape[:-1] + (2, -1)), False))
     c = np.empty(r.shape[:-1], dtype=complex)
     c.real, c.imag = -r[..., -2], _uniform(r[..., -1], -1.0, 1.0)
     return a, (c[..., None, None] if c.ndim else c) * a
@@ -517,48 +518,27 @@ def _gaussian(rngs, n, spec):
 # different shapes returns a list of groups (rows, drawn) instead.
 _KINDS = {
     "unitary": (_gaussian, lambda spec, g: (_unitary(g),)),
-    "self_adjoint": (_gaussian, lambda spec, g: (symmetrize(_general(*_pair(g), spec.scale)),)),
-    "normal": (
-        lambda rngs, n, spec: _draw_family(rngs, n, 1),
-        lambda spec, g, r: _build_family(g, r, spec.scale, spec.invertible),
-    ),
+    "self_adjoint": (_gaussian, lambda spec, g: (symmetrize(_general(*_pair(g))),)),
+    "normal": (_draw_family, _build_family),
     "general": (  # a family of k in one call: k successive (real, imaginary) pairs
         lambda rngs, n, spec: (_fill(rngs, "standard_normal", (spec.k or 1, 2, n, n)),),
-        lambda spec, drawn: tuple(np.moveaxis(_general(*_pair(drawn), spec.scale), -3, 0)),
+        lambda spec, drawn: tuple(np.moveaxis(_general(*_pair(drawn)), -3, 0)),
     ),
-    "anti_symmetric": (_gaussian, lambda spec, g: (_skew(_general(*_pair(g), spec.scale)),)),
-    "commuting_normal_family": (
-        lambda rngs, n, spec: _draw_family(rngs, n, spec.k or 1),
-        lambda spec, g, r: _build_family(g, r, spec.scale, spec.invertible),
-    ),
-    "commuting_family_one_nonnormal": (
-        lambda rngs, n, spec: _draw_one_nonnormal(rngs, n, spec.k),
-        lambda spec, g, special, r: _build_one_nonnormal(g, special, r, spec.scale),
-    ),
+    "anti_symmetric": (_gaussian, lambda spec, g: (_skew(_general(*_pair(g))),)),
+    "commuting_normal_family": (_draw_family, _build_family),
+    "commuting_family_one_nonnormal": (_draw_one_nonnormal, _build_one_nonnormal),
     "commuting_positive_pair": (
         lambda rngs, n, spec: (*_gaussian(rngs, n, spec), _fill(rngs, "random", (2, n))),
-        lambda spec, g, r: _build_positive_pair(g, _uniform(r, 0.0, spec.scale)),
+        _build_positive_pair,
     ),
-    "sa_pair_normal_product": (
-        lambda rngs, n, spec: _draw_sa_pair(rngs, spec.scale),
-        lambda spec, g, a, b: _build_sa_pair(g, a, b),
-    ),
+    "sa_pair_normal_product": (_draw_sa_pair, _build_sa_pair),
     "negative_cross_pair": (
         lambda rngs, n, spec: (*_gaussian(rngs, n, spec), _fill(rngs, "random", (2 * n + 2,))),
-        lambda spec, g, r: _build_negative_cross(g, r, spec.scale),
+        _build_negative_cross,
     ),
-    "ordered_psd_pair": (
-        lambda rngs, n, spec: _draw_ordered_psd(rngs, n, spec.commuting),
-        lambda spec, g, other: _build_ordered_psd(g, other, spec.scale, spec.commuting),
-    ),
-    "sandwich_pair": (
-        lambda rngs, n, spec: _draw_sandwich(rngs, n),
-        lambda spec, *drawn: _build_sandwich(*drawn, spec.scale),
-    ),
-    "fuglede_pair": (
-        lambda rngs, n, spec: _draw_fuglede(rngs, n),
-        lambda spec, *drawn: _build_fuglede(*drawn, spec.scale),
-    ),
+    "ordered_psd_pair": (_draw_ordered_psd, _build_ordered_psd),
+    "sandwich_pair": (_draw_sandwich, _build_sandwich),
+    "fuglede_pair": (_draw_fuglede, _build_fuglede),
 }
 
 
@@ -652,9 +632,9 @@ def _trial_bytes(spec: EnsembleSpec, n: int) -> int:
     return max(sum(x.nbytes for x in drawn), sum(m.nbytes for m in matrices))
 
 
-def gen_general(n: int, seed, scale: float = 1.0) -> np.ndarray:
+def gen_general(n: int, seed) -> np.ndarray:
     """One matrix of independent complex Gaussian entries with standard
-    deviation ``scale``: ``sample(EnsembleSpec("general", scale=scale), n,
-    seed)[0]``.  Called in turn on one generator, it draws a probe trial's
-    operands (see :func:`sample_general`)."""
-    return sample(EnsembleSpec("general", scale=scale), n, seed)[0]
+    deviation 1: ``sample(EnsembleSpec("general"), n, seed)[0]``.  Called
+    in turn on one generator, it draws a probe trial's operands (see
+    :func:`sample_general`)."""
+    return sample(EnsembleSpec("general"), n, seed)[0]

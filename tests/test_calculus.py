@@ -35,8 +35,8 @@ def cm(rows):
     return as_matrix(rows)
 
 
-def random_psd(n, seed, scale=1.0):
-    g = gen_general(n, seed, scale)
+def random_psd(n, seed):
+    g = gen_general(n, seed)
     return symmetrize(adjoint(g) @ g)
 
 

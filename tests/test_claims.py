@@ -202,6 +202,11 @@ class TestCheckClaim:
         with pytest.raises(ValueError):
             ClaimInstance("C-TRI", (np.eye(2, dtype=complex),))
 
+    def test_empty_family_is_rejected(self):
+        # C-NFOLD's family size is set per trial, so no count check catches ()
+        with pytest.raises(ValueError, match="C-NFOLD"):
+            ClaimInstance("C-NFOLD", ())
+
     def test_unknown_claim(self):
         with pytest.raises(KeyError):
             ClaimInstance("NOT-A-CLAIM", ())
