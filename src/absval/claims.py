@@ -1035,10 +1035,11 @@ def _seed_record(claim: Claim, dim: int, trial: int) -> dict:
     return {"seed": None, "claim_tag": f"{claim.id}:{dim}", "dim": dim, "trial": trial}
 
 
-# Cap on the bytes of input matrices evaluated in one stacked call.  A stack's
-# live intermediates peak at about 15 times its inputs (C-EIGHT), so the cap
-# bounds the memory a block adds; at 64 KiB a stack holds 32 trials of two
-# 8x8 matrices, and every trial of a 250-trial block at n = 2.
+# Cap on the bytes of one operand's (B, n, n) complex stack, which sets a
+# stack's depth for every claim: 64 trials at n = 8, and every trial of a
+# 250-trial block at n <= 4.  A stack's live intermediates are a small
+# multiple of its operands, so the cap bounds the memory a block adds (a
+# 250-trial block peaks under 2 MiB traced at n = 4 and 8).
 STACK_BYTES = 64 * 1024
 
 
@@ -1047,15 +1048,15 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     :class:`ClaimStats`, which process pools ship back whole.
 
     :func:`sample_block` derives the block's seeds in one pass and draws and
-    builds the matrices as ``(B, n, n)`` stacks of at most ``STACK_BYTES``,
-    each slice bit-for-bit what :func:`sample` gives its trial, and yields
-    them with their trial numbers; :func:`_run_group` reads a stack's
-    verdicts and records from its arrays.  A trial that runs alone (the only
-    trial of a block, as every replay is, a 1x1 trial, and each trial of a
-    stack whose draw, build or evaluation raises) runs through
-    :func:`_run_trial`, so it counts as it would in any block.  A
-    :class:`Seed` is made only for a trial re-run alone and for a record
-    the block keeps.
+    builds the matrices as ``(B, n, n)`` stacks of at most ``STACK_BYTES``
+    each, as deep for every claim at a dim, each slice bit-for-bit what
+    :func:`sample` gives its trial, and yields them with their trial
+    numbers; :func:`_run_group` reads a stack's verdicts and records from
+    its arrays.  A trial that runs alone (the only trial of a block, as
+    every replay is, a 1x1 trial, and each trial of a stack whose draw,
+    build or evaluation raises) runs through :func:`_run_trial`, so it
+    counts as it would in any block.  A :class:`Seed` is made only for a
+    trial re-run alone and for a record the block keeps.
     """
     claim = catalog()[claim_id]
     stats = ClaimStats(claim_id, trials=count)
@@ -1245,7 +1246,9 @@ def _probe_plan(claim_ids: tuple, dim: int, count: int, stack_bytes: int):
     """The calls of a probe, whatever its master seed: the claims in run
     order, their tags, and per draw of ``size`` trials of arity ``k`` the
     ``(conclusion, at, stop, flip)`` of each run of rows that share a
-    conclusion, ``flip`` the rows of A - B forms among them if any."""
+    conclusion, ``flip`` the rows of A - B forms among them if any.  A draw
+    holds as many trials as one ``(B, n, n)`` operand stack fits in
+    ``stack_bytes``, whatever its arity, as in :func:`sample_block`."""
     table = _checked_claims(claim_ids)
     runs = {}  # the claims of one arity share each draw, of one conclusion each stack
     for cid in claim_ids:
@@ -1258,7 +1261,7 @@ def _probe_plan(claim_ids: tuple, dim: int, count: int, stack_bytes: int):
         # a row per trial: its conclusion, and whether it is an A - B form
         rows = [(key[1], hasattr(table[cid].conclusion, "plus_form"))
                 for key in same_arity for cid in runs[key] for _ in range(count)]
-        depth = 1 if dim == 1 else max(1, stack_bytes // (k * dim * dim * 16))
+        depth = 1 if dim == 1 else max(1, stack_bytes // (16 * dim * dim))
         for start in range(0, len(rows), depth):
             parts, at = [], 0
             for conclusion, part in groupby(rows[start : start + depth], key=lambda row: row[0]):
@@ -1308,10 +1311,11 @@ def probe_conclusions(
     Trial ``t`` of a claim draws its ``arity`` matrices (3 for a family
     claim) in turn from ``Seed(master_seed, "probe:{id}:{dim}", t)``, all
     seeds derived in one pass.  Draws are ``(B, n, n)`` stacks of at most
-    ``STACK_BYTES`` (1x1 trials one at a time, as in :func:`sample_block`);
-    claims that share a conclusion share its stacks, an A - B form on the
-    negated second operand (:func:`_minus_form`).  A stack that raises is
-    split by :func:`_split_on_raise`, so each trial counts as it would alone.
+    ``STACK_BYTES`` each (1x1 trials one at a time, as in
+    :func:`sample_block`); claims that share a conclusion share its stacks,
+    an A - B form on the negated second operand (:func:`_minus_form`).  A
+    stack that raises is split by :func:`_split_on_raise`, so each trial
+    counts as it would alone.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

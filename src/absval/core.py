@@ -185,8 +185,12 @@ def frobenius(a: np.ndarray):
 
 
 def symmetrize(h: np.ndarray) -> np.ndarray:
-    """Hermitian part (h + h*)/2; exactly equal to its own conjugate transpose."""
-    return (h + h.conj().swapaxes(-1, -2)) / 2
+    """Hermitian part (h + h*)/2, made in one new buffer; exactly equal to
+    its own conjugate transpose."""
+    out = adjoint(h).astype(np.result_type(h, 0.5), copy=False)  # an integer h halves to floats
+    out += h
+    out /= 2
+    return out
 
 
 def equality(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):

@@ -13,7 +13,7 @@ Every ensemble kind is two phases, ``draw(rngs, n, spec)`` and
   trial's ``rng`` calls on its own generator, in a fixed order, into the
   stack's ``(B, ...)`` buffers with ``out=``: one call for all of a
   trial's Gaussians and one for all of its uniforms (``integers``,
-  rejection loops and the sandwich's draws stay apart, as the stream or
+  rejection loops and the sandwich's slack stay apart, as the stream or
   the draw's own branching needs).  Draws that depend on earlier ones are
   made in stages over the same generators;
 - a shape-polymorphic *build* turns drawn arrays into matrices: the maps
@@ -421,13 +421,10 @@ def _build_sa_pair(spec, g, a, b):
 
 
 def _draw_sandwich(rngs, n, spec):
-    """G's and C's Gaussians (four calls a trial), ||C|| for the whole stack
+    """G's and C's Gaussians (one call a trial), ||C|| for the whole stack
     in one call and, for each trial whose C != 0, the slack that squeezes C
     into a contraction: whether that uniform is drawn depends on C."""
-    gc = np.empty((len(rngs), 4, n, n))
-    for rng, row in zip(rngs, gc):
-        for part in row:
-            rng.standard_normal(out=part)
+    gc = _fill(rngs, "standard_normal", (4, n, n))
     top = operator_norm(symmetrize(_general(gc[:, 2], gc[:, 3])))
     slack = np.zeros(len(rngs))
     for i in np.flatnonzero(top > 0):
@@ -563,20 +560,20 @@ def sample_block(
     ``(master, tag)`` and yield them in stacks, or alone.
 
     A stack is yielded as ``(trials, matrices)``: an array of trial numbers
-    and a tuple of ``(B, n, n)`` stacks whose slice ``i`` is bit-for-bit
-    ``sample(spec, n, Seed(master, tag, trials[i]))``, at most ``max_bytes``
-    of matrices (and at least one trial).  A trial that runs alone is
-    yielded as ``(trial, source)``, an int and what ``sample`` takes.  The
+    and a tuple of ``(B, n, n)`` stacks, each of at most ``max_bytes`` (or
+    of one trial), whose slice ``i`` is bit-for-bit ``sample(spec, n,
+    Seed(master, tag, trials[i]))``.  A trial that runs alone is yielded as
+    ``(trial, source)``, an int and what ``sample`` takes.  The
     only trial of a block and every 1x1 trial come with their undrawn
     generator (numpy rounds the complex product ``u * d`` with a one-element
     ``d`` otherwise on a stack); each trial of a stack whose draw or build
     raises comes with its :class:`Seed`.
 
-    A stack holds as many trials as fit in ``max_bytes``, counting a trial's
-    draws or its matrices, whichever is larger.  Its draw makes each
-    trial's calls on that trial's generator, into the stack's buffers; a
-    kind whose trials draw different shapes (a family of 3 or 4) splits the
-    stack into one per shape.
+    A stack holds as many trials as one ``(B, n, n)`` complex matrix stack
+    fits in ``max_bytes``, the same depth for every kind.  Its draw makes
+    each trial's calls on that trial's generator, into the stack's buffers;
+    a kind whose trials draw different shapes (a family of 3 or 4) splits
+    the stack's trials into one group per shape.
     """
     if count == 1:  # the trial's Seed once, and its generator from it
         yield start, Seed(master, tag, start).generator()
@@ -588,7 +585,7 @@ def sample_block(
         yield from zip(range(start, end), rngs)
         return
     draw, build = _KINDS[spec.kind]
-    depth = max(1, max_bytes // _trial_bytes(spec, n))
+    depth = max(1, max_bytes // (16 * n * n))
     for at in range(start, end, depth):
         trials = np.arange(at, min(at + depth, end))
         stack = [next(rngs) for _ in range(len(trials))]
@@ -617,19 +614,6 @@ def sample_general(n: int, k: int, rngs: list) -> tuple[np.ndarray, ...]:
 def _groups(drawn) -> list:
     """A draw's groups ``(rows, drawn)``; a tuple of stacks is one group."""
     return drawn if isinstance(drawn, list) else [(slice(None), drawn)]
-
-
-@cache
-def _trial_bytes(spec: EnsembleSpec, n: int) -> int:
-    """A trial's share of a stack's bytes: its draws or its matrices,
-    whichever is larger, at the largest family it may draw (4 for an unset
-    C-NFOLD size); counted on the draw of one trial and a build from zeros."""
-    if spec.kind == "commuting_family_one_nonnormal" and spec.k is None:
-        spec = replace(spec, k=4)
-    draw, build = _KINDS[spec.kind]
-    drawn = draw([np.random.default_rng(0)], n, spec)
-    matrices = build(spec, *map(np.zeros_like, drawn))
-    return max(sum(x.nbytes for x in drawn), sum(m.nbytes for m in matrices))
 
 
 def gen_general(n: int, seed) -> np.ndarray:

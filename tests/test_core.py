@@ -52,6 +52,18 @@ class TestAdjoint:
             assert adjoint(adjoint(a)).tobytes() == a.tobytes()
 
 
+def test_symmetrize_is_the_three_array_form():
+    # made in one buffer: bit for bit (h + h*) / 2 in value, dtype and layout,
+    # on complex, real, integer and transposed input, which stays as it was
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    for h in (g, g.real.copy(), g.swapaxes(-1, -2), np.arange(9).reshape(3, 3)):
+        before, want = h.copy(), (h + h.conj().swapaxes(-1, -2)) / 2
+        got = symmetrize(h)
+        assert (got.dtype, got.strides, got.tobytes()) == (want.dtype, want.strides, want.tobytes())
+        assert h.tobytes() == before.tobytes()
+
+
 # Entries are kept moderate so the error bound below is meaningful, not
 # because the operations care.
 _entry = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)

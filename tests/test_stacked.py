@@ -10,6 +10,7 @@ slice identity fail loudly instead.
 
 import dataclasses
 import json
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -225,15 +226,15 @@ GATE_FAILING = (as_matrix([[0, 1e200], [-1e200, 0]]),)
 
 @pytest.fixture
 def stack_log(monkeypatch):
-    """Record every stacked evaluation: (claim, depth, bytes, all passed),
-    where a stack that raises has not passed."""
+    """Record every stacked evaluation: (claim, depth, bytes of its largest
+    operand stack, all passed), where a stack that raises has not passed."""
     log = []
     real = claims_module._evaluate
 
     def recording(claim, mats, pol):
         if mats[0].ndim == 2:  # one trial
             return real(claim, mats, pol)
-        entry = (claim.id, len(mats[0]), sum(m.nbytes for m in mats))
+        entry = (claim.id, len(mats[0]), max(m.nbytes for m in mats))
         try:
             result = real(claim, mats, pol)
         except Exception:
@@ -324,7 +325,7 @@ def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, sta
     assert any(ok for *_, ok in stack_log) and not all(ok for *_, ok in stack_log)
     depths = {depth for _, depth, _, _ in stack_log}
 
-    monkeypatch.setattr(claims_module, "STACK_BYTES", 2048)  # 16 deep at n = 2, 1 at n = 8
+    monkeypatch.setattr(claims_module, "STACK_BYTES", 2048)  # 32 deep at n = 2, 2 at n = 8
     stack_log.clear()
     partial, _ = _report_json(pol)
     assert stack_log and {depth for _, depth, _, _ in stack_log} != depths
@@ -372,7 +373,7 @@ def test_prodsa_cor_records_keep_the_keys_of_their_trial(monkeypatch, stack_log)
     stacked, single = claims_module.ClaimStats(claim.id), claims_module.ClaimStats(claim.id)
     stack = tuple(np.stack(slot) for slot in zip(*trials))
     claims_module._run_group(claim, 2, 5, np.arange(depth), stack, pol, stacked)
-    assert stack_log == [(claim.id, depth, depth * 128, False)]  # one stack, no split
+    assert stack_log == [(claim.id, depth, depth * 64, False)]  # one stack, no split
     monkeypatch.setattr(claims_module, "sample", lambda spec, n, mats: mats)  # trials as given
     for t, mats in enumerate(trials):
         claims_module._run_trial(claim, 2, t, mats, pol, single)
@@ -436,14 +437,49 @@ def test_an_all_pass_block_makes_a_seed_only_for_the_records_it_keeps(monkeypatc
     assert len(made) <= 1, len(made)
 
 
-def test_stacks_stay_within_the_byte_cap(stack_log):
+def test_stacks_stay_within_the_byte_cap(monkeypatch, stack_log):
+    # every claim's stack holds as many trials as one (B, n, n) operand stack
+    # fits in STACK_BYTES; C-NFOLD's groups of family sizes 3 and 4 together
+    drawn, real = [], claims_module.sample_block
+
+    def recording(spec, n, master, tag, *args):
+        for trials, stack in real(spec, n, master, tag, *args):
+            drawn.append((tag, trials))
+            yield trials, stack
+
+    monkeypatch.setattr(claims_module, "sample_block", recording)
     run_suite(["C-EIGHT", "C-NFOLD", "C-TRIN"], (2, 8), 250, 3, TolerancePolicy(rel=1e-8))
     assert all(nbytes <= claims_module.STACK_BYTES for _, _, nbytes, _ in stack_log)
-    deepest = defaultdict(int)  # (claim, bytes per trial) -> deepest stack
+    deepest = defaultdict(int)  # (claim, bytes per operand) -> deepest stack
     for cid, depth, nbytes, _ in stack_log:
         deepest[cid, nbytes // depth] = max(deepest[cid, nbytes // depth], depth)
-    assert deepest["C-EIGHT", 2 * 64] == 250  # a whole block at n = 2
-    assert deepest["C-EIGHT", 2 * 1024] == claims_module.STACK_BYTES // 2048
+    for cid in ("C-EIGHT", "C-TRIN"):
+        assert deepest[cid, 64] == 250  # a whole block at n = 2
+        assert deepest[cid, 1024] == claims_module.STACK_BYTES // 1024 == 64
+    stacks = defaultdict(int)  # (tag, stack) -> trials, a stack's groups together
+    for tag, trials in drawn:
+        assert not isinstance(trials, int)
+        (at,) = set((trials // (250 if tag.endswith(":2") else 64)).tolist())
+        stacks[tag, at] += len(trials)
+    for cid in ("C-EIGHT", "C-NFOLD", "C-TRIN"):
+        assert [stacks[f"{cid}:2", at] for at in range(2)] == [250, 0]
+        assert [stacks[f"{cid}:8", at] for at in range(5)] == [64, 64, 64, 58, 0]
+
+
+def test_a_block_adds_little_memory():
+    # a stack's live intermediates are a small multiple of its operand
+    # stacks, so a 250-trial block (64 trials a stack at n = 8, one stack at
+    # n = 4) peaks well under what a whole 8x8 block in one stack takes
+    for cid in THEOREM_IDS:
+        for n in (4, 8):
+            claims_module._run_block(cid, n, 0, 250, 1, TolerancePolicy())  # warm the caches
+            tracemalloc.start()
+            try:
+                claims_module._run_block(cid, n, 0, 250, 1, TolerancePolicy())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 1024 * 1024, (cid, n, peak)
 
 
 def test_one_trial_blocks_are_not_stacked(stack_log):
