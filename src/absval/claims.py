@@ -56,7 +56,8 @@ from .predicates import (
     is_positive,
     is_self_adjoint,
 )
-from .generators import EnsembleSpec, Seed, _block_generators, sample, sample_block, sample_general
+from . import generators
+from .generators import EnsembleSpec, Seed, _block_generators, build_stacks, sample, sample_block
 
 ALWAYS_HOLDS = "ALWAYS_HOLDS"
 REGISTRY_VIOLATION = "REGISTRY_VIOLATION"
@@ -127,14 +128,14 @@ def _all(flags):
 def _grouped(fn, rows, *args):
     """Yield ``fn(*row, *args)`` for each tuple of arrays in ``rows``, in
     order, from calls on the stacked columns of consecutive rows, each call
-    within ``STACK_BYTES // 4``: a trial's operands go as one call, a sweep
-    stack's rows one by one and none made early.  Results are bit for bit the
-    rows' own calls, one trial's scalars as Python scalars.  A group that
-    raises, or whose rows differ in shape, runs row by row."""
+    within ``generators.STACK_BYTES // 4``: a trial's operands go as one
+    call, a sweep stack's rows one by one and none made early.  Results are
+    bit for bit the rows' own calls, one trial's scalars as Python scalars.
+    A group that raises, or whose rows differ in shape, runs row by row."""
     group = []
     for row in rows:
         group.append(row)
-        room = STACK_BYTES // 4 // (len(row) * row[0].nbytes)  # a row's arrays share a shape
+        room = generators.STACK_BYTES // 4 // (len(row) * row[0].nbytes)  # one shape per row
         del row  # a called row is freed before the next one is made
         if len(group) >= room:
             yield from _group_call(fn, group, args)
@@ -1035,33 +1036,25 @@ def _seed_record(claim: Claim, dim: int, trial: int) -> dict:
     return {"seed": None, "claim_tag": f"{claim.id}:{dim}", "dim": dim, "trial": trial}
 
 
-# Cap on the bytes of one operand's (B, n, n) complex stack, which sets a
-# stack's depth for every claim: 64 trials at n = 8, and every trial of a
-# 250-trial block at n <= 4.  A stack's live intermediates are a small
-# multiple of its operands, so the cap bounds the memory a block adds (a
-# 250-trial block peaks under 2 MiB traced at n = 4 and 8).
-STACK_BYTES = 64 * 1024
-
-
 def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol: TolerancePolicy):
     """Run a contiguous block of trials for one (claim, dim) into a
     :class:`ClaimStats`, which process pools ship back whole.
 
     :func:`sample_block` derives the block's seeds in one pass and draws and
-    builds the matrices as ``(B, n, n)`` stacks of at most ``STACK_BYTES``
-    each, as deep for every claim at a dim, each slice bit-for-bit what
+    builds the matrices as ``(B, n, n)`` stacks :func:`stack_depth` trials
+    deep, the same for every claim at a dim, each slice bit-for-bit what
     :func:`sample` gives its trial, and yields them with their trial
     numbers; :func:`_run_group` reads a stack's verdicts and records from
     its arrays.  A trial that runs alone (the only trial of a block, as
-    every replay is, a 1x1 trial, and each trial of a stack whose draw,
-    build or evaluation raises) runs through :func:`_run_trial`, so it
+    every replay is, every trial at depth 1, and each trial of a stack whose
+    draw, build or evaluation raises) runs through :func:`_run_trial`, so it
     counts as it would in any block.  A :class:`Seed` is made only for a
     trial re-run alone and for a record the block keeps.
     """
     claim = catalog()[claim_id]
     stats = ClaimStats(claim_id, trials=count)
     tag = f"{claim_id}:{dim}"
-    for trials, drawn in sample_block(claim.ensemble, dim, master, tag, start, count, STACK_BYTES):
+    for trials, drawn in sample_block(claim.ensemble, dim, master, tag, start, count):
         if isinstance(trials, int):
             _run_trial(claim, dim, trials, drawn, pol, stats)
         else:
@@ -1242,13 +1235,12 @@ class ProbeStats:
 
 
 @lru_cache(maxsize=64)
-def _probe_plan(claim_ids: tuple, dim: int, count: int, stack_bytes: int):
+def _probe_plan(claim_ids: tuple, dim: int, count: int, depth: int):
     """The calls of a probe, whatever its master seed: the claims in run
     order, their tags, and per draw of ``size`` trials of arity ``k`` the
     ``(conclusion, at, stop, flip)`` of each run of rows that share a
     conclusion, ``flip`` the rows of A - B forms among them if any.  A draw
-    holds as many trials as one ``(B, n, n)`` operand stack fits in
-    ``stack_bytes``, whatever its arity, as in :func:`sample_block`."""
+    holds ``depth`` trials (:func:`stack_depth`), whatever its arity."""
     table = _checked_claims(claim_ids)
     runs = {}  # the claims of one arity share each draw, of one conclusion each stack
     for cid in claim_ids:
@@ -1261,7 +1253,6 @@ def _probe_plan(claim_ids: tuple, dim: int, count: int, stack_bytes: int):
         # a row per trial: its conclusion, and whether it is an A - B form
         rows = [(key[1], hasattr(table[cid].conclusion, "plus_form"))
                 for key in same_arity for cid in runs[key] for _ in range(count)]
-        depth = 1 if dim == 1 else max(1, stack_bytes // (16 * dim * dim))
         for start in range(0, len(rows), depth):
             parts, at = [], 0
             for conclusion, part in groupby(rows[start : start + depth], key=lambda row: row[0]):
@@ -1310,9 +1301,9 @@ def probe_conclusions(
 
     Trial ``t`` of a claim draws its ``arity`` matrices (3 for a family
     claim) in turn from ``Seed(master_seed, "probe:{id}:{dim}", t)``, all
-    seeds derived in one pass.  Draws are ``(B, n, n)`` stacks of at most
-    ``STACK_BYTES`` each (1x1 trials one at a time, as in
-    :func:`sample_block`); claims that share a conclusion share its stacks,
+    seeds derived in one pass.  Draws are :func:`build_stacks` of the
+    ``general`` kind, :func:`stack_depth` trials deep as in
+    :func:`sample_block`; claims that share a conclusion share its stacks,
     an A - B form on the negated second operand (:func:`_minus_form`).  A
     stack that raises is split by :func:`_split_on_raise`, so each trial
     counts as it would alone.
@@ -1322,13 +1313,13 @@ def probe_conclusions(
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     _check_master_seed(master_seed)
-    order, tags, draws = _probe_plan(tuple(claim_ids), dim, count, STACK_BYTES)
+    order, tags, draws = _probe_plan(tuple(claim_ids), dim, count, generators.stack_depth(dim))
     rngs = _block_generators(master_seed, tags, 0, count)
     verdicts = np.empty(len(order) * count, dtype=np.int8)  # 1 holds, 0 fails, -1 raised
     done = 0
     for k, size, parts in draws:
-        drawn = sample_general(dim, k, [next(rngs) for _ in range(size)])
-        drawn = [m.reshape(size, dim, dim) for m in drawn]  # one trial too
+        stack = [next(rngs) for _ in range(size)]
+        ((_, drawn),) = build_stacks(EnsembleSpec("general", k=k), dim, stack)
         for conclusion, at, stop, flip in parts:
             if flip is not None:  # an A - B form runs on -B, as its conclusion does
                 second = drawn[1][at:stop]  # a view

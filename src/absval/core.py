@@ -171,15 +171,11 @@ def frobenius(a: np.ndarray):
     """
     if a.ndim == 2:
         x = a.ravel("K")
-        if x.dtype.kind != "c":
-            return math.sqrt(x.dot(x))
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     if a.strides[-1] > a.strides[-2]:  # column-major slices
         a = a.swapaxes(-1, -2)
     x = a.reshape(a.shape[:-2] + (1, -1))
-    if x.dtype.kind != "c":
-        return np.sqrt((x @ x.swapaxes(-1, -2))[..., 0, 0])
     re, im = x.real, x.imag
     return np.sqrt((re @ re.swapaxes(-1, -2))[..., 0, 0] + (im @ im.swapaxes(-1, -2))[..., 0, 0])
 
@@ -268,11 +264,14 @@ def matrix_to_literal(a: np.ndarray) -> dict:
 
 def matrix_from_literal(obj: dict) -> np.ndarray:
     """Parse the literal produced by :func:`matrix_to_literal`.  A missing
-    key, a ``dim`` that is not an int (``2.0`` included), or entries that are
-    not ``dim * dim`` pairs of numbers raise ValueError."""
+    key, a ``dim`` that is not an int (``2.0`` and ``true`` included), or
+    entries that are not ``dim * dim`` pairs of numbers (``true`` and
+    ``false`` are not) raise ValueError."""
     try:
         n = operator.index(obj["dim"])
         flat = [complex(re, im) for re, im in obj["entries"]]
+        if bool in {type(obj["dim"]), *(type(x) for pair in obj["entries"] for x in pair)}:
+            raise TypeError("JSON true and false are not numbers")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix literal: {exc}") from exc
     if n < 1 or len(flat) != n * n:

@@ -23,10 +23,10 @@ Every ensemble kind is two phases, ``draw(rngs, n, spec)`` and
   stacked build is bit-for-bit the one-trial build.
 
 :func:`sample` is the draw over one generator and the one-trial build;
-:func:`sample_block` derives the seeds of a whole block of trials at once
-and draws and builds it stack by stack.  :func:`sample_general` is the
-``general`` kind's draw and build over generators derived beforehand, as
-the conclusion probe asks.
+:func:`build_stacks` is the draw and build over a stack's generators,
+which :func:`sample_block` (a whole block of trials, its seeds derived at
+once) and the conclusion probe both call, each stack :func:`stack_depth`
+trials deep.
 """
 
 from __future__ import annotations
@@ -440,12 +440,9 @@ def _build_sandwich(spec, g_re, g_im, c_re, c_im, top, slack):
     w, u = np.linalg.eigh(s)
     root = (u * _per_column(np.sqrt(np.clip(w, 0.0, None)))) @ u.conj().swapaxes(-1, -2)
     c = symmetrize(_general(c_re, c_im))
-    if np.ndim(top):  # a stack: squeeze every C that is not 0
-        squeeze = top > 0
-        denominator = np.where(squeeze, top * (1.0 + slack), 1.0)[..., None, None]
-        c = np.where(squeeze[..., None, None], c / denominator, c)
-    elif top > 0:
-        c = c / (top * (1.0 + slack))
+    squeeze = top > 0  # every C that is not 0
+    denominator = np.where(squeeze, top * (1.0 + slack), 1.0)[..., None, None]
+    c = np.where(squeeze[..., None, None], c / denominator, c)
     return symmetrize(root @ c @ root), s
 
 
@@ -502,7 +499,7 @@ def _build_negative_cross(spec, g, r):
     a = _conjugate(_unitary(g), _diagonal(r[..., :-2].reshape(r.shape[:-1] + (2, -1)), False))
     c = np.empty(r.shape[:-1], dtype=complex)
     c.real, c.imag = -r[..., -2], _uniform(r[..., -1], -1.0, 1.0)
-    return a, (c[..., None, None] if c.ndim else c) * a
+    return a, c[..., None, None] * a
 
 
 def _gaussian(rngs, n, spec):
@@ -553,62 +550,64 @@ def sample(spec: EnsembleSpec, n: int, seed) -> tuple[np.ndarray, ...]:
     return tuple(map(as_matrix, build(spec, *[x[0] for x in drawn])))
 
 
-def sample_block(
-    spec: EnsembleSpec, n: int, master: int, tag: str, start: int, count: int, max_bytes: int
-):
+# Cap on the bytes of one operand's (B, n, n) complex stack, which sets a
+# stack's depth for every kind and claim: 64 trials at n = 8, and every trial
+# of a 250-trial block at n <= 4.  A stack's live intermediates are a small
+# multiple of its operands, so the cap bounds the memory a block adds (a
+# 250-trial block peaks under 2 MiB traced at n = 4 and 8).
+STACK_BYTES = 64 * 1024
+
+
+def stack_depth(n: int) -> int:
+    """How many trials a stack holds at dimension ``n``: as many as one
+    ``(B, n, n)`` complex operand stack fits in ``STACK_BYTES``, and 1 at
+    n = 1, where numpy rounds the complex product ``u * d`` with a
+    one-element ``d`` otherwise on a stack.  At depth 1 each trial runs alone."""
+    return 1 if n == 1 else max(1, STACK_BYTES // (16 * n * n))
+
+
+def build_stacks(spec: EnsembleSpec, n: int, rngs: list) -> list:
+    """The draw over ``rngs``, one generator per trial, and the build, as a
+    list of ``(rows, matrices)``: one entry per shape the trials draw (a
+    family of 3 or 4), and one with every row for most kinds.  Slice ``i``
+    of each ``(B, n, n)`` stack is bit-for-bit ``sample`` on the generator
+    of row ``rows[i]``, at n > 1 (see :func:`stack_depth`)."""
+    draw, build = _KINDS[spec.kind]
+    return [
+        (rows, tuple(map(as_matrix, build(spec, *drawn))))
+        for rows, drawn in _groups(draw(rngs, n, spec))
+    ]
+
+
+def sample_block(spec: EnsembleSpec, n: int, master: int, tag: str, start: int, count: int):
     """Generate trials ``start .. start + count - 1`` of the stream
     ``(master, tag)`` and yield them in stacks, or alone.
 
     A stack is yielded as ``(trials, matrices)``: an array of trial numbers
-    and a tuple of ``(B, n, n)`` stacks, each of at most ``max_bytes`` (or
-    of one trial), whose slice ``i`` is bit-for-bit ``sample(spec, n,
-    Seed(master, tag, trials[i]))``.  A trial that runs alone is yielded as
-    ``(trial, source)``, an int and what ``sample`` takes.  The
-    only trial of a block and every 1x1 trial come with their undrawn
-    generator (numpy rounds the complex product ``u * d`` with a one-element
-    ``d`` otherwise on a stack); each trial of a stack whose draw or build
-    raises comes with its :class:`Seed`.
-
-    A stack holds as many trials as one ``(B, n, n)`` complex matrix stack
-    fits in ``max_bytes``, the same depth for every kind.  Its draw makes
-    each trial's calls on that trial's generator, into the stack's buffers;
-    a kind whose trials draw different shapes (a family of 3 or 4) splits
-    the stack's trials into one group per shape.
+    and a tuple of ``(B, n, n)`` stacks from :func:`build_stacks`, at most
+    :func:`stack_depth` trials deep.  A trial that runs alone is yielded as
+    ``(trial, source)``, an int and what ``sample`` takes: the only trial of
+    a block and every trial at depth 1 come with their undrawn generator,
+    and each trial of a stack whose draw or build raises with its
+    :class:`Seed`.
     """
     if count == 1:  # the trial's Seed once, and its generator from it
         yield start, Seed(master, tag, start).generator()
         return
     n = spec.dim if spec.dim is not None else n
-    end = start + count
+    end, depth = start + count, stack_depth(n)
     rngs = _block_generators(master, [tag], start, count)
-    if n == 1:
+    if depth == 1:
         yield from zip(range(start, end), rngs)
         return
-    draw, build = _KINDS[spec.kind]
-    depth = max(1, max_bytes // (16 * n * n))
     for at in range(start, end, depth):
         trials = np.arange(at, min(at + depth, end))
         stack = [next(rngs) for _ in range(len(trials))]
         try:
-            built = [
-                (trials[rows], tuple(map(as_matrix, build(spec, *drawn))))
-                for rows, drawn in _groups(draw(stack, n, spec))
-            ]
+            built = [(trials[rows], mats) for rows, mats in build_stacks(spec, n, stack)]
         except Exception:
             built = [(t, Seed(master, tag, t)) for t in trials.tolist()]
         yield from built
-
-
-def sample_general(n: int, k: int, rngs: list) -> tuple[np.ndarray, ...]:
-    """``sample(EnsembleSpec("general", k=k), n, rng)`` for every generator
-    in ``rngs``: the ``k`` matrices of a single generator, or ``k`` stacks
-    of ``(B, n, n)`` whose slice ``i`` is bit-for-bit what ``rngs[i]``
-    gives, from the ``general`` kind's draw over all of them and one build."""
-    spec = EnsembleSpec("general", k=k)
-    if len(rngs) == 1:
-        return sample(spec, n, rngs[0])
-    draw, build = _KINDS["general"]
-    return tuple(map(as_matrix, build(spec, *draw(rngs, n, spec))))
 
 
 def _groups(drawn) -> list:
@@ -619,6 +618,6 @@ def _groups(drawn) -> list:
 def gen_general(n: int, seed) -> np.ndarray:
     """One matrix of independent complex Gaussian entries with standard
     deviation 1: ``sample(EnsembleSpec("general"), n, seed)[0]``.  Called
-    in turn on one generator, it draws a probe trial's operands (see
-    :func:`sample_general`)."""
+    in turn on one generator, it draws a probe trial's operands, as
+    ``EnsembleSpec("general", k=k)`` does in one call."""
     return sample(EnsembleSpec("general"), n, seed)[0]

@@ -425,8 +425,9 @@ class TestUserMatrices:
             '{"dim": 1, "entries": null}',
             '{"dim": 1, "entries": [["a", "b"]]}',
             '{"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+            '{"dim": true, "entries": [[1, 0]]}',
         ],
-        ids=["flat-entries", "null-entries", "string-entries", "fractional-dim"],
+        ids=["flat-entries", "null-entries", "string-entries", "fractional-dim", "boolean-dim"],
     )
     def test_malformed_literal_exits_two(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"

@@ -209,11 +209,14 @@ class TestValidationAndLiterals:
             {"dim": 2.5, "entries": [[1, 0]] * 4},
             {"dim": 2.0, "entries": [[1, 0]] * 4},
             {"dim": "2", "entries": [[1, 0]] * 4},
+            {"dim": True, "entries": [[1, 0]]},
+            {"dim": 1, "entries": [[True, False]]},
             [[1, 0]],
         ],
         ids=[
             "flat-entries", "null-entries", "string-entries", "triple-entry", "huge-entry",
-            "fractional-dim", "float-dim", "string-dim", "not-a-dict",
+            "fractional-dim", "float-dim", "string-dim", "boolean-dim", "boolean-entries",
+            "not-a-dict",
         ],
     )
     def test_malformed_literal_is_a_value_error(self, literal):

@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -224,15 +225,15 @@ class TestGeneralAndSpecs:
     def test_general_stacks_are_family_samples(self, n):
         spec = EnsembleSpec(kind="general", k=3)
         seeds = [Seed(2, "stack", t) for t in range(5)]
-        stacks = generators.sample_general(n, 3, [s.generator() for s in seeds])
-        one = generators.sample_general(n, 3, [seeds[2].generator()])
+        ((_, stacks),) = generators.build_stacks(spec, n, [s.generator() for s in seeds])
+        ((_, one),) = generators.build_stacks(spec, n, [seeds[2].generator()])
         for i, seed in enumerate(seeds):
             for m, single in zip(stacks, sample(spec, n, seed)):
                 assert m.shape == (5, n, n) and m[i].tobytes() == single.tobytes()
         for m, single in zip(one, sample(spec, n, seeds[2])):
-            assert m.shape == (n, n) and m.tobytes() == single.tobytes()
+            assert m.shape == (1, n, n) and m[0].tobytes() == single.tobytes()
         if n > 1:  # sample_block stacks the same trials into the same bits
-            ((_, block),) = sample_block(spec, n, 2, "stack", 0, 5, 1 << 16)
+            ((_, block),) = sample_block(spec, n, 2, "stack", 0, 5)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(block, stacks))
 
     def test_sample_respects_pinned_dimension(self):
@@ -304,7 +305,7 @@ class TestSeedDerivation:
         # left is the tags' own, and a master wider than 64 bits takes the
         # Python-int route with none
         theorems = tuple(cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS")
-        _, tags, _ = claims_module._probe_plan(theorems, 4, 1, claims_module.STACK_BYTES)
+        _, tags, _ = claims_module._probe_plan(theorems, 4, 1, generators.stack_depth(4))
         passes = []
         real = generators._derived
         monkeypatch.setattr(generators, "_derived", lambda *a: passes.append(a[1]) or real(*a))
@@ -364,14 +365,15 @@ class TestSeedDerivation:
                 assert Seed(master, "t", trial).replay_master == int(ref)
 
 
-def block_slices(spec, n, master, tag, count, max_bytes=claims_module.STACK_BYTES, start=0):
+def block_slices(spec, n, master, tag, count, start=0):
     """Every yielded stack of a block, checked slice by slice against sample;
-    the only trial of a block of one, checked whole."""
+    the only trial of a block of one, and each trial at depth 1, checked whole."""
     numbers = []
-    for trials, stack in sample_block(spec, n, master, tag, start, count, max_bytes):
-        if count == 1:  # the one trial alone, with its undrawn generator
-            assert trials == start and isinstance(stack, np.random.Generator)
-            trials, stack = [start], tuple(m[None] for m in sample(spec, n, stack))
+    for trials, stack in sample_block(spec, n, master, tag, start, count):
+        if count == 1 or generators.stack_depth(spec.dim or n) == 1:  # alone, its generator undrawn
+            assert isinstance(trials, int) and isinstance(stack, np.random.Generator)
+            assert count > 1 or trials == start
+            trials, stack = [trials], tuple(m[None] for m in sample(spec, n, stack))
         assert not isinstance(trials, int), (trials, stack)  # a stack, no trial alone
         numbers.extend(trials)
         for i, trial in enumerate(trials):
@@ -391,24 +393,27 @@ def spec_id(s):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
-def test_every_block_slice_is_sample(spec):
+def test_every_block_slice_is_sample(spec, monkeypatch):
     for n in BLOCK_DIMS:
         for master in MASTERS:
             # trials 0 .. 11: trial 0 is the one whose seed is not folded
             yields = list(block_slices(spec, n, master, f"block:{n}", 12))
             assert any(len(trials) > 1 for trials, _ in yields)  # stacks, not single trials
         # every block size from 1 to 17, from trial 0 and from trial 5, in
-        # stacks of up to STACK_BYTES and of up to 1 KiB (one trial at n = 8)
-        for count in range(1, 18):
-            for start in (0, 5):
-                for cap in (claims_module.STACK_BYTES, 1024):
-                    list(block_slices(spec, n, MASTERS[2], f"sizes:{n}", count, cap, start))
+        # stacks of up to STACK_BYTES and of up to 1 KiB (at n = 8 one trial,
+        # so each trial alone)
+        for cap in (generators.STACK_BYTES, 1024):
+            with monkeypatch.context() as patch:
+                patch.setattr(generators, "STACK_BYTES", cap)
+                for count, start in product(range(1, 18), (0, 5)):
+                    list(block_slices(spec, n, MASTERS[2], f"sizes:{n}", count, start))
 
 
-def test_block_stacks_respect_the_byte_cap():
+def test_block_stacks_respect_the_byte_cap(monkeypatch):
+    monkeypatch.setattr(generators, "STACK_BYTES", 8192)
     spec = EnsembleSpec(kind="commuting_normal_family", k=3)
     depths = []
-    for trials, stack in block_slices(spec, 8, 5, "cap", 40, max_bytes=8192):
+    for trials, stack in block_slices(spec, 8, 5, "cap", 40):
         assert len(trials) == 1 or max(m.nbytes for m in stack) <= 8192
         depths.append(len(trials))
     assert depths == [8] * 5  # each 8x8 matrix stack holds 8 KiB, whatever the family size
@@ -653,7 +658,7 @@ def test_non_finite_draw_gives_the_one_trial_error_record(monkeypatch):
     # a stack whose build raises yields its trials alone, each with its Seed,
     # and sample raises the record's error for exactly the trials that have one
     raised = []
-    for trial, source in sample_block(spec, 2, 9, "L-ANTI:2", 0, 24, 1 << 16):
+    for trial, source in sample_block(spec, 2, 9, "L-ANTI:2", 0, 24):
         if isinstance(trial, int):
             assert source == Seed(9, "L-ANTI:2", trial)
             try:

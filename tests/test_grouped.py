@@ -34,7 +34,7 @@ from absval import (
     psd_sqrt,
     sample,
 )
-from absval import claims as claims_module
+from absval import claims as claims_module, generators
 from absval.core import equality, select, trial_max
 
 THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]
@@ -353,7 +353,7 @@ def test_integer_powers_match_their_product_chains(pol):
     claim = catalog()["C-POWZ"]
     for n in (1, 2, 8):
         trials = [sample(claim.ensemble, n, Seed(43, f"C-POWZ:{n}", t)) for t in range(250)]
-        depth = max(1, claims_module.STACK_BYTES // (16 * n * n))
+        depth = generators.stack_depth(n)
         for t in (0, 1):
             want = integer_powers_by_reduce(trials[t], pol)
             assert_same(claim.conclusion(trials[t], pol), want, f"n={n} trial {t}")

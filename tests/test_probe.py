@@ -21,6 +21,7 @@ from absval import (
     probe_conclusions,
 )
 from absval import claims as claims_module
+from absval import generators
 
 THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]
 MASTERS = (20170228, 2**64, 2**70 + 3)  # one 32-bit word; two wider than 64 bits
@@ -76,8 +77,8 @@ def test_batched_probe_matches_the_per_trial_loop(monkeypatch, stack_sizes, dim,
     expected = reference_probe(THEOREM_IDS, dim, 40, master)
     assert any(ps.conclusion_failures for ps in expected)
     assert any(ps.errors for ps in expected)
-    for cap in (claims_module.STACK_BYTES, 2048, 1):
-        monkeypatch.setattr(claims_module, "STACK_BYTES", cap)
+    for cap in (generators.STACK_BYTES, 2048, 1):
+        monkeypatch.setattr(generators, "STACK_BYTES", cap)
         stack_sizes.clear()
         assert probe_conclusions(THEOREM_IDS, dim, 40, master) == expected, cap
         assert sum(stack_sizes) == 40 * len(THEOREM_IDS)
@@ -121,10 +122,12 @@ def _poisoned(m):
 @pytest.mark.parametrize("dim", (1, 2, 3))
 def test_a_shared_stack_that_raises_counts_each_trial_alone(monkeypatch, stack_sizes, dim):
     claim_ids = ["C-TRIMINUS", "C-ABSDIFF+", "C-TRI", "C-NEGCROSS", "C-ABSDIFF-"]
-    real = claims_module.sample_general
-    monkeypatch.setattr(
-        claims_module, "sample_general", lambda n, k, rngs: tuple(map(_poisoned, real(n, k, rngs)))
-    )
+    real = claims_module.build_stacks
+
+    def poisoned(spec, n, rngs):
+        return [(rows, tuple(map(_poisoned, mats))) for rows, mats in real(spec, n, rngs)]
+
+    monkeypatch.setattr(claims_module, "build_stacks", poisoned)
     expected = reference_probe(
         claim_ids, dim, 40, 13, draw=lambda n, rng: _poisoned(gen_general(n, rng).copy())
     )
