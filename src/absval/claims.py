@@ -15,7 +15,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import chain, groupby
 from typing import Callable
 
@@ -473,10 +473,8 @@ def _minus_form(conclusion):
 # catalog
 
 
-_CATALOG: dict[str, Claim] | None = None
-
-
-def _build_catalog() -> dict[str, Claim]:
+@cache
+def catalog() -> dict[str, Claim]:
     claims = [
         Claim(
             "L-SQRT-PROD",
@@ -747,13 +745,6 @@ def _build_catalog() -> dict[str, Claim]:
     return table
 
 
-def catalog() -> dict[str, Claim]:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return _CATALOG
-
-
 # ---------------------------------------------------------------------------
 # counterexample registry
 
@@ -780,7 +771,8 @@ _SQRT5 = float(np.sqrt(5.0))
 _SQRT2 = float(np.sqrt(2.0))
 
 
-def _registry_instances() -> tuple[RegistryInstance, ...]:
+@cache
+def registry() -> tuple[RegistryInstance, ...]:
     def pair_values(name, combine):
         """|A|, |B|, and |combine(A, B)| as ``name``."""
         return lambda mats, pol: dict(
@@ -868,16 +860,6 @@ def _registry_instances() -> tuple[RegistryInstance, ...]:
             pair_values("abs_sum", operator.add),
         ),
     )
-
-
-_REGISTRY: tuple[RegistryInstance, ...] | None = None
-
-
-def registry() -> tuple[RegistryInstance, ...]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _registry_instances()
-    return _REGISTRY
 
 
 @dataclass(frozen=True)
@@ -1110,8 +1092,14 @@ def _run_group(
         stats._keep_worst(float(worst[t]), _seed_record(claim, dim, int(trials[t])))
 
 
+def _is_integer(value, least: int = 1) -> bool:
+    """The one integer rule of a run's arguments: an int or numpy integer of
+    at least ``least``, and not a bool (which Python counts as an int)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 def _check_master_seed(master_seed) -> None:
-    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+    if not _is_integer(master_seed, 0):
         raise ValueError(f"master seed must be a nonnegative integer, got {master_seed!r}")
 
 
@@ -1127,6 +1115,22 @@ def _checked_claims(claim_ids, dims=()) -> dict:
             repeated = [v for v, times in Counter(values).items() if times > 1]
             raise ValueError(f"duplicate {name}: {repeated}")
     return table
+
+
+def _checked_run(claim_ids, dims, trials, master_seed, jobs) -> dict:
+    """The catalog, once a run's arguments pass the one check that
+    :func:`run_suite` and the CLI make: ``KeyError`` for an unknown claim id,
+    ``ValueError`` for any other bad argument, before any trial runs."""
+    if not _is_integer(trials):
+        raise ValueError(f"trials must be >= 1, an integer and not a bool, got {trials!r}")
+    if not dims or not all(_is_integer(dim) for dim in dims):
+        raise ValueError(
+            f"dims must be nonempty and each >= 1, an integer and not a bool, got {list(dims)}"
+        )
+    if not _is_integer(jobs):
+        raise ValueError(f"jobs must be >= 1, an integer and not a bool, got {jobs!r}")
+    _check_master_seed(master_seed)
+    return _checked_claims(claim_ids, dims)
 
 
 def _merge_block(agg: ClaimStats, block: ClaimStats):
@@ -1152,16 +1156,11 @@ def run_suite(
     (dimension-pinned families run at their own size); registry
     counterexamples are re-derived once each.  The report is identical for
     serial and parallel execution: every trial's matrices depend only on its
-    own seed and aggregation is order-insensitive.
+    own seed and aggregation is order-insensitive.  Arguments are checked
+    first, by :func:`_checked_run`: ``dims``, ``trials``, ``jobs`` and the
+    master seed must be integers (not bools or floats) in range.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not dims or min(dims) < 1:
-        raise ValueError(f"dims must be nonempty and each >= 1, got {list(dims)}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _check_master_seed(master_seed)
-    table = _checked_claims(claim_ids, dims)
+    table = _checked_run(claim_ids, dims, trials, master_seed, jobs)
     started = time.perf_counter()
     stats = {cid: ClaimStats(claim_id=cid, note=table[cid].note) for cid in claim_ids}
 
@@ -1306,12 +1305,13 @@ def probe_conclusions(
     :func:`sample_block`; claims that share a conclusion share its stacks,
     an A - B form on the negated second operand (:func:`_minus_form`).  A
     stack that raises is split by :func:`_split_on_raise`, so each trial
-    counts as it would alone.
+    counts as it would alone.  ``dim``, ``count`` and the master seed must
+    be integers (not bools or floats) in range, as in :func:`run_suite`.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    if not _is_integer(count):
+        raise ValueError(f"count must be >= 1, an integer and not a bool, got {count!r}")
+    if not _is_integer(dim):
+        raise ValueError(f"dim must be >= 1, an integer and not a bool, got {dim!r}")
     _check_master_seed(master_seed)
     order, tags, draws = _probe_plan(tuple(claim_ids), dim, count, generators.stack_depth(dim))
     rngs = _block_generators(master_seed, tags, 0, count)

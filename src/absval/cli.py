@@ -21,6 +21,7 @@ from .claims import (
     ClaimInstance,
     ClaimStats,
     SuiteReport,
+    _checked_run,
     catalog,
     check_claim,
     run_suite,
@@ -38,18 +39,6 @@ class RunConfig:
     list_only: bool = False
     matrix_files: list = field(default_factory=list)
     jobs: int = 1
-
-
-def _parse_int_list(text: str, flag: str, parser: argparse.ArgumentParser):
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        parser.error(f"{flag} expects a comma-separated list of integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        parser.error(f"{flag} expects positive integers, got {text!r}")
-    if len(set(values)) < len(values):
-        parser.error(f"{flag} repeats a value: {text!r}")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,41 +74,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
+    """The run that ``argv`` asks for, checked as :func:`run_suite` checks
+    it; a usage error exits 2 with the usage line."""
     parser = _parser()
     args = parser.parse_args(argv)
-    table = catalog()
     if args.claims.strip().lower() == "all":
-        claim_ids = list(table)
+        claim_ids = list(catalog())
     else:
         # an empty filter is legal and yields an empty (passing) report
         claim_ids = [part.strip() for part in args.claims.split(",") if part.strip()]
-        unknown = [c for c in claim_ids if c not in table]
-        if unknown:
-            parser.error(f"unknown claim ids: {', '.join(unknown)} (use --list)")
-        if len(set(claim_ids)) < len(claim_ids):
-            parser.error(f"--claims repeats a claim id: {args.claims!r}")
-    dims = _parse_int_list(args.dims, "--dims", parser)
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    if args.seed < 0:
-        parser.error("--seed must be nonnegative")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
+        dims = [int(part) for part in args.dims.split(",") if part.strip()]
+    except ValueError:
+        parser.error(f"--dims expects a comma-separated list of integers, got {args.dims!r}")
+    if args.matrix_file and len(claim_ids) != 1:
+        parser.error("--matrix-file requires exactly one claim id in --claims")
+    try:
+        _checked_run(claim_ids, dims, args.trials, args.seed, args.jobs)
         policy = TolerancePolicy(
             rel=args.tol_rel if args.tol_rel is not None else DEFAULT_POLICY.rel,
             abs=args.tol_abs if args.tol_abs is not None else DEFAULT_POLICY.abs,
         )
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.matrix_file:
-        if len(claim_ids) != 1:
-            parser.error("--matrix-file requires exactly one claim id in --claims")
-        claim = table[claim_ids[0]]
-        if claim.arity > 0 and len(args.matrix_file) != claim.arity:
-            parser.error(
-                f"claim {claim.id} takes {claim.arity} matrices, got {len(args.matrix_file)} files"
-            )
+    except (KeyError, ValueError) as exc:
+        parser.error(exc.args[0])
     return RunConfig(
         claims=claim_ids,
         dims=dims,

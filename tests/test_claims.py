@@ -251,7 +251,7 @@ class TestRunSuite:
 
     def test_rejects_dims_below_one(self):
         # a usage error, not a block of error records per trial
-        for dims in ([0], [-1], [2, 0]):
+        for dims in ([0], [-1], [2, 0], [True], [2.0]):
             with pytest.raises(ValueError, match="dims must be nonempty and each >= 1"):
                 run_suite(["C-TRI"], dims, 5, 1)
 
@@ -265,17 +265,23 @@ class TestRunSuite:
             run_suite(["C-TRI"], [2, 3, 2], 3, 1)
 
     @pytest.mark.parametrize("trials", (1, 2))
-    @pytest.mark.parametrize("master_seed", (-1, -(2**70), 1.5, "3"))
+    @pytest.mark.parametrize("master_seed", (-1, -(2**70), 1.5, "3", True))
     def test_rejects_a_bad_master_seed_before_any_trial(self, trials, master_seed):
         # one usage error, not an error record for a block of one and a
         # ValueError from the seed hash for a larger block
         with pytest.raises(ValueError, match="master seed must be a nonnegative integer"):
             run_suite(["C-TRI", "CE-4"], [1, 2], trials, master_seed)
 
-    @pytest.mark.parametrize("jobs", (0, -5))
+    @pytest.mark.parametrize("jobs", (0, -5, 2.0, True))
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_suite(["C-TRI"], [2], 3, 1, jobs=jobs)
+
+    @pytest.mark.parametrize("trials", (True, 3.0))
+    def test_rejects_trials_that_are_not_integers(self, trials):
+        # a bool is an int to Python, and a float would reach range() in a block
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_suite(["C-TRI"], [2], trials, 1)
 
     def test_small_full_suite_passes(self):
         report = run_suite(list(catalog()), dims=[2, 3], trials=10, master_seed=42)
@@ -393,17 +399,17 @@ class TestProbe:
 
     def test_rejects_count_below_one(self):
         # zero trials would read as "evaluated, never failed"
-        for count in (0, -1):
+        for count in (0, -1, True, 2.0):
             with pytest.raises(ValueError, match="count must be >= 1"):
                 probe_conclusions(["C-TRI"], dim=2, count=count, master_seed=1)
 
     def test_rejects_dim_below_one(self):
-        for dim in (0, -1):
+        for dim in (0, -1, True, 2.0):
             with pytest.raises(ValueError, match="dim must be >= 1"):
                 probe_conclusions(["C-TRI"], dim=dim, count=5, master_seed=1)
 
     @pytest.mark.parametrize("claims", (["C-TRI"], THEOREM_IDS))
-    @pytest.mark.parametrize("master_seed", (-1, -(2**70), 2.0, "3"))
+    @pytest.mark.parametrize("master_seed", (-1, -(2**70), 2.0, "3", True))
     def test_rejects_a_bad_master_seed(self, claims, master_seed):
         # one claim or many, the same error
         with pytest.raises(ValueError, match="master seed must be a nonnegative integer"):

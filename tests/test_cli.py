@@ -406,6 +406,15 @@ class TestUserMatrices:
         a = write_matrix(tmp_path / "a.json", np.eye(2, dtype=complex))
         assert main(["--claims", "C-TRI", "--matrix-file", a]) == 2
 
+    @pytest.mark.parametrize("claim, files", [("C-TRI", 1), ("C-TRI", 3), ("L-ANTI", 2)])
+    def test_file_count_error_is_claim_instances(self, capsys, tmp_path, claim, files):
+        # the library decides the arity; the CLI passes its message on
+        a = write_matrix(tmp_path / "a.json", np.eye(2, dtype=complex))
+        code, out, err = run_cli(capsys, "--claims", claim, *["--matrix-file", a] * files)
+        arity = catalog()[claim].arity
+        assert (code, out) == (2, "")
+        assert err == f"absval: {claim} takes {arity} matrices, got {files}\n"
+
     def test_requires_single_claim(self, capsys, tmp_path):
         a = write_matrix(tmp_path / "a.json", np.eye(2, dtype=complex))
         assert main(["--claims", "C-TRI,C-EIGHT", "--matrix-file", a, "--matrix-file", a]) == 2
