@@ -27,6 +27,7 @@ from .core import (
     NumericalError,
     PredicateResult,
     TolerancePolicy,
+    _is_integer,
     adjoint,
     as_matrix,
     equality,
@@ -57,7 +58,7 @@ from .predicates import (
     is_self_adjoint,
 )
 from . import generators
-from .generators import EnsembleSpec, Seed, _block_generators, build_stacks, sample, sample_block
+from .generators import EnsembleSpec, Seed, _block_generators, build, build_stacks, sample_block
 
 ALWAYS_HOLDS = "ALWAYS_HOLDS"
 REGISTRY_VIOLATION = "REGISTRY_VIOLATION"
@@ -95,6 +96,7 @@ class ClaimInstance:
 
     def __post_init__(self):
         claim = catalog()[self.claim_id]
+        object.__setattr__(self, "matrices", tuple(map(as_matrix, self.matrices)))
         if not self.matrices:
             raise ValueError(f"{self.claim_id} takes at least one matrix, got none")
         if claim.arity > 0 and len(self.matrices) != claim.arity:
@@ -1022,25 +1024,34 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     """Run a contiguous block of trials for one (claim, dim) into a
     :class:`ClaimStats`, which process pools ship back whole.
 
-    :func:`sample_block` derives the block's seeds in one pass and draws and
-    builds the matrices as ``(B, n, n)`` stacks :func:`stack_depth` trials
-    deep, the same for every claim at a dim, each slice bit-for-bit what
-    :func:`sample` gives its trial, and yields them with their trial
-    numbers; :func:`_run_group` reads a stack's verdicts and records from
-    its arrays.  A trial that runs alone (the only trial of a block, as
-    every replay is, every trial at depth 1, and each trial of a stack whose
-    draw, build or evaluation raises) runs through :func:`_run_trial`, so it
-    counts as it would in any block.  A :class:`Seed` is made only for a
-    trial re-run alone and for a record the block keeps.
+    :func:`sample_block` derives the block's seeds in one pass and draws
+    them in stacks :func:`stack_depth` trials deep, the same for every claim
+    at a dim; :func:`_split_on_raise` builds and evaluates each, and
+    :func:`_run_group` reads a whole stack's records from its arrays.  A
+    trial alone (a stack's only one, as in every replay and at n = 1, or one
+    of a stack whose build or evaluation raised) is built from its own row
+    of the draws, as :func:`sample` builds it, evaluated on 2-D matrices and
+    counts as it would in any block.  No trial is drawn twice, and a
+    :class:`Seed` is made only for a record the block keeps.
     """
     claim = catalog()[claim_id]
     stats = ClaimStats(claim_id, trials=count)
     tag = f"{claim_id}:{dim}"
+
+    def evaluate(drawn):
+        return _evaluate(claim, build(claim.ensemble, drawn), pol)
+
     for trials, drawn in sample_block(claim.ensemble, dim, master, tag, start, count):
-        if isinstance(trials, int):
-            _run_trial(claim, dim, trials, drawn, pol, stats)
-        else:
-            _run_group(claim, dim, master, trials, drawn, pol, stats)
+        for i, value in _split_on_raise(evaluate, drawn, len(trials)):
+            if i is None:
+                _run_group(claim, dim, trials, value, stats)
+                continue
+            where = _seed_record(claim, dim, int(trials[i]))
+            if isinstance(value, Exception):
+                stats.errors.append({**where, "message": str(value)})
+            else:
+                hyp_ok, concl_ok, _, residuals = value
+                stats.record(_verdict(hyp_ok, concl_ok), residuals, where)
     kept = [*stats.violations, *stats.errors]
     if stats.worst_residual_seed is not None:  # the block's one worst-trial record
         kept.append(stats.worst_residual_seed)
@@ -1049,32 +1060,12 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     return claim_id, stats
 
 
-def _run_trial(claim: Claim, dim: int, trial: int, source, pol: TolerancePolicy, stats: ClaimStats):
-    """Count one trial alone: :func:`sample` from ``source`` (its generator or
-    :class:`Seed`), :func:`_evaluate` on the 2-D matrices and a record, or an
-    error record when the draw, the build or the evaluation raises."""
-    try:
-        hyp_ok, concl_ok, _, residuals = _evaluate(claim, sample(claim.ensemble, dim, source), pol)
-    except Exception as exc:
-        stats.errors.append({**_seed_record(claim, dim, trial), "message": str(exc)})
-    else:
-        stats.record(_verdict(hyp_ok, concl_ok), residuals, _seed_record(claim, dim, trial))
-
-
-def _run_group(
-    claim: Claim, dim: int, master: int, trials, stack, pol: TolerancePolicy, stats: ClaimStats
-):
-    """Count one stack's trials, numbered ``trials``, into ``stats`` as
-    :meth:`ClaimStats.record` counts each: PASS and HYPOTHESIS_FAIL by
-    number, each VIOLATION from its slice of the residual columns, the worst
-    trial with one pick.  When the stack's evaluation raises, each of its
-    trials runs alone from its :class:`Seed`."""
-    try:
-        hyp_ok, concl_ok, _, residuals = _evaluate(claim, stack, pol)
-    except Exception:
-        for t in trials.tolist():
-            _run_trial(claim, dim, t, Seed(master, f"{claim.id}:{dim}", t), pol, stats)
-        return
+def _run_group(claim: Claim, dim: int, trials, evaluated, stats: ClaimStats):
+    """Count one stack's trials, numbered ``trials``, from its
+    :func:`_evaluate` arrays into ``stats`` as :meth:`ClaimStats.record`
+    counts each: PASS and HYPOTHESIS_FAIL by number, each VIOLATION from its
+    slice of the residual columns, the worst trial with one pick."""
+    hyp_ok, concl_ok, _, residuals = evaluated
     size = len(trials)
     verdicts = np.broadcast_to(_verdict(hyp_ok, concl_ok), (size,))
     stats.passes += int(np.count_nonzero(verdicts == PASS))
@@ -1090,12 +1081,6 @@ def _run_group(
     if finite.size:  # the stack's worst by (residual, trial): the last of its largest
         t = np.flatnonzero(worst == finite.max())[-1]
         stats._keep_worst(float(worst[t]), _seed_record(claim, dim, int(trials[t])))
-
-
-def _is_integer(value, least: int = 1) -> bool:
-    """The one integer rule of a run's arguments: an int or numpy integer of
-    at least ``least``, and not a bool (which Python counts as an int)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def _check_master_seed(master_seed) -> None:
@@ -1264,10 +1249,11 @@ def _probe_plan(claim_ids: tuple, dim: int, count: int, depth: int):
 
 
 def _split_on_raise(evaluate, stack: tuple, size: int):
-    """The probe's split: ``(None, evaluate(stack))`` for a stack of ``size``
-    > 1 trials that does not raise, else ``(i, evaluate(trial i))`` for each
-    trial in turn, the exception in place of the value of a trial that
-    raises.  At ``size`` 1, ``stack`` holds the trial's own matrices."""
+    """The split of the suite and the probe: ``(None, evaluate(stack))``
+    for a stack of ``size`` > 1 trials that does not raise, else ``(i,
+    evaluate(row i))`` for each trial in turn, row ``i`` holding ``m[i]`` of
+    each of ``stack``'s arrays, the exception in place of the value of a
+    trial that raises."""
     if size > 1:
         try:
             value = evaluate(stack)
@@ -1278,7 +1264,7 @@ def _split_on_raise(evaluate, stack: tuple, size: int):
             return
     for i in range(size):
         try:
-            value = evaluate(stack if size == 1 else tuple([m[i] for m in stack]))
+            value = evaluate(tuple([m[i] for m in stack]))
         except Exception as exc:
             value = exc
         yield i, value
@@ -1324,7 +1310,7 @@ def probe_conclusions(
             if flip is not None:  # an A - B form runs on -B, as its conclusion does
                 second = drawn[1][at:stop]  # a view
                 second[flip] = -second[flip]
-            stack = tuple(m[at] if stop - at == 1 else m[at:stop] for m in drawn)
+            stack = tuple(m[at:stop] for m in drawn)
             for i, ok in _split_on_raise(lambda mats: conclusion(mats, pol)[0], stack, stop - at):
                 rows = slice(done + at, done + stop) if i is None else done + at + i
                 verdicts[rows] = -1 if isinstance(ok, Exception) else ok

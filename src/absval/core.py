@@ -154,6 +154,12 @@ def as_matrix(entries) -> np.ndarray:
     return a
 
 
+def _is_integer(value, least: int = 1) -> bool:
+    """The one integer rule of a size or seed argument: an int or numpy
+    integer of at least ``least``, and not a bool (which Python counts as an int)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  An exact involution: adjoint(adjoint(a)) == a bitwise."""
     star = a.swapaxes(-1, -2).copy()

@@ -15,18 +15,18 @@ Every ensemble kind is two phases, ``draw(rngs, n, spec)`` and
   trial's Gaussians and one for all of its uniforms (``integers``,
   rejection loops and the sandwich's slack stay apart, as the stream or
   the draw's own branching needs).  Draws that depend on earlier ones are
-  made in stages over the same generators;
+  made in stages over the same generators.  A draw only calls its
+  generators and never raises; its row ``i`` is trial ``i``'s own draw;
 - a shape-polymorphic *build* turns drawn arrays into matrices: the maps
   of uniforms onto their ranges, the QR, phase normalization,
-  eigendecompositions and products.  It takes one trial's draws, or the
-  draws of ``B`` trials stacked on a leading axis, and each slice of a
+  eigendecompositions and products, and the checks that may raise.  It
+  takes one trial's row of the draws, or a stack's, and each slice of a
   stacked build is bit-for-bit the one-trial build.
 
-:func:`sample` is the draw over one generator and the one-trial build;
-:func:`build_stacks` is the draw and build over a stack's generators,
-which :func:`sample_block` (a whole block of trials, its seeds derived at
-once) and the conclusion probe both call, each stack :func:`stack_depth`
-trials deep.
+:func:`sample` is the draw over one generator and the build of its row;
+:func:`sample_block` draws a block of trials (its seeds derived at once)
+in stacks :func:`stack_depth` trials deep, which the suite builds with
+:func:`build`, and the probe's :func:`build_stacks` draws and builds one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import as_matrix, symmetrize, adjoint, operator_norm
+from .core import _is_integer, as_matrix, symmetrize, adjoint, operator_norm
 
 # ---------------------------------------------------------------------------
 # seed streams
@@ -246,10 +246,12 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError("family size k must be >= 1")
-        if self.dim is not None and self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if self.k is not None and not _is_integer(self.k):
+            raise ValueError(
+                f"family size k must be >= 1, an integer and not a bool, got {self.k!r}"
+            )
+        if self.dim is not None and not _is_integer(self.dim):
+            raise ValueError(f"dim must be >= 1, an integer and not a bool, got {self.dim!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +346,6 @@ def _draw_one_nonnormal(rngs, n, spec):
     right after its own: ``2kn + 2`` uniforms.  With ``k`` None each trial
     first draws a family of 3 or 4, and the trials of each size draw the
     rest together, as the group ``(rows, drawn)`` of a list."""
-    if n < 2:
-        raise ValueError("non-normal commuting families need n >= 2")
     if spec.k is None:
         sizes = np.array([3 + rng.integers(2) for rng in rngs])
         groups = [(np.flatnonzero(sizes == size), size) for size in (3, 4)]
@@ -363,8 +363,10 @@ def _build_one_nonnormal(spec, g, special, r):
     """The non-normal member carries a 2x2 upper-triangular block on the
     first two basis vectors; every other member's diagonal is constant on
     that block, which is exactly what pairwise commutation requires."""
+    n = g.shape[-1]
+    if n < 2:
+        raise ValueError("non-normal commuting families need n >= 2")
     u = _unitary(g)
-    n = u.shape[-1]
     k = (r.shape[-1] - 2) // (2 * n)
     special = np.asarray(special, dtype=np.intp)
     at = 2 * n * (special[..., None] + 1)  # where each trial's corner entry sits
@@ -538,14 +540,20 @@ _KINDS = {
 # sampling
 
 
+def build(spec: EnsembleSpec, drawn) -> tuple[np.ndarray, ...]:
+    """The validated matrices of a stack's draw arrays, or of one trial's row of them."""
+    return tuple(map(as_matrix, _KINDS[spec.kind][1](spec, *drawn)))
+
+
 def sample(spec: EnsembleSpec, n: int, seed) -> tuple[np.ndarray, ...]:
     """Draw one tuple of matrices for ``spec`` at dimension ``n`` (or the
     spec's pinned dimension): the draw over a list of one generator, and the
     build of its one row."""
     n = spec.dim if spec.dim is not None else n
-    draw, build = _KINDS[spec.kind]
-    ((_, drawn),) = _groups(draw([_as_generator(seed)], n, spec))
-    return tuple(map(as_matrix, build(spec, *[x[0] for x in drawn])))
+    if not _is_integer(n):
+        raise ValueError(f"dim must be >= 1, an integer and not a bool, got {n!r}")
+    ((_, drawn),) = _groups(_KINDS[spec.kind][0]([_as_generator(seed)], n, spec))
+    return build(spec, [x[0] for x in drawn])
 
 
 # Cap on the bytes of one operand's (B, n, n) complex stack, which sets a
@@ -570,42 +578,27 @@ def build_stacks(spec: EnsembleSpec, n: int, rngs: list) -> list:
     family of 3 or 4), and one with every row for most kinds.  Slice ``i``
     of each ``(B, n, n)`` stack is bit-for-bit ``sample`` on the generator
     of row ``rows[i]``, at n > 1 (see :func:`stack_depth`)."""
-    draw, build = _KINDS[spec.kind]
-    return [
-        (rows, tuple(map(as_matrix, build(spec, *drawn))))
-        for rows, drawn in _groups(draw(rngs, n, spec))
-    ]
+    drawn = _KINDS[spec.kind][0](rngs, n, spec)
+    return [(rows, build(spec, group)) for rows, group in _groups(drawn)]
 
 
 def sample_block(spec: EnsembleSpec, n: int, master: int, tag: str, start: int, count: int):
-    """Generate trials ``start .. start + count - 1`` of the stream
-    ``(master, tag)`` and yield them in stacks, or alone.
-
-    A stack is yielded as ``(trials, matrices)``: an array of trial numbers
-    and a tuple of ``(B, n, n)`` stacks from :func:`build_stacks`, at most
-    :func:`stack_depth` trials deep.  A trial that runs alone is yielded as
-    ``(trial, source)``, an int and what ``sample`` takes: the only trial of
-    a block and every trial at depth 1 come with their undrawn generator,
-    and each trial of a stack whose draw or build raises with its
-    :class:`Seed`.
-    """
-    if count == 1:  # the trial's Seed once, and its generator from it
-        yield start, Seed(master, tag, start).generator()
-        return
+    """Draw trials ``start .. start + count - 1`` of the stream ``(master,
+    tag)`` in stacks of at most :func:`stack_depth` trials, and yield each
+    as ``(trials, drawn)``: its trial numbers and its draw's arrays, unbuilt,
+    one entry per family size for a kind that draws several.  :func:`build`
+    of row ``i`` of ``drawn`` is what :func:`sample` gives ``trials[i]``."""
     n = spec.dim if spec.dim is not None else n
     end, depth = start + count, stack_depth(n)
-    rngs = _block_generators(master, [tag], start, count)
-    if depth == 1:
-        yield from zip(range(start, end), rngs)
-        return
+    if count == 1:  # the trial's own Seed: no block seed pass
+        rngs = iter([Seed(master, tag, start).generator()])
+    else:
+        rngs = _block_generators(master, [tag], start, count)
     for at in range(start, end, depth):
         trials = np.arange(at, min(at + depth, end))
         stack = [next(rngs) for _ in range(len(trials))]
-        try:
-            built = [(trials[rows], mats) for rows, mats in build_stacks(spec, n, stack)]
-        except Exception:
-            built = [(t, Seed(master, tag, t)) for t in trials.tolist()]
-        yield from built
+        for rows, drawn in _groups(_KINDS[spec.kind][0](stack, n, spec)):
+            yield trials[rows], drawn
 
 
 def _groups(drawn) -> list:

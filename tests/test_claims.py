@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from absval import (
+    DimensionMismatch,
     EnsembleSpec,
     Seed,
     TolerancePolicy,
@@ -197,6 +198,24 @@ class TestCheckClaim:
             ok, _, extras = catalog()["C-INV2"].conclusion(mats, TolerancePolicy())
             assert np.all(ok) and np.all(extras["condition"] < 1e3)
             assert calls == [mats[0].shape]
+
+    def test_matrices_are_validated_on_construction(self):
+        # nested lists are taken as as_matrix takes them: one result either way
+        lists = ([[1, 0], [0, 1]], [[2, 0], [0, 1]])
+        instance = ClaimInstance("C-TRI", lists)
+        assert all(m.dtype == complex and m.shape == (2, 2) for m in instance.matrices)
+        result = check_claim(instance)
+        assert result == check_claim(ClaimInstance("C-TRI", tuple(map(as_matrix, lists))))
+        assert result.verdict == PASS
+
+    def test_non_finite_entries_are_rejected(self):
+        # as --matrix-file rejects them, not a HYPOTHESIS_FAIL with NaN residuals
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            ClaimInstance("C-TRI", (as_matrix([[1, 0], [0, 1]]), np.array([[np.nan, 0], [0, 1]])))
+
+    def test_non_square_matrices_are_rejected(self):
+        with pytest.raises(DimensionMismatch, match="expected a square matrix"):
+            ClaimInstance("C-TRI", (np.ones((2, 3)), np.ones((2, 3))))
 
     def test_arity_validation(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,24 @@ class TestGeneralAndSpecs:
     def test_anti_symmetric_kind(self):
         assert is_anti_symmetric(*sample(EnsembleSpec("anti_symmetric"), 4, 3))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: EnsembleSpec("general", k=True), "family size k must be >= 1"),
+            (lambda: EnsembleSpec("general", k=2.0), "family size k must be >= 1"),
+            (lambda: EnsembleSpec("normal", dim=True), "dim must be >= 1"),
+            (lambda: EnsembleSpec("normal", dim=2.0), "dim must be >= 1"),
+            (lambda: sample(EnsembleSpec("normal"), True, 1), "dim must be >= 1"),
+            (lambda: sample(EnsembleSpec("normal"), 2.0, 1), "dim must be >= 1"),
+            (lambda: sample(EnsembleSpec("normal"), 0, 1), "dim must be >= 1"),
+        ],
+        ids=["k-bool", "k-float", "dim-bool", "dim-float", "n-bool", "n-float", "n-zero"],
+    )
+    def test_sizes_must_be_integers_and_not_bools(self, make, message):
+        # a bool or a float used to construct, then fail inside numpy
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_ensemble_spec_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(kind="nonsense")
@@ -232,8 +250,9 @@ class TestGeneralAndSpecs:
                 assert m.shape == (5, n, n) and m[i].tobytes() == single.tobytes()
         for m, single in zip(one, sample(spec, n, seeds[2])):
             assert m.shape == (1, n, n) and m[0].tobytes() == single.tobytes()
-        if n > 1:  # sample_block stacks the same trials into the same bits
-            ((_, block),) = sample_block(spec, n, 2, "stack", 0, 5)
+        if n > 1:  # sample_block draws the same trials, which build into the same bits
+            ((_, drawn),) = sample_block(spec, n, 2, "stack", 0, 5)
+            block = generators.build(spec, drawn)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(block, stacks))
 
     def test_sample_respects_pinned_dimension(self):
@@ -366,23 +385,23 @@ class TestSeedDerivation:
 
 
 def block_slices(spec, n, master, tag, count, start=0):
-    """Every yielded stack of a block, checked slice by slice against sample;
-    the only trial of a block of one, and each trial at depth 1, checked whole."""
+    """Every yielded stack of a block, built and checked slice by slice
+    against sample; each trial's own row of the draws, built alone as the
+    runner builds a trial that runs alone, checked the same way."""
     numbers = []
-    for trials, stack in sample_block(spec, n, master, tag, start, count):
-        if count == 1 or generators.stack_depth(spec.dim or n) == 1:  # alone, its generator undrawn
-            assert isinstance(trials, int) and isinstance(stack, np.random.Generator)
-            assert count > 1 or trials == start
-            trials, stack = [trials], tuple(m[None] for m in sample(spec, n, stack))
-        assert not isinstance(trials, int), (trials, stack)  # a stack, no trial alone
-        numbers.extend(trials)
+    for trials, drawn in sample_block(spec, n, master, tag, start, count):
+        assert isinstance(trials, np.ndarray) and all(len(x) == len(trials) for x in drawn)
+        assert len(trials) <= generators.stack_depth(spec.dim or n)
+        stack = generators.build(spec, drawn)
+        numbers.extend(trials.tolist())
         for i, trial in enumerate(trials):
             seed = Seed(master, tag, int(trial))
             single = sample(spec, n, seed)
-            assert len(stack) == len(single)
-            for m, s in zip(stack, single):
-                assert m[i].dtype == s.dtype and m[i].shape == s.shape
-                assert m[i].tobytes() == s.tobytes(), (spec, n, seed)
+            alone = generators.build(spec, [x[i] for x in drawn])
+            assert len(stack) == len(alone) == len(single)
+            for m, a, s in zip(stack, alone, single):
+                assert m[i].dtype == a.dtype == s.dtype and m[i].shape == a.shape == s.shape
+                assert m[i].tobytes() == a.tobytes() == s.tobytes(), (spec, n, seed)
         yield trials, stack
     assert sorted(numbers) == list(range(start, start + count))
 
@@ -571,9 +590,10 @@ def test_fused_draws_give_the_per_call_numbers(spec):
                 rng, ref_rng = seed.generator(), seed.generator()
                 try:
                     expected = reference_draw(ref_rng, n, spec)
-                except ValueError as exc:
+                except ValueError as exc:  # the draw does not raise; the build of its row does
+                    drawn = one_trial_draw(rng, n, spec)
                     with pytest.raises(ValueError, match=str(exc)):
-                        one_trial_draw(rng, n, spec)
+                        generators.build(spec, drawn)
                     continue
                 drawn = one_trial_draw(rng, n, spec)
                 got = in_reference_layout(spec, drawn)
@@ -655,18 +675,57 @@ def test_non_finite_draw_gives_the_one_trial_error_record(monkeypatch):
     assert 0 < len(finite) < 24
     assert block.errors == [r for s in singles for r in s.errors]
     assert block.passes == sum(s.passes for s in singles)
-    # a stack whose build raises yields its trials alone, each with its Seed,
-    # and sample raises the record's error for exactly the trials that have one
+    # the stack's build raises, and the build of a trial's own row of the
+    # draws raises the record's error for exactly the trials that have one,
+    # as sample does
     raised = []
-    for trial, source in sample_block(spec, 2, 9, "L-ANTI:2", 0, 24):
-        if isinstance(trial, int):
-            assert source == Seed(9, "L-ANTI:2", trial)
+    for trials, drawn in sample_block(spec, 2, 9, "L-ANTI:2", 0, 24):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            generators.build(spec, drawn)
+        for i, trial in enumerate(trials.tolist()):
             try:
-                sample(spec, 2, source)
+                generators.build(spec, [x[i] for x in drawn])
             except ValueError as exc:
                 assert str(exc) == "matrix entries must be finite"
                 raised.append(trial)
+                with pytest.raises(ValueError, match=str(exc)):
+                    sample(spec, 2, Seed(9, "L-ANTI:2", trial))
+            else:
+                sample(spec, 2, Seed(9, "L-ANTI:2", trial))
     assert raised == [r["trial"] for r in finite]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_stack_whose_build_raises_draws_no_trial_again(monkeypatch):
+    # a block derives its seeds in one pass (trial 0 keeps the master, from
+    # its own Seed); a stack whose build raises builds each trial from the
+    # row it drew, so it makes no more Seed.generator calls than a clean block
+    calls, real = [], Seed.generator
+    monkeypatch.setattr(Seed, "generator", lambda seed: calls.append(seed.trial) or real(seed))
+    pol = TolerancePolicy(rel=1e-8)
+    _, clean = claims_module._run_block("L-ANTI", 2, 0, 24, 9, pol)
+    assert not clean.errors and calls == [0]
+    calls.clear()
+    draw, build = generators._KINDS["anti_symmetric"]
+    huge = (draw, lambda spec, g: build(spec, g * 1e308))
+    monkeypatch.setitem(generators._KINDS, "anti_symmetric", huge)
+    _, block = claims_module._run_block("L-ANTI", 2, 0, 24, 9, pol)
+    assert block.errors and calls == [0]
+
+
+def test_draws_never_raise():
+    # every catalog spec's draw only calls its generators, over a stack of
+    # trials or one, at every size (C-NFOLD's at n = 1 too, whose build raises)
+    for spec in SPECS:
+        draw, _ = generators._KINDS[spec.kind]
+        for n in range(1, 9):
+            for depth in (1, 5):
+                rngs = [Seed(3, f"draw:{n}", t).generator() for t in range(depth)]
+                groups = generators._groups(draw(rngs, spec.dim or n, spec))
+                rows = np.concatenate([np.arange(depth)[r] for r, _ in groups])
+                assert sorted(rows.tolist()) == list(range(depth)), (spec, n)
+                for r, drawn in groups:
+                    assert all(len(x) == len(np.arange(depth)[r]) for x in drawn), (spec, n)
 
 
 # ---------------------------------------------------------------------------

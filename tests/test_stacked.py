@@ -251,24 +251,24 @@ def stack_log(monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, stack_log):
     bad_trial = 5
-    real_sample_block, real_sample = claims_module.sample_block, claims_module.sample
-    bad_state = Seed(77, "L-ANTI:2", bad_trial).generator().bit_generator.state
+    real_build = claims_module.build
+    spec = catalog()["L-ANTI"].ensemble
+    # the bad trial's own draw, which a stack holds as one of its rows
+    ((_, (bad_draw,)),) = claims_module.sample_block(spec, 2, 77, "L-ANTI:2", bad_trial, 1)
+    bad_draw = bad_draw[0].tobytes()
 
-    def sample_block_with_bad_trial(*args):
-        for trials, stack in real_sample_block(*args):
-            numbers = [] if isinstance(trials, int) else trials.tolist()
-            if bad_trial in numbers:
-                stack = tuple(m.copy() for m in stack)
-                for m, bad in zip(stack, GATE_FAILING):
-                    m[numbers.index(bad_trial)] = bad
-            yield trials, stack
+    def build_with_bad_trial(spec, drawn):  # a stack's draws, or one trial's row of them
+        (g,) = drawn
+        built = real_build(spec, drawn)
+        if g.ndim == 3:  # one trial's row
+            return GATE_FAILING if g.tobytes() == bad_draw else built
+        for i, row in enumerate(g):
+            if row.tobytes() == bad_draw:
+                for m, bad in zip(built, GATE_FAILING):
+                    m[i] = bad
+        return built
 
-    def sample_with_bad_trial(spec, n, source):  # the draw of a trial run alone
-        rng = generators._as_generator(source)  # its Seed, or a block of one's generator
-        return GATE_FAILING if rng.bit_generator.state == bad_state else real_sample(spec, n, rng)
-
-    monkeypatch.setattr(claims_module, "sample_block", sample_block_with_bad_trial)
-    monkeypatch.setattr(claims_module, "sample", sample_with_bad_trial)
+    monkeypatch.setattr(claims_module, "build", build_with_bad_trial)
     _, block = claims_module._run_block("L-ANTI", 2, 0, DEPTH, 77, TolerancePolicy())
     _, single = claims_module._run_block("L-ANTI", 2, bad_trial, 1, 77, TolerancePolicy())
     assert stack_log == [("L-ANTI", DEPTH, DEPTH * 64, False)]
@@ -364,19 +364,27 @@ def _prodsa_cor_trials(depth):
     return trials
 
 
+def _run_as_given(monkeypatch, claim, stacks, pol):
+    """``_run_block`` at n = 2 over ``stacks``, ``(trials, matrices)`` pairs
+    that stand for its draws, each built as the matrices it holds."""
+    monkeypatch.setattr(claims_module, "sample_block", lambda *args: iter(stacks))
+    monkeypatch.setattr(claims_module, "build", lambda spec, mats: tuple(mats))
+    return claims_module._run_block(claim.id, 2, 0, sum(len(t) for t, _ in stacks), 5, pol)[1]
+
+
 def test_prodsa_cor_records_keep_the_keys_of_their_trial(monkeypatch, stack_log):
     # C-PRODSA-COR's product extras exist only for A, B >= 0; a stack gives
     # the other trials NaN there, and their records must leave them out
     claim, depth = catalog()["C-PRODSA-COR"], 32
     pol = TolerancePolicy(rel=1e-16, abs=1e-300)
     trials = _prodsa_cor_trials(depth)
-    stacked, single = claims_module.ClaimStats(claim.id), claims_module.ClaimStats(claim.id)
     stack = tuple(np.stack(slot) for slot in zip(*trials))
-    claims_module._run_group(claim, 2, 5, np.arange(depth), stack, pol, stacked)
+    stacked = _run_as_given(monkeypatch, claim, [(np.arange(depth), stack)], pol)
     assert stack_log == [(claim.id, depth, depth * 64, False)]  # one stack, no split
-    monkeypatch.setattr(claims_module, "sample", lambda spec, n, mats: mats)  # trials as given
-    for t, mats in enumerate(trials):
-        claims_module._run_trial(claim, 2, t, mats, pol, single)
+    # each trial alone: a stack of one, evaluated on its 2-D matrices
+    alone = [(np.array([t]), tuple(m[None] for m in mats)) for t, mats in enumerate(trials)]
+    single = _run_as_given(monkeypatch, claim, alone, pol)
+    assert len(stack_log) == 1
     assert stacked.violations == single.violations
     for got, expected in zip(stacked.violations, single.violations):
         assert list(got["residuals"]) == list(expected["residuals"])
@@ -401,18 +409,17 @@ def test_prodsa_cor_records_keep_the_keys_of_their_trial(monkeypatch, stack_log)
     ),
 )
 @pytest.mark.parametrize("prior", (None, (2.5, 3), (3.0, 3), (0.0, 2), (9.0, 2)))
-def test_all_pass_stack_keeps_the_trial_that_ranks_worst(monkeypatch, residuals, prior):
+def test_all_pass_stack_keeps_the_trial_that_ranks_worst(residuals, prior):
     # one pick per stack ranks as one _keep_worst call per trial would:
     # by (residual, dim, trial) over the finite residuals
     passed = np.ones(len(residuals), dtype=bool)
     evaluated = (passed, passed, {}, {"conclusion": np.array(residuals)})
-    monkeypatch.setattr(claims_module, "_evaluate", lambda *_: evaluated)
     claim, trials = catalog()["C-TRI"], np.arange(10, 10 + len(residuals))
     picked, looped = (claims_module.ClaimStats("C-TRI") for _ in range(2))
     if prior is not None:
         for stats in (picked, looped):
             stats._keep_worst(prior[0], {"dim": prior[1], "trial": 0})
-    claims_module._run_group(claim, 2, 3, trials, (), TolerancePolicy(), picked)
+    claims_module._run_group(claim, 2, trials, evaluated, picked)
     for t, residual in zip(trials.tolist(), residuals):
         looped._keep_worst(residual, claims_module._seed_record(claim, 2, t))
     assert picked.passes == len(residuals)
