@@ -58,7 +58,7 @@ from .predicates import (
     is_self_adjoint,
 )
 from . import generators
-from .generators import EnsembleSpec, Seed, _block_generators, build, build_stacks, sample_block
+from .generators import EnsembleSpec, Seed, _block_generators, build, sample_block
 
 ALWAYS_HOLDS = "ALWAYS_HOLDS"
 REGISTRY_VIOLATION = "REGISTRY_VIOLATION"
@@ -106,6 +106,8 @@ class ClaimInstance:
         shapes = [m.shape for m in self.matrices]
         if len(set(shapes)) > 1:
             raise DimensionMismatch(f"{self.claim_id} takes matrices of one shape, got {shapes}")
+        if len(shapes[0]) != 2:
+            raise DimensionMismatch(f"{self.claim_id} takes n x n matrices, got shapes {shapes}")
 
 
 @dataclass(frozen=True)
@@ -1024,9 +1026,10 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     """Run a contiguous block of trials for one (claim, dim) into a
     :class:`ClaimStats`, which process pools ship back whole.
 
-    :func:`sample_block` derives the block's seeds in one pass and draws
-    them in stacks :func:`stack_depth` trials deep, the same for every claim
-    at a dim; :func:`_split_on_raise` builds and evaluates each, and
+    :func:`sample_block` draws the trials over the block's generators,
+    their seeds derived in one pass by :func:`_block_generators`, in stacks
+    :func:`stack_depth` trials deep, the same for every claim at a dim;
+    :func:`_split_on_raise` builds and evaluates each, and
     :func:`_run_group` reads a whole stack's records from its arrays.  A
     trial alone (a stack's only one, as in every replay and at n = 1, or one
     of a stack whose build or evaluation raised) is built from its own row
@@ -1041,7 +1044,8 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     def evaluate(drawn):
         return _evaluate(claim, build(claim.ensemble, drawn), pol)
 
-    for trials, drawn in sample_block(claim.ensemble, dim, master, tag, start, count):
+    rngs = _block_generators(master, [tag], start, count)
+    for trials, drawn in sample_block(claim.ensemble, dim, rngs, np.arange(start, start + count)):
         for i, value in _split_on_raise(evaluate, drawn, len(trials)):
             if i is None:
                 _run_group(claim, dim, trials, value, stats)
@@ -1219,33 +1223,29 @@ class ProbeStats:
 
 
 @lru_cache(maxsize=64)
-def _probe_plan(claim_ids: tuple, dim: int, count: int, depth: int):
+def _probe_plan(claim_ids: tuple, dim: int, count: int):
     """The calls of a probe, whatever its master seed: the claims in run
-    order, their tags, and per draw of ``size`` trials of arity ``k`` the
-    ``(conclusion, at, stop, flip)`` of each run of rows that share a
-    conclusion, ``flip`` the rows of A - B forms among them if any.  A draw
-    holds ``depth`` trials (:func:`stack_depth`), whatever its arity."""
+    order, their tags, and for each arity the spec of its draws, its rows
+    (``count`` a claim, numbered across arities in run order), the
+    ``(conclusion, at, stop)`` of each run of rows that share a conclusion
+    and, if it has A - B forms, a mask of their rows."""
     table = _checked_claims(claim_ids)
-    runs = {}  # the claims of one arity share each draw, of one conclusion each stack
+    runs = {}  # the claims of one arity share its draws, of one conclusion each run
     for cid in claim_ids:
         f = table[cid].conclusion
         runs.setdefault((max(table[cid].arity, 0) or 3, getattr(f, "plus_form", f)), []).append(cid)
     keys = sorted(runs, key=lambda key: key[0])
     order = [cid for key in keys for cid in runs[key]]
-    draws = []
+    minus = np.repeat([hasattr(table[cid].conclusion, "plus_form") for cid in order], count)
+    plan, at = [], 0
     for k, same_arity in groupby(keys, key=lambda key: key[0]):
-        # a row per trial: its conclusion, and whether it is an A - B form
-        rows = [(key[1], hasattr(table[cid].conclusion, "plus_form"))
-                for key in same_arity for cid in runs[key] for _ in range(count)]
-        for start in range(0, len(rows), depth):
-            parts, at = [], 0
-            for conclusion, part in groupby(rows[start : start + depth], key=lambda row: row[0]):
-                negated = [minus for _, minus in part]
-                flip = np.flatnonzero(negated) if any(negated) else None
-                parts.append((conclusion, at, at + len(negated), flip))
-                at += len(negated)
-            draws.append((k, at, parts))
-    return order, tuple(f"probe:{cid}:{dim}" for cid in order), draws
+        first, parts = at, []
+        for key in same_arity:
+            parts.append((key[1], at, at + len(runs[key]) * count))
+            at = parts[-1][2]
+        mask = minus if minus[first:at].any() else None
+        plan.append((EnsembleSpec("general", k=k), np.arange(first, at), parts, mask))
+    return order, tuple(f"probe:{cid}:{dim}" for cid in order), plan
 
 
 def _split_on_raise(evaluate, stack: tuple, size: int):
@@ -1286,35 +1286,37 @@ def probe_conclusions(
 
     Trial ``t`` of a claim draws its ``arity`` matrices (3 for a family
     claim) in turn from ``Seed(master_seed, "probe:{id}:{dim}", t)``, all
-    seeds derived in one pass.  Draws are :func:`build_stacks` of the
-    ``general`` kind, :func:`stack_depth` trials deep as in
-    :func:`sample_block`; claims that share a conclusion share its stacks,
-    an A - B form on the negated second operand (:func:`_minus_form`).  A
-    stack that raises is split by :func:`_split_on_raise`, so each trial
-    counts as it would alone.  ``dim``, ``count`` and the master seed must
-    be integers (not bools or floats) in range, as in :func:`run_suite`.
+    seeds derived in one pass.  The claims of one arity draw their trials
+    from one :func:`sample_block` call of the ``general`` kind, so in stacks
+    :func:`stack_depth` trials deep as the suite's; claims that share a
+    conclusion share its stacks, an A - B form on the negated second
+    operand (:func:`_minus_form`).  A stack that raises is split by
+    :func:`_split_on_raise`, so each trial counts as it would alone.
+    ``dim``, ``count`` and the master seed must be integers (not bools or
+    floats) in range, as in :func:`run_suite`.
     """
     if not _is_integer(count):
         raise ValueError(f"count must be >= 1, an integer and not a bool, got {count!r}")
     if not _is_integer(dim):
         raise ValueError(f"dim must be >= 1, an integer and not a bool, got {dim!r}")
     _check_master_seed(master_seed)
-    order, tags, draws = _probe_plan(tuple(claim_ids), dim, count, generators.stack_depth(dim))
+    order, tags, plan = _probe_plan(tuple(claim_ids), dim, count)
     rngs = _block_generators(master_seed, tags, 0, count)
     verdicts = np.empty(len(order) * count, dtype=np.int8)  # 1 holds, 0 fails, -1 raised
-    done = 0
-    for k, size, parts in draws:
-        stack = [next(rngs) for _ in range(size)]
-        ((_, drawn),) = build_stacks(EnsembleSpec("general", k=k), dim, stack)
-        for conclusion, at, stop, flip in parts:
-            if flip is not None:  # an A - B form runs on -B, as its conclusion does
-                second = drawn[1][at:stop]  # a view
-                second[flip] = -second[flip]
-            stack = tuple(m[at:stop] for m in drawn)
-            for i, ok in _split_on_raise(lambda mats: conclusion(mats, pol)[0], stack, stop - at):
-                rows = slice(done + at, done + stop) if i is None else done + at + i
-                verdicts[rows] = -1 if isinstance(ok, Exception) else ok
-        done += size
+    for spec, rows, parts, minus in plan:
+        for trials, drawn in sample_block(spec, dim, rngs, rows):
+            lo, hi = int(trials[0]), int(trials[-1]) + 1
+            drawn = build(spec, drawn)
+            if minus is not None:  # an A - B form runs on -B, as its conclusion does
+                drawn[1][minus[lo:hi]] = -drawn[1][minus[lo:hi]]
+            for conclusion, at, stop in parts:
+                at, stop = max(at, lo), min(stop, hi)
+                if at >= stop:  # a run outside this stack
+                    continue
+                stack = tuple(m[at - lo : stop - lo] for m in drawn)
+                for i, ok in _split_on_raise(lambda m: conclusion(m, pol)[0], stack, stop - at):
+                    where = slice(at, stop) if i is None else at + i
+                    verdicts[where] = -1 if isinstance(ok, Exception) else ok
     found = verdicts.reshape(len(order), count)
     failures = found == 0
     columns = failures.sum(1).tolist(), (found < 0).sum(1).tolist(), failures.argmax(1).tolist()

@@ -23,10 +23,10 @@ Every ensemble kind is two phases, ``draw(rngs, n, spec)`` and
   takes one trial's row of the draws, or a stack's, and each slice of a
   stacked build is bit-for-bit the one-trial build.
 
-:func:`sample` is the draw over one generator and the build of its row;
-:func:`sample_block` draws a block of trials (its seeds derived at once)
-in stacks :func:`stack_depth` trials deep, which the suite builds with
-:func:`build`, and the probe's :func:`build_stacks` draws and builds one.
+:func:`sample_block` is the one cut of trials into stacks: it draws trials
+over an iterator of their generators in stacks :func:`stack_depth` trials
+deep, which the suite and the probe build with :func:`build`;
+:func:`sample` is the block of one generator and the build of its row.
 """
 
 from __future__ import annotations
@@ -173,11 +173,15 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Seed:
-    """Deterministic substream address: (master, claim_tag, trial)."""
+    """Deterministic substream address: (master, claim_tag, trial), master and trial ints >= 0."""
 
     master: int
     claim_tag: str = ""
     trial: int = 0
+
+    def __post_init__(self):
+        if not (_is_integer(self.master, 0) and _is_integer(self.trial, 0)):
+            raise ValueError(f"seed master and trial must be nonnegative integers, got {self!r}")
 
     @property
     def replay_master(self) -> int:
@@ -220,7 +224,7 @@ def _as_generator(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, Seed):
         return seed.generator()
-    return Seed(int(seed)).generator()
+    return Seed(seed).generator()
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,8 @@ class EnsembleSpec:
             )
         if self.dim is not None and not _is_integer(self.dim):
             raise ValueError(f"dim must be >= 1, an integer and not a bool, got {self.dim!r}")
+        if self.kind == "sa_pair_normal_product" and self.dim != 2:
+            raise ValueError(f"sa_pair_normal_product exists only at dim=2, got dim={self.dim!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +553,12 @@ def build(spec: EnsembleSpec, drawn) -> tuple[np.ndarray, ...]:
 
 def sample(spec: EnsembleSpec, n: int, seed) -> tuple[np.ndarray, ...]:
     """Draw one tuple of matrices for ``spec`` at dimension ``n`` (or the
-    spec's pinned dimension): the draw over a list of one generator, and the
-    build of its one row."""
+    spec's pinned dimension): :func:`sample_block` over one generator, and
+    the build of its one row."""
     n = spec.dim if spec.dim is not None else n
     if not _is_integer(n):
         raise ValueError(f"dim must be >= 1, an integer and not a bool, got {n!r}")
-    ((_, drawn),) = _groups(_KINDS[spec.kind][0]([_as_generator(seed)], n, spec))
+    ((_, drawn),) = sample_block(spec, n, iter([_as_generator(seed)]), np.arange(1))
     return build(spec, [x[0] for x in drawn])
 
 
@@ -572,38 +578,20 @@ def stack_depth(n: int) -> int:
     return 1 if n == 1 else max(1, STACK_BYTES // (16 * n * n))
 
 
-def build_stacks(spec: EnsembleSpec, n: int, rngs: list) -> list:
-    """The draw over ``rngs``, one generator per trial, and the build, as a
-    list of ``(rows, matrices)``: one entry per shape the trials draw (a
-    family of 3 or 4), and one with every row for most kinds.  Slice ``i``
-    of each ``(B, n, n)`` stack is bit-for-bit ``sample`` on the generator
-    of row ``rows[i]``, at n > 1 (see :func:`stack_depth`)."""
-    drawn = _KINDS[spec.kind][0](rngs, n, spec)
-    return [(rows, build(spec, group)) for rows, group in _groups(drawn)]
-
-
-def sample_block(spec: EnsembleSpec, n: int, master: int, tag: str, start: int, count: int):
-    """Draw trials ``start .. start + count - 1`` of the stream ``(master,
-    tag)`` in stacks of at most :func:`stack_depth` trials, and yield each
-    as ``(trials, drawn)``: its trial numbers and its draw's arrays, unbuilt,
-    one entry per family size for a kind that draws several.  :func:`build`
-    of row ``i`` of ``drawn`` is what :func:`sample` gives ``trials[i]``."""
-    n = spec.dim if spec.dim is not None else n
-    end, depth = start + count, stack_depth(n)
-    if count == 1:  # the trial's own Seed: no block seed pass
-        rngs = iter([Seed(master, tag, start).generator()])
-    else:
-        rngs = _block_generators(master, [tag], start, count)
-    for at in range(start, end, depth):
-        trials = np.arange(at, min(at + depth, end))
-        stack = [next(rngs) for _ in range(len(trials))]
-        for rows, drawn in _groups(_KINDS[spec.kind][0](stack, n, spec)):
-            yield trials[rows], drawn
-
-
-def _groups(drawn) -> list:
-    """A draw's groups ``(rows, drawn)``; a tuple of stacks is one group."""
-    return drawn if isinstance(drawn, list) else [(slice(None), drawn)]
+def sample_block(spec: EnsembleSpec, n: int, rngs, trials: np.ndarray):
+    """Draw the trials numbered ``trials`` at dimension ``n``, each from the
+    next generator of the iterator ``rngs`` (taken in order, none ahead), in
+    stacks of at most :func:`stack_depth` trials cut from the first, and
+    yield each as ``(trials, drawn)``: its trial numbers and its draw's
+    arrays, unbuilt, one entry per family size for a kind that draws
+    several.  :func:`build` of row ``i`` of ``drawn`` is what :func:`sample`
+    gives the generator of ``trials[i]``."""
+    draw, depth = _KINDS[spec.kind][0], stack_depth(n)
+    for at in range(0, len(trials), depth):
+        stack = trials[at : at + depth]
+        drawn = draw([next(rngs) for _ in range(len(stack))], n, spec)
+        for rows, group in drawn if isinstance(drawn, list) else [(slice(None), drawn)]:
+            yield stack[rows], group
 
 
 def gen_general(n: int, seed) -> np.ndarray:

@@ -217,6 +217,13 @@ class TestCheckClaim:
         with pytest.raises(DimensionMismatch, match="expected a square matrix"):
             ClaimInstance("C-TRI", (np.ones((2, 3)), np.ones((2, 3))))
 
+    def test_stacks_are_rejected(self):
+        # a stack of matrices would give per-trial arrays where ClaimResult
+        # holds one bool and one verdict
+        s = np.stack([np.eye(2)] * 3)
+        with pytest.raises(DimensionMismatch, match=r"n x n matrices, got shapes \[\(3, 2, 2\)"):
+            ClaimInstance("C-TRI", (s, s))
+
     def test_arity_validation(self):
         with pytest.raises(ValueError):
             ClaimInstance("C-TRI", (np.eye(2, dtype=complex),))

@@ -54,6 +54,25 @@ class TestSeedStreams:
     def test_replay_master_is_identity_at_trial_zero(self):
         assert Seed(77, "t", 0).replay_master == 77
 
+    @pytest.mark.parametrize(
+        "master, trial",
+        [(2.9, 0), (True, 0), ("5", 0), (-1, 0), (np.float64(3), 0), (1, 2.5), (1, True), (1, -1)],
+    )
+    def test_seeds_take_only_nonnegative_integers(self, master, trial):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            Seed(master, "t", trial)
+        if trial == 0:
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                sample(EnsembleSpec("normal"), 3, master)
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                gen_general(3, master)
+
+    def test_numpy_integer_seeds_give_the_int_stream(self):
+        seed = Seed(np.uint64(3), "t", np.int64(2))
+        assert seed == Seed(3, "t", 2) and seed.replay_master == Seed(3, "t", 2).replay_master
+        assert gen_general(3, seed).tobytes() == gen_general(3, Seed(3, "t", 2)).tobytes()
+        assert gen_general(3, np.int64(4)).tobytes() == gen_general(3, 4).tobytes()
+
 
 class TestUnitary:
     def test_unitarity_residual(self):
@@ -243,15 +262,16 @@ class TestGeneralAndSpecs:
     def test_general_stacks_are_family_samples(self, n):
         spec = EnsembleSpec(kind="general", k=3)
         seeds = [Seed(2, "stack", t) for t in range(5)]
-        ((_, stacks),) = generators.build_stacks(spec, n, [s.generator() for s in seeds])
-        ((_, one),) = generators.build_stacks(spec, n, [seeds[2].generator()])
+        draw, _ = generators._KINDS["general"]
+        stacks = generators.build(spec, draw([s.generator() for s in seeds], n, spec))
+        one = generators.build(spec, draw([seeds[2].generator()], n, spec))
         for i, seed in enumerate(seeds):
             for m, single in zip(stacks, sample(spec, n, seed)):
                 assert m.shape == (5, n, n) and m[i].tobytes() == single.tobytes()
         for m, single in zip(one, sample(spec, n, seeds[2])):
             assert m.shape == (1, n, n) and m[0].tobytes() == single.tobytes()
         if n > 1:  # sample_block draws the same trials, which build into the same bits
-            ((_, drawn),) = sample_block(spec, n, 2, "stack", 0, 5)
+            ((_, drawn),) = suite_block(spec, n, 2, "stack", 0, 5)
             block = generators.build(spec, drawn)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(block, stacks))
 
@@ -259,6 +279,12 @@ class TestGeneralAndSpecs:
         spec = EnsembleSpec(kind="sa_pair_normal_product", dim=2)
         a, b = sample(spec, 8, Seed(3, "pin"))
         assert a.shape == b.shape == (2, 2)
+
+    @pytest.mark.parametrize("dim", (None, 1, 3, 8))
+    def test_sa_pair_exists_only_at_dim_two(self, dim):
+        # its draw makes 2x2 matrices whatever n, which a run would label dim n
+        with pytest.raises(ValueError, match="only at dim=2"):
+            EnsembleSpec("sa_pair_normal_product", dim=dim)
 
     def test_sample_unitary_kind(self):
         (u,) = sample(EnsembleSpec(kind="unitary"), 3, Seed(1, "u"))
@@ -324,7 +350,7 @@ class TestSeedDerivation:
         # left is the tags' own, and a master wider than 64 bits takes the
         # Python-int route with none
         theorems = tuple(cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS")
-        _, tags, _ = claims_module._probe_plan(theorems, 4, 1, generators.stack_depth(4))
+        _, tags, _ = claims_module._probe_plan(theorems, 4, 1)
         passes = []
         real = generators._derived
         monkeypatch.setattr(generators, "_derived", lambda *a: passes.append(a[1]) or real(*a))
@@ -384,14 +410,21 @@ class TestSeedDerivation:
                 assert Seed(master, "t", trial).replay_master == int(ref)
 
 
+def suite_block(spec, n, master, tag, start, count):
+    """``sample_block`` as the suite calls it for trials ``start .. start +
+    count - 1`` of the stream ``(master, tag)``."""
+    rngs = generators._block_generators(master, [tag], start, count)
+    return sample_block(spec, n, rngs, np.arange(start, start + count))
+
+
 def block_slices(spec, n, master, tag, count, start=0):
     """Every yielded stack of a block, built and checked slice by slice
     against sample; each trial's own row of the draws, built alone as the
     runner builds a trial that runs alone, checked the same way."""
-    numbers = []
-    for trials, drawn in sample_block(spec, n, master, tag, start, count):
+    numbers, n = [], spec.dim or n  # the suite passes a pinned spec's own dim
+    for trials, drawn in suite_block(spec, n, master, tag, start, count):
         assert isinstance(trials, np.ndarray) and all(len(x) == len(trials) for x in drawn)
-        assert len(trials) <= generators.stack_depth(spec.dim or n)
+        assert len(trials) <= generators.stack_depth(n)
         stack = generators.build(spec, drawn)
         numbers.extend(trials.tolist())
         for i, trial in enumerate(trials):
@@ -575,8 +608,7 @@ FUSED_SPECS = sorted(
 
 def one_trial_draw(rng, n, spec):
     """A kind's draw over a list of one generator, as the row of that trial."""
-    draw, _ = generators._KINDS[spec.kind]
-    ((_, drawn),) = generators._groups(draw([rng], n, spec))
+    ((_, drawn),) = sample_block(spec, n, iter([rng]), np.arange(1))
     return [x[0] for x in drawn]
 
 
@@ -679,7 +711,7 @@ def test_non_finite_draw_gives_the_one_trial_error_record(monkeypatch):
     # draws raises the record's error for exactly the trials that have one,
     # as sample does
     raised = []
-    for trials, drawn in sample_block(spec, 2, 9, "L-ANTI:2", 0, 24):
+    for trials, drawn in suite_block(spec, 2, 9, "L-ANTI:2", 0, 24):
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             generators.build(spec, drawn)
         for i, trial in enumerate(trials.tolist()):
@@ -721,11 +753,43 @@ def test_draws_never_raise():
         for n in range(1, 9):
             for depth in (1, 5):
                 rngs = [Seed(3, f"draw:{n}", t).generator() for t in range(depth)]
-                groups = generators._groups(draw(rngs, spec.dim or n, spec))
+                drawn = draw(rngs, spec.dim or n, spec)
+                groups = drawn if isinstance(drawn, list) else [(slice(None), drawn)]
                 rows = np.concatenate([np.arange(depth)[r] for r, _ in groups])
                 assert sorted(rows.tolist()) == list(range(depth)), (spec, n)
                 for r, drawn in groups:
                     assert all(len(x) == len(np.arange(depth)[r]) for x in drawn), (spec, n)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_sample_block_takes_one_generator_a_trial_and_none_ahead(spec, monkeypatch):
+    # the probe calls sample_block once per arity on one shared iterator:
+    # each call takes its trials' generators, stack by stack as it yields,
+    # and leaves the rest to the next call, which then draws what it would
+    # draw on an iterator of its own
+    monkeypatch.setattr(generators, "STACK_BYTES", 1024)  # 16 trials a stack at n = 2
+    for n in (1, 2, 8):
+        n, taken, tags = spec.dim or n, [], ["shared:a", "shared:b"]
+        depth = generators.stack_depth(n)
+
+        def counted(rngs):
+            for rng in rngs:
+                taken.append(rng)
+                yield rng
+
+        shared = counted(generators._block_generators(5, tags, 0, 40))
+        for call, tag in enumerate(tags):
+            alone = list(suite_block(spec, n, 5, tag, 0, 40))
+            got = []
+            for trials, drawn in sample_block(spec, n, shared, np.arange(40)):
+                stack_end = min((int(trials[-1]) // depth + 1) * depth, 40)
+                assert len(taken) == 40 * call + stack_end, (spec, n)
+                got.append((trials, drawn))
+            assert len(got) == len(alone)
+            for (trials, drawn), (trials_alone, drawn_alone) in zip(got, alone):
+                assert trials.tolist() == trials_alone.tolist()
+                assert [x.tobytes() for x in drawn] == [x.tobytes() for x in drawn_alone]
+        assert next(shared, None) is None and len(taken) == 80
 
 
 # ---------------------------------------------------------------------------

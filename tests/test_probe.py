@@ -122,12 +122,12 @@ def _poisoned(m):
 @pytest.mark.parametrize("dim", (1, 2, 3))
 def test_a_shared_stack_that_raises_counts_each_trial_alone(monkeypatch, stack_sizes, dim):
     claim_ids = ["C-TRIMINUS", "C-ABSDIFF+", "C-TRI", "C-NEGCROSS", "C-ABSDIFF-"]
-    real = claims_module.build_stacks
+    real = claims_module.build
 
-    def poisoned(spec, n, rngs):
-        return [(rows, tuple(map(_poisoned, mats))) for rows, mats in real(spec, n, rngs)]
+    def poisoned(spec, drawn):
+        return tuple(map(_poisoned, real(spec, drawn)))
 
-    monkeypatch.setattr(claims_module, "build_stacks", poisoned)
+    monkeypatch.setattr(claims_module, "build", poisoned)
     expected = reference_probe(
         claim_ids, dim, 40, 13, draw=lambda n, rng: _poisoned(gen_general(n, rng).copy())
     )

@@ -254,7 +254,8 @@ def test_gate_failing_slice_gives_the_single_trial_error_record(monkeypatch, sta
     real_build = claims_module.build
     spec = catalog()["L-ANTI"].ensemble
     # the bad trial's own draw, which a stack holds as one of its rows
-    ((_, (bad_draw,)),) = claims_module.sample_block(spec, 2, 77, "L-ANTI:2", bad_trial, 1)
+    rngs = iter([Seed(77, "L-ANTI:2", bad_trial).generator()])
+    ((_, (bad_draw,)),) = claims_module.sample_block(spec, 2, rngs, np.arange(1))
     bad_draw = bad_draw[0].tobytes()
 
     def build_with_bad_trial(spec, drawn):  # a stack's draws, or one trial's row of them
@@ -448,11 +449,12 @@ def test_stacks_stay_within_the_byte_cap(monkeypatch, stack_log):
     # every claim's stack holds as many trials as one (B, n, n) operand stack
     # fits in STACK_BYTES; C-NFOLD's groups of family sizes 3 and 4 together
     drawn, real = [], claims_module.sample_block
+    claim_of = {catalog()[cid].ensemble: cid for cid in ("C-EIGHT", "C-NFOLD", "C-TRIN")}
 
-    def recording(spec, n, master, tag, *args):
-        for trials, stack in real(spec, n, master, tag, *args):
-            drawn.append((tag, trials))
-            yield trials, stack
+    def recording(spec, n, rngs, trials):
+        for sub, stack in real(spec, n, rngs, trials):
+            drawn.append((f"{claim_of[spec]}:{n}", sub))
+            yield sub, stack
 
     monkeypatch.setattr(claims_module, "sample_block", recording)
     run_suite(["C-EIGHT", "C-NFOLD", "C-TRIN"], (2, 8), 250, 3, TolerancePolicy(rel=1e-8))
