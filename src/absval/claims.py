@@ -27,6 +27,7 @@ from .core import (
     NumericalError,
     PredicateResult,
     TolerancePolicy,
+    _checked_int,
     _is_integer,
     adjoint,
     as_matrix,
@@ -1087,11 +1088,6 @@ def _run_group(claim: Claim, dim: int, trials, evaluated, stats: ClaimStats):
         stats._keep_worst(float(worst[t]), _seed_record(claim, dim, int(trials[t])))
 
 
-def _check_master_seed(master_seed) -> None:
-    if not _is_integer(master_seed, 0):
-        raise ValueError(f"master seed must be a nonnegative integer, got {master_seed!r}")
-
-
 def _checked_claims(claim_ids, dims=()) -> dict:
     """The catalog, once ``claim_ids`` name claims in it and neither they nor
     ``dims`` repeat: a repeated claim or dim would count the same trials twice."""
@@ -1106,20 +1102,20 @@ def _checked_claims(claim_ids, dims=()) -> dict:
     return table
 
 
-def _checked_run(claim_ids, dims, trials, master_seed, jobs) -> dict:
-    """The catalog, once a run's arguments pass the one check that
-    :func:`run_suite` and the CLI make: ``KeyError`` for an unknown claim id,
-    ``ValueError`` for any other bad argument, before any trial runs."""
-    if not _is_integer(trials):
-        raise ValueError(f"trials must be >= 1, an integer and not a bool, got {trials!r}")
-    if not dims or not all(_is_integer(dim) for dim in dims):
+def _checked_run(claim_ids, dims, trials, master_seed, jobs) -> tuple:
+    """``(catalog, dims, trials, master_seed, jobs)``, the numbers as ints,
+    once a run's arguments pass the one check that :func:`run_suite` and the
+    CLI make: ``KeyError`` for an unknown claim id, ``ValueError`` for any
+    other bad argument, before any trial runs."""
+    trials = _checked_int(trials, "trials")
+    if not len(dims) or not all(_is_integer(dim) for dim in dims):  # len: dims may be an array
         raise ValueError(
             f"dims must be nonempty and each >= 1, an integer and not a bool, got {list(dims)}"
         )
-    if not _is_integer(jobs):
-        raise ValueError(f"jobs must be >= 1, an integer and not a bool, got {jobs!r}")
-    _check_master_seed(master_seed)
-    return _checked_claims(claim_ids, dims)
+    dims = [int(dim) for dim in dims]
+    jobs = _checked_int(jobs, "jobs")
+    master_seed = _checked_int(master_seed, "master seed", 0)
+    return _checked_claims(claim_ids, dims), dims, trials, master_seed, jobs
 
 
 def _merge_block(agg: ClaimStats, block: ClaimStats):
@@ -1147,9 +1143,11 @@ def run_suite(
     serial and parallel execution: every trial's matrices depend only on its
     own seed and aggregation is order-insensitive.  Arguments are checked
     first, by :func:`_checked_run`: ``dims``, ``trials``, ``jobs`` and the
-    master seed must be integers (not bools or floats) in range.
+    master seed must be integers (not bools or floats) in range, and the
+    report holds them as ints.
     """
-    table = _checked_run(claim_ids, dims, trials, master_seed, jobs)
+    run = _checked_run(claim_ids, dims, trials, master_seed, jobs)
+    table, dims, trials, master_seed, jobs = run
     started = time.perf_counter()
     stats = {cid: ClaimStats(claim_id=cid, note=table[cid].note) for cid in claim_ids}
 
@@ -1293,13 +1291,11 @@ def probe_conclusions(
     operand (:func:`_minus_form`).  A stack that raises is split by
     :func:`_split_on_raise`, so each trial counts as it would alone.
     ``dim``, ``count`` and the master seed must be integers (not bools or
-    floats) in range, as in :func:`run_suite`.
+    floats) in range, as in :func:`run_suite`, and are used as ints.
     """
-    if not _is_integer(count):
-        raise ValueError(f"count must be >= 1, an integer and not a bool, got {count!r}")
-    if not _is_integer(dim):
-        raise ValueError(f"dim must be >= 1, an integer and not a bool, got {dim!r}")
-    _check_master_seed(master_seed)
+    count = _checked_int(count, "count")
+    dim = _checked_int(dim, "dim")
+    master_seed = _checked_int(master_seed, "master seed", 0)
     order, tags, plan = _probe_plan(tuple(claim_ids), dim, count)
     rngs = _block_generators(master_seed, tags, 0, count)
     verdicts = np.empty(len(order) * count, dtype=np.int8)  # 1 holds, 0 fails, -1 raised

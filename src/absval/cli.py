@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
@@ -28,19 +27,6 @@ from .claims import (
 )
 
 
-@dataclass
-class RunConfig:
-    claims: list
-    dims: list
-    trials: int
-    master_seed: int
-    policy: TolerancePolicy
-    fmt: str = "text"
-    list_only: bool = False
-    matrix_files: list = field(default_factory=list)
-    jobs: int = 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="absval",
@@ -49,15 +35,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--claims", default="all", help="comma-separated claim ids, or 'all'")
     parser.add_argument("--dims", default="2,3,4", help="comma-separated matrix dimensions")
     parser.add_argument("--trials", type=int, default=100, help="trials per claim and dimension")
-    parser.add_argument("--seed", type=int, default=0, help="master seed for all ensembles")
+    parser.add_argument(
+        "--seed", type=int, default=0, dest="master_seed", metavar="SEED",
+        help="master seed for all ensembles",
+    )
     parser.add_argument("--tol-rel", type=float, default=None, help="relative tolerance override")
     parser.add_argument("--tol-abs", type=float, default=None, help="absolute tolerance override")
     parser.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-    parser.add_argument("--list", action="store_true", help="print the claim catalog and exit")
+    parser.add_argument(
+        "--list", action="store_true", dest="list_only", help="print the claim catalog and exit"
+    )
     parser.add_argument(
         "--matrix-file",
         action="append",
         default=[],
+        dest="matrix_files",
         metavar="PATH",
         help="bind user matrices (JSON literals) to a single claim's slots, one file per slot",
     )
@@ -73,41 +65,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def parse_config(argv) -> RunConfig:
+def parse_config(argv) -> argparse.Namespace:
     """The run that ``argv`` asks for, checked as :func:`run_suite` checks
-    it; a usage error exits 2 with the usage line."""
+    it: the parser's namespace, with ``claims`` and ``dims`` as lists and the
+    tolerances as ``policy``.  A usage error exits 2 with the usage line."""
     parser = _parser()
     args = parser.parse_args(argv)
+    args.matrix_files = list(args.matrix_files)  # not the shared parser's default list
     if args.claims.strip().lower() == "all":
-        claim_ids = list(catalog())
+        args.claims = list(catalog())
     else:
         # an empty filter is legal and yields an empty (passing) report
-        claim_ids = [part.strip() for part in args.claims.split(",") if part.strip()]
+        args.claims = [part.strip() for part in args.claims.split(",") if part.strip()]
     try:
-        dims = [int(part) for part in args.dims.split(",") if part.strip()]
+        args.dims = [int(part) for part in args.dims.split(",") if part.strip()]
     except ValueError:
         parser.error(f"--dims expects a comma-separated list of integers, got {args.dims!r}")
-    if args.matrix_file and len(claim_ids) != 1:
+    if args.matrix_files and len(args.claims) != 1:
         parser.error("--matrix-file requires exactly one claim id in --claims")
     try:
-        _checked_run(claim_ids, dims, args.trials, args.seed, args.jobs)
-        policy = TolerancePolicy(
+        _checked_run(args.claims, args.dims, args.trials, args.master_seed, args.jobs)
+        args.policy = TolerancePolicy(
             rel=args.tol_rel if args.tol_rel is not None else DEFAULT_POLICY.rel,
             abs=args.tol_abs if args.tol_abs is not None else DEFAULT_POLICY.abs,
         )
     except (KeyError, ValueError) as exc:
         parser.error(exc.args[0])
-    return RunConfig(
-        claims=claim_ids,
-        dims=dims,
-        trials=args.trials,
-        master_seed=args.seed,
-        policy=policy,
-        fmt=args.fmt,
-        list_only=args.list,
-        matrix_files=list(args.matrix_file),
-        jobs=args.jobs,
-    )
+    return args
 
 
 def _json(value, pad: str = "") -> str:
@@ -145,9 +129,9 @@ def format_catalog() -> str:
     return "\n".join(lines) + "\n"
 
 
-def execute(cfg: RunConfig) -> tuple[SuiteReport, int]:
-    """Run the configured suite, or check the one claim on the user's
-    matrices; exit code 0 only for a clean pass."""
+def execute(cfg: argparse.Namespace) -> tuple[SuiteReport, int]:
+    """Run the suite that :func:`parse_config` returned, or check its one
+    claim on the user's matrices; exit code 0 only for a clean pass."""
     if cfg.matrix_files:
         started = time.perf_counter()
         claim_id = cfg.claims[0]

@@ -160,6 +160,15 @@ def _is_integer(value, least: int = 1) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
+def _checked_int(value, name: str, least: int = 1) -> int:
+    """``int(value)`` once :func:`_is_integer` admits it, so a numpy integer
+    goes no further, else a ``ValueError`` that names the argument."""
+    if not _is_integer(value, least):
+        rule = "a nonnegative integer" if least == 0 else f">= {least}, an integer and not a bool"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  An exact involution: adjoint(adjoint(a)) == a bitwise."""
     star = a.swapaxes(-1, -2).copy()
@@ -173,7 +182,7 @@ def frobenius(a: np.ndarray):
     the entries in memory order, and the rounding depends on that order.  A
     stack is therefore read slice by slice in each slice's memory order, and
     its dot products run through a batched ``(1, k) @ (k, 1)`` matmul, which
-    calls the same BLAS dot.
+    calls the same BLAS dot.  An empty stack gives an empty array.
     """
     if a.ndim == 2:
         x = a.ravel("K")
@@ -181,7 +190,7 @@ def frobenius(a: np.ndarray):
         return math.sqrt(re.dot(re) + im.dot(im))
     if a.strides[-1] > a.strides[-2]:  # column-major slices
         a = a.swapaxes(-1, -2)
-    x = a.reshape(a.shape[:-2] + (1, -1))
+    x = a.reshape(a.shape[:-2] + (1, a.shape[-1] * a.shape[-2]))
     re, im = x.real, x.imag
     return np.sqrt((re @ re.swapaxes(-1, -2))[..., 0, 0] + (im @ im.swapaxes(-1, -2))[..., 0, 0])
 

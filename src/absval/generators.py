@@ -37,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import _is_integer, as_matrix, symmetrize, adjoint, operator_norm
+from .core import _checked_int, _is_integer, as_matrix, symmetrize, adjoint, operator_norm
 
 # ---------------------------------------------------------------------------
 # seed streams
@@ -173,7 +173,7 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Seed:
-    """Deterministic substream address: (master, claim_tag, trial), master and trial ints >= 0."""
+    """Deterministic substream address (master, claim_tag, trial): ints >= 0 and a str tag."""
 
     master: int
     claim_tag: str = ""
@@ -182,6 +182,8 @@ class Seed:
     def __post_init__(self):
         if not (_is_integer(self.master, 0) and _is_integer(self.trial, 0)):
             raise ValueError(f"seed master and trial must be nonnegative integers, got {self!r}")
+        if not isinstance(self.claim_tag, str):
+            raise ValueError(f"seed claim_tag must be a str, got {self.claim_tag!r}")
 
     @property
     def replay_master(self) -> int:
@@ -250,12 +252,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.k is not None and not _is_integer(self.k):
-            raise ValueError(
-                f"family size k must be >= 1, an integer and not a bool, got {self.k!r}"
-            )
-        if self.dim is not None and not _is_integer(self.dim):
-            raise ValueError(f"dim must be >= 1, an integer and not a bool, got {self.dim!r}")
+        if self.k is not None:
+            _checked_int(self.k, "family size k")
+        if self.dim is not None:
+            _checked_int(self.dim, "dim")
         if self.kind == "sa_pair_normal_product" and self.dim != 2:
             raise ValueError(f"sa_pair_normal_product exists only at dim=2, got dim={self.dim!r}")
 
@@ -555,9 +555,7 @@ def sample(spec: EnsembleSpec, n: int, seed) -> tuple[np.ndarray, ...]:
     """Draw one tuple of matrices for ``spec`` at dimension ``n`` (or the
     spec's pinned dimension): :func:`sample_block` over one generator, and
     the build of its one row."""
-    n = spec.dim if spec.dim is not None else n
-    if not _is_integer(n):
-        raise ValueError(f"dim must be >= 1, an integer and not a bool, got {n!r}")
+    n = _checked_int(spec.dim if spec.dim is not None else n, "dim")
     ((_, drawn),) = sample_block(spec, n, iter([_as_generator(seed)]), np.arange(1))
     return build(spec, [x[0] for x in drawn])
 

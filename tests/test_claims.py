@@ -1,6 +1,8 @@
 """Claim catalog, check_claim, suites, registry, probes."""
 
 import concurrent.futures
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -408,6 +410,28 @@ class TestRunSuite:
         assert all(st.trials == 1 and st.passes == 1 for st in report.claims)
         notes = {st.claim_id: st.note for st in report.claims}
         assert notes["CE-3"]  # computed-value caveat surfaces in the report
+
+
+@pytest.mark.parametrize("np_int", (np.int64, np.int32, np.uint64))
+class TestNumpyIntegers:
+    """Numpy integer sizes and seeds are taken and used as the ints they
+    equal, so nothing numpy reaches a report or a ``ProbeStats``."""
+
+    def test_run_suite_reports_them_as_ints(self, np_int):
+        ids = ["C-POWZ", "C-TRI", "CE-0"]  # TIGHT: violation records too
+        want = run_suite(ids, [2, 3], 3, 5, TIGHT).to_dict()
+        got = run_suite(ids, np.array([2, 3], np_int), np_int(3), np_int(5), TIGHT, np_int(1))
+        got = got.to_dict()
+        assert want["claims"][0]["violations"]
+        del want["wall_time_seconds"], got["wall_time_seconds"]
+        assert json.dumps(got) == json.dumps(want)  # json.dumps rejects numpy integers
+
+    def test_probe_stats_hold_ints(self, np_int):
+        ids = ["C-TRI", "C-PRODNORM", "T-LH"]
+        got = probe_conclusions(ids, np_int(2), np_int(7), np_int(3))
+        assert got == probe_conclusions(ids, 2, 7, 3)
+        for ps in got:
+            assert {type(v) for v in dataclasses.astuple(ps)[1:]} <= {int, type(None)}
 
 
 class TestProbe:

@@ -67,6 +67,11 @@ class TestSeedStreams:
             with pytest.raises(ValueError, match="nonnegative integers"):
                 gen_general(3, master)
 
+    @pytest.mark.parametrize("tag", [5, None, b"x"])
+    def test_seed_tags_must_be_str(self, tag):
+        with pytest.raises(ValueError, match="claim_tag must be a str"):
+            Seed(1, tag)
+
     def test_numpy_integer_seeds_give_the_int_stream(self):
         seed = Seed(np.uint64(3), "t", np.int64(2))
         assert seed == Seed(3, "t", 2) and seed.replay_master == Seed(3, "t", 2).replay_master

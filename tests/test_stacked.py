@@ -152,6 +152,30 @@ def test_every_primitive_stacks_bit_for_bit(n, depth):
         assert_stack_matches(fn, *operands, where=f"{name} n={n}")
 
 
+def _leaves(value):
+    """The arrays of a primitive's result, through dataclasses, dicts and tuples."""
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    elif isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_every_primitive_takes_an_empty_stack(n):
+    """A stack of no trials gives every result with no trials, in the shape
+    and dtype a stack of one gives."""
+    for name, (fn, *operands) in _operands(n, 1).items():
+        one = _leaves(fn(*(np.stack(ops) for ops in operands)))
+        empty = _leaves(fn(*(np.stack(ops)[:0] for ops in operands)))
+        assert len(empty) == len(one), name
+        for got, want in zip(empty, one):
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype, name
+            assert got.shape == (0,) + want.shape[1:], name
+
+
 def _groups(claim, n, depth=DEPTH):
     """Trials of one (claim, dim), grouped by matrix shapes as the runner does."""
     groups = defaultdict(list)
