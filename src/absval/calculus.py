@@ -71,9 +71,8 @@ def _spectral(f: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Principal square root of a PSD matrix via eigendecomposition."""
-    w, u = hermitian_eigen(p, pol)
-    return _spectral(np.sqrt(_psd_eigenvalues(w, pol)), u)
+    """Principal square root of a PSD matrix: :func:`psd_power` at 1/2."""
+    return psd_power(p, 0.5, pol)
 
 
 def psd_sqrt_iterative(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -136,7 +136,7 @@ def _grouped(fn, rows, *args):
     within ``generators.STACK_BYTES // 4``: a trial's operands go as one
     call, a sweep stack's rows one by one and none made early.  Results are
     bit for bit the rows' own calls, one trial's scalars as Python scalars.
-    A group that raises, or whose rows differ in shape, runs row by row."""
+    A group that raises runs row by row."""
     group = []
     for row in rows:
         group.append(row)
@@ -152,8 +152,8 @@ def _group_call(fn, group, args):
     if len(group) > 1:
         try:
             return _unstack(fn(*map(np.array, zip(*group)), *args))
-        except (NumericalError, ValueError):  # LinAlgError and np.array's shape error too
-            pass  # row by row the sequence raises its own error, or its rows do not stack
+        except (NumericalError, ValueError):  # LinAlgError too
+            pass  # row by row the sequence raises its own error
     return [fn(*row, *args) for row in group]
 
 
@@ -390,7 +390,7 @@ def _concl_nfold_product(mats, pol):
 
 def _concl_integer_powers(mats, pol):
     (a,) = mats
-    eye = np.eye(a.shape[-1], dtype=complex)
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)  # one shape per row
     abs_a = abs_value(a, pol)
 
     def powers(b, c):  # (B^e, C^e), e = 1..3, from eye @ B: B alone may differ in a zero's sign
@@ -413,7 +413,7 @@ def _concl_square_nonpositive(mats, pol):
 
 def _concl_re_below_abs(mats, pol):
     (t,) = mats
-    return _concl_loewner((t + adjoint(t)) / 2, abs_value(t, pol), pol)
+    return _concl_loewner(symmetrize(t), abs_value(t, pol), pol)
 
 
 def _concl_adjoint_product_hyponormal(mats, pol):
@@ -430,7 +430,7 @@ def _concl_triangle_sum(mats, pol):
 
 def _concl_re_im_split(mats, pol):
     (t,) = mats
-    re = (t + adjoint(t)) / 2
+    re = symmetrize(t)
     im = (t - adjoint(t)) / 2j
     abs_t, abs_re, abs_im = _grouped(abs_value, zip([t, re, im]), pol)
     return _concl_loewner(abs_t, abs_re + abs_im, pol)

@@ -16,6 +16,7 @@ from .core import (
     PredicateResult,
     TolerancePolicy,
     adjoint,
+    eigh_exact,
     frobenius,
     positivity,
     select,
@@ -31,10 +32,8 @@ def is_self_adjoint(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> Pre
 
 
 def is_normal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
-    """a a* == a* a up to tolerance; residual is the commutator norm."""
-    star = adjoint(a)
-    r = frobenius(a @ star - star @ a)
-    return PredicateResult(r <= pol.bound(frobenius(a) ** 2), r)
+    """a a* == a* a, by :func:`commutes` of a and a*; residual is ||a a* - a* a||_F."""
+    return commutes(a, adjoint(a), pol)
 
 
 def is_hyponormal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
@@ -44,19 +43,18 @@ def is_hyponormal(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> Predi
 
 
 def is_positive(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
-    """Self-adjoint with a spectrum that passes
+    """Self-adjoint, with an ``eigh`` spectrum (the PSD gates' own) that passes
     :func:`~absval.core.positivity`; residual is lambda_min."""
     sa = is_self_adjoint(a, pol).holds
     if sa is False:  # one matrix, not self-adjoint: no spectrum to check
         return PredicateResult(False, float("-inf"))
-    psd, lam_min = positivity(np.linalg.eigvalsh(symmetrize(a)), pol)
+    psd, lam_min = positivity(eigh_exact(symmetrize(a))[0], pol)
     return PredicateResult(sa & psd, select(sa, lam_min, float("-inf")))
 
 
 def is_anti_symmetric(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
-    """a* == -a up to tolerance; residual is ||a + a*||_F."""
-    r = frobenius(a + a.conj().swapaxes(-1, -2))
-    return PredicateResult(r <= pol.bound(frobenius(a)), r)
+    """a* == -a, by :func:`is_self_adjoint` of i a; residual is ||a + a*||_F."""
+    return is_self_adjoint(1j * a, pol)
 
 
 def commutes(a: np.ndarray, b: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:

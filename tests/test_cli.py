@@ -216,7 +216,7 @@ class TestOneTrialReplays:
     THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]
     # SHA-256 of the outputs below as the stacked one-trial route gave them:
     # whatever route a one-trial run takes, a replay's bytes stay the same
-    PINNED = "a89769c737fdd01b69c204e07439f17bb5d54efae201ea6e18ef641e9a1674bb"
+    PINNED = "eb07a6fe31a71de605132625f667e353329b4eb62c4c7f4c6d7f26138f6b7178"
 
     def test_replay_outputs_are_pinned(self, capsys):
         runs = [
@@ -255,7 +255,7 @@ class TestReportBytes:
     each in both formats."""
 
     # SHA-256 of the outputs below as json.dumps(..., indent=2) wrote them
-    PINNED = "a6510c1e12d0dc472a5bb402b7d948329afc8a988f5cacdfe9154de0e79bcbde"
+    PINNED = "0c53dfcabe11cc3726ae3ed6ccaa9124f147d2dc1bf8999c7306ec35cd28de43"
 
     def test_outputs_are_pinned(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the report names the matrix files

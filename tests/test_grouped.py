@@ -363,6 +363,21 @@ def test_integer_powers_match_their_product_chains(pol):
             assert_same(claim.conclusion(stack, pol), want, f"n={n} stack of {size}")
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+def test_integer_powers_factor_their_rows_in_one_call(depth, monkeypatch):
+    """C-POWZ's identity row takes the operand's shape, so on a stack its
+    seven rows stack too: one ``eigh`` for |A| and one for the rows."""
+    claim = catalog()["C-POWZ"]
+    trials = [sample(claim.ensemble, 4, Seed(44, "C-POWZ:4", t)) for t in range(depth)]
+    stack = tuple(np.stack(slot) for slot in zip(*trials))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    holds, _, _ = claim.conclusion(stack, TolerancePolicy())
+    assert holds.all()
+    assert calls == [(depth, 4, 4), (7, depth, 4, 4)]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cid", sorted(REFERENCE))
 def test_non_finite_operands_raise_the_sequence_error(cid):

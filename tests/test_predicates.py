@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from absval import (
+    DEFAULT_POLICY,
     DimensionMismatch,
     EnsembleSpec,
+    NotPositiveSemidefinite,
     Seed,
     adjoint,
     as_matrix,
     commutes,
     frobenius,
     gen_general,
+    hermitian_eigen,
     is_anti_symmetric,
     is_hyponormal,
     is_normal,
     is_positive,
     is_self_adjoint,
     loewner_leq,
+    psd_sqrt,
     sample,
+    symmetrize,
 )
 
 
@@ -82,6 +87,48 @@ class TestPositive:
 
     def test_non_self_adjoint_is_not_positive(self):
         assert not is_positive(cm([[1, 1], [0, 1]]))
+
+
+def _at_the_psd_boundary(n, count, rng):
+    """``count`` Hermitian n x n matrices with spectra from U(0.1, 100) and
+    lambda_min moved to -bound(lambda_max) + U(-2e-13, 2e-13), where the
+    positivity rule turns on the last bits of the computed lambda_min."""
+    w = np.sort(rng.uniform(0.1, 100.0, (count, n)), axis=-1)
+    w[:, 0] = -DEFAULT_POLICY.bound(w[:, -1]) + rng.uniform(-2e-13, 2e-13, count)
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    q = np.linalg.qr(z)[0]
+    return symmetrize((q * w[:, None, :]) @ adjoint(q))
+
+
+def _gate_admits(p):
+    try:
+        psd_sqrt(p)
+    except NotPositiveSemidefinite:
+        return False
+    return True
+
+
+class TestPositiveAgreesWithTheGate:
+    """``is_positive`` reads the spectrum the PSD gate of ``psd_sqrt`` reads,
+    so a matrix the hypothesis admits is never refused by the gate, even at
+    the boundary, where two eigen-routines disagree in the last bits."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_one_matrix_and_a_stack(self, n):
+        stack = _at_the_psd_boundary(n, 750, np.random.default_rng([1, n]))
+        lam_min = hermitian_eigen(stack)[0][..., 0]
+        for p, lam in zip(stack, lam_min):
+            res = is_positive(p)
+            assert res.holds == _gate_admits(p)
+            assert np.float64(res.residual).tobytes() == lam.tobytes()
+        res = is_positive(stack)
+        assert res.holds.tolist() == [is_positive(p).holds for p in stack]
+        assert 0 < res.holds.sum() < len(stack)  # both sides of the boundary are drawn
+        assert res.residual.tobytes() == lam_min.tobytes()
+        psd_sqrt(stack[res.holds])
+        with pytest.raises(NotPositiveSemidefinite) as exc:
+            psd_sqrt(stack[~res.holds])
+        assert exc.value.witness == res.residual[~res.holds][0]
 
 
 class TestAntiSymmetric:
