@@ -18,6 +18,7 @@ from .core import (
     NumericalError,
     PredicateResult,
     TolerancePolicy,
+    _from_spectrum,
     adjoint,
     eigh_exact,
     extreme_eigenvalues,
@@ -63,11 +64,6 @@ def _psd_eigenvalues(w: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
             f"matrix is not positive semidefinite: lambda_min = {witness:.3e}", witness
         )
     return np.maximum(w, 0.0)
-
-
-def _spectral(f: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U diag(f) U*, symmetrized."""
-    return symmetrize((u * f[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def psd_sqrt(p: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -126,7 +122,7 @@ def abs_value(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     eigensolver without the self-adjointness gate; the PSD gate stays.
     """
     w, u = eigh_exact(symmetrize(adjoint(a) @ a))
-    return _spectral(np.sqrt(_psd_eigenvalues(w, pol)), u)
+    return symmetrize(_from_spectrum(u, np.sqrt(_psd_eigenvalues(w, pol))))
 
 
 def psd_power(p: np.ndarray, alpha, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -140,7 +136,7 @@ def psd_power(p: np.ndarray, alpha, pol: TolerancePolicy = DEFAULT_POLICY):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     w, u = hermitian_eigen(p, pol)
     w = _psd_eigenvalues(w, pol)
-    powers = tuple(_spectral(w**t, u) for t in alphas)
+    powers = tuple(symmetrize(_from_spectrum(u, w**t)) for t in alphas)
     return powers if alphas is alpha else powers[0]
 
 

@@ -1032,8 +1032,8 @@ def _run_block(claim_id: str, dim: int, start: int, count: int, master: int, pol
     :func:`stack_depth` trials deep, the same for every claim at a dim;
     :func:`_split_on_raise` builds and evaluates each, and
     :func:`_run_group` reads a whole stack's records from its arrays.  A
-    trial alone (a stack's only one, as in every replay and at n = 1, or one
-    of a stack whose build or evaluation raised) is built from its own row
+    trial alone (a stack's only one, as in every replay, or one of a stack
+    whose build or evaluation raised) is built from its own row
     of the draws, as :func:`sample` builds it, evaluated on 2-D matrices and
     counts as it would in any block.  No trial is drawn twice, and a
     :class:`Seed` is made only for a record the block keeps.

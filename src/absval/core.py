@@ -259,6 +259,12 @@ def hermitian_eigen(h: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
     return eigh_exact(symmetrize(h))
 
 
+def _from_spectrum(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``u diag(d) u*``, for one matrix or a stack: f(A) = U f(Lambda) U*,
+    the one form that the calculus and the ensembles share."""
+    return (u * d[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
 def eigh_exact(h: np.ndarray):
     """Eigendecomposition ``(w, u)`` of input that is exactly Hermitian, such
     as the output of :func:`symmetrize`; no gate, no further symmetrization."""

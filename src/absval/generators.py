@@ -20,8 +20,9 @@ Every ensemble kind is two phases, ``draw(rngs, n, spec)`` and
 - a shape-polymorphic *build* turns drawn arrays into matrices: the maps
   of uniforms onto their ranges, the QR, phase normalization,
   eigendecompositions and products, and the checks that may raise.  It
-  takes one trial's row of the draws, or a stack's, and each slice of a
-  stacked build is bit-for-bit the one-trial build.
+  takes one trial's row of the draws, or a stack's, in one form (columns
+  scale by ``x[..., None, :]``), so each slice of a stacked build is
+  bit-for-bit the one-trial build, at every n.
 
 :func:`sample_block` is the one cut of trials into stacks: it draws trials
 over an iterator of their generators in stacks :func:`stack_depth` trials
@@ -37,7 +38,8 @@ from functools import cache
 
 import numpy as np
 
-from .core import _checked_int, _is_integer, as_matrix, symmetrize, adjoint, operator_norm
+from .core import _checked_int, _from_spectrum, _is_integer, adjoint, as_matrix
+from .core import operator_norm, symmetrize
 
 # ---------------------------------------------------------------------------
 # seed streams
@@ -295,14 +297,6 @@ def _skew(t):
     return (t - t.conj().swapaxes(-1, -2)) / 2
 
 
-def _per_column(x):
-    """Entries scaling the columns of a matrix (or of a stack): ``x`` itself
-    for one trial and ``x[..., None, :]`` on a stack.  At n = 1 numpy rounds
-    the two forms of a complex product differently, and reports made before
-    generation was stacked used the first."""
-    return x if x.ndim == 1 else x[..., None, :]
-
-
 def _unitary(g):
     """QR of a complex Gaussian matrix, the triangular factor's diagonal
     phases normalized away."""
@@ -310,7 +304,7 @@ def _unitary(g):
     q, r = np.linalg.qr(re + 1j * im)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
-    return q * _per_column(d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _diagonal(r, invertible):
@@ -322,11 +316,6 @@ def _diagonal(r, invertible):
     return mag * np.exp(2j * np.pi * turns)
 
 
-def _conjugate(u, d):
-    """``u diag(d) u*``."""
-    return (u * _per_column(d)) @ u.conj().swapaxes(-1, -2)
-
-
 def _draw_family(rngs, n, spec):
     """The eigenbasis' Gaussians, then each member's diagonal."""
     return _fill(rngs, "standard_normal", (2, n, n)), _fill(rngs, "random", (spec.k or 1, 2, n))
@@ -336,14 +325,14 @@ def _build_family(spec, g, r):
     """Pairwise-commuting normal matrices sharing one random eigenbasis."""
     u = _unitary(g)
     return tuple(
-        _conjugate(u, _diagonal(r[..., i, :, :], spec.invertible)) for i in range(r.shape[-3])
+        _from_spectrum(u, _diagonal(r[..., i, :, :], spec.invertible)) for i in range(r.shape[-3])
     )
 
 
 def _build_positive_pair(spec, g, r):
     """Two commuting PSD matrices: one eigenbasis, diagonals on [0, 1)."""
     u, d = _unitary(g), _uniform(r, 0.0, 1.0)
-    return _conjugate(u, d[..., 0, :]), _conjugate(u, d[..., 1, :])
+    return _from_spectrum(u, d[..., 0, :]), _from_spectrum(u, d[..., 1, :])
 
 
 def _draw_one_nonnormal(rngs, n, spec):
@@ -444,7 +433,7 @@ def _build_sandwich(spec, g_re, g_im, c_re, c_im, top, slack):
     g = _general(g_re, g_im)
     s = symmetrize(adjoint(g) @ g)
     w, u = np.linalg.eigh(s)
-    root = (u * _per_column(np.sqrt(np.clip(w, 0.0, None)))) @ u.conj().swapaxes(-1, -2)
+    root = _from_spectrum(u, np.sqrt(np.clip(w, 0.0, None)))
     c = symmetrize(_general(c_re, c_im))
     squeeze = top > 0  # every C that is not 0
     denominator = np.where(squeeze, top * (1.0 + slack), 1.0)[..., None, None]
@@ -467,7 +456,7 @@ def _build_ordered_psd(spec, g, other):
     b = symmetrize(adjoint(g) @ g)
     if spec.commuting:
         _, u = np.linalg.eigh(b)
-        a = b + (u * _per_column(_uniform(other, 0.0, 1.0))) @ u.conj().swapaxes(-1, -2)
+        a = b + _from_spectrum(u, _uniform(other, 0.0, 1.0))
     else:
         h = _general(*_pair(other))
         a = b + symmetrize(adjoint(h) @ h)
@@ -493,8 +482,8 @@ def _build_fuglede(spec, g, r, commuting, diagonal, gaussian):
     """A normal; B on A's eigenbasis, so commuting, or a general matrix:
     both are built, and each trial takes its branch's."""
     u = _unitary(g)
-    a = _conjugate(u, _diagonal(r, False))
-    b = _conjugate(u, _diagonal(diagonal, False))
+    a = _from_spectrum(u, _diagonal(r, False))
+    b = _from_spectrum(u, _diagonal(diagonal, False))
     return a, np.where(commuting[..., None, None], b, _general(*_pair(gaussian)))
 
 
@@ -502,7 +491,7 @@ def _build_negative_cross(spec, g, r):
     """(A, B) with A normal, B = c A for Re(c) <= 0, so A*B + B*A <= 0 and
     the pair commutes exactly.  ``r`` holds A's diagonal, then c's two
     uniforms."""
-    a = _conjugate(_unitary(g), _diagonal(r[..., :-2].reshape(r.shape[:-1] + (2, -1)), False))
+    a = _from_spectrum(_unitary(g), _diagonal(r[..., :-2].reshape(r.shape[:-1] + (2, -1)), False))
     c = np.empty(r.shape[:-1], dtype=complex)
     c.real, c.imag = -r[..., -2], _uniform(r[..., -1], -1.0, 1.0)
     return a, c[..., None, None] * a
@@ -570,10 +559,8 @@ STACK_BYTES = 64 * 1024
 
 def stack_depth(n: int) -> int:
     """How many trials a stack holds at dimension ``n``: as many as one
-    ``(B, n, n)`` complex operand stack fits in ``STACK_BYTES``, and 1 at
-    n = 1, where numpy rounds the complex product ``u * d`` with a
-    one-element ``d`` otherwise on a stack.  At depth 1 each trial runs alone."""
-    return 1 if n == 1 else max(1, STACK_BYTES // (16 * n * n))
+    ``(B, n, n)`` complex operand stack fits in ``STACK_BYTES``, at least one."""
+    return max(1, STACK_BYTES // (16 * n * n))
 
 
 def sample_block(spec: EnsembleSpec, n: int, rngs, trials: np.ndarray):

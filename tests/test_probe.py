@@ -82,7 +82,7 @@ def test_batched_probe_matches_the_per_trial_loop(monkeypatch, stack_sizes, dim,
         stack_sizes.clear()
         assert probe_conclusions(THEOREM_IDS, dim, 40, master) == expected, cap
         assert sum(stack_sizes) == 40 * len(THEOREM_IDS)
-        if dim == 1 or cap == 1:  # one trial at a time
+        if cap == 1:  # one trial at a time
             assert set(stack_sizes) == {1}
         else:
             assert max(stack_sizes) > 1
@@ -106,9 +106,7 @@ def test_claims_sharing_a_conclusion_share_its_stacks(stack_sizes, claim_ids, ke
         expected = reference_probe(claim_ids, dim, count, 11)
         assert probe_conclusions(claim_ids, dim, count, 11) == expected
         assert sum(stack_sizes) == count * len(claim_ids)
-        if dim == 1:  # one trial at a time
-            assert set(stack_sizes) == {1}
-        elif count == 1:  # one stack per conclusion
+        if count == 1:  # one stack per conclusion
             assert len(stack_sizes) == kernels
 
 
@@ -133,7 +131,7 @@ def test_a_shared_stack_that_raises_counts_each_trial_alone(monkeypatch, stack_s
     )
     assert all(ps.errors and ps.evaluated for ps in expected)
     assert probe_conclusions(claim_ids, dim, 40, 13) == expected
-    assert max(stack_sizes) == (1 if dim == 1 else 3 * 40)
+    assert max(stack_sizes) == 3 * 40
 
 
 FORCED = TolerancePolicy(rel=1e-15, abs=1e-300)

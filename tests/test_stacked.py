@@ -342,6 +342,12 @@ def _report_json(pol):
     return json.dumps([c.to_dict() for c in report.claims], sort_keys=True), report
 
 
+def _theorems_at_one(pol):
+    """The claim reports of a theorem suite at n = 1, at ``pol`` and the default."""
+    runs = (run_suite(THEOREM_IDS, [1], 100, 5, p) for p in (pol, TolerancePolicy()))
+    return [r.to_dict()["claims"] for r in runs]
+
+
 @pytest.mark.parametrize("rel", (1e-14, 1e-15))
 def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, stack_log, rel):
     pol = TolerancePolicy(rel=rel, abs=1e-300)
@@ -349,6 +355,10 @@ def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, sta
     assert any(c.violations for c in report.claims)
     assert any(ok for *_, ok in stack_log) and not all(ok for *_, ok in stack_log)
     depths = {depth for _, depth, _, _ in stack_log}
+    # n = 1 stacks like every other n: a theorem suite there, at this policy
+    # and the default, reports what it reports with every trial alone (below)
+    ones = _theorems_at_one(pol)
+    assert 100 in {depth for _, depth, _, _ in stack_log}
 
     monkeypatch.setattr(generators, "STACK_BYTES", 2048)  # 32 deep at n = 2, 2 at n = 8
     stack_log.clear()
@@ -360,6 +370,8 @@ def test_forced_violations_report_the_same_through_any_stacking(monkeypatch, sta
     single, _ = _report_json(pol)
     assert stack_log == []  # no stacked evaluation
     assert full == partial == single
+    assert _theorems_at_one(pol) == ones
+    assert stack_log == []
 
 
 def test_forced_run_reads_every_verdict_from_its_stacks(monkeypatch, stack_log):
