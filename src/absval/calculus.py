@@ -19,6 +19,7 @@ from .core import (
     PredicateResult,
     TolerancePolicy,
     _from_spectrum,
+    _gram_extremes,
     adjoint,
     eigh_exact,
     extreme_eigenvalues,
@@ -155,10 +156,9 @@ def condition_estimate(a: np.ndarray):
     """Ratio of extreme singular values, from the eigenvalues of a* a.
 
     Returns +inf when the smallest eigenvalue is nonpositive, i.e. the matrix
-    is singular to working precision.
+    is singular to working precision, and NaN where a* a is not finite.
     """
-    gram = symmetrize(adjoint(a) @ a)
-    lam_min, lam_max = extreme_eigenvalues(np.linalg.eigvalsh(gram))
+    lam_min, lam_max = _gram_extremes(a)
     singular = (lam_max <= 0.0) | (lam_min <= 0.0)
     if type(singular) is bool:
         return float("inf") if singular else trial_sqrt(lam_max / lam_min)

@@ -31,11 +31,11 @@ from .core import (
     _is_integer,
     adjoint,
     as_matrix,
+    commutation,
     equality,
     frobenius,
     operator_norm,
     select,
-    self_adjointness,
     symmetrize,
     trial_max,
     trial_min,
@@ -136,7 +136,8 @@ def _grouped(fn, rows, *args):
     within ``generators.STACK_BYTES // 4``: a trial's operands go as one
     call, a sweep stack's rows one by one and none made early.  Results are
     bit for bit the rows' own calls, one trial's scalars as Python scalars.
-    A group that raises runs row by row."""
+    A group that raises runs row by row, so the first row to raise in the
+    conclusion's order (the n-fold ones put the whole first) names the error."""
     group = []
     for row in rows:
         group.append(row)
@@ -167,11 +168,10 @@ def _commuting_product(a, b, pol):
     """``(sym(ab), holds, asymmetry)`` for operands whose hypothesis has them
     commute.  The product is symmetrized before any gate sees it, and its
     asymmetry ``||ab - (ab)*||_F``, the commutator for self-adjoint operands,
-    is judged at the scale the hypothesis admits the commutator at,
-    ``pol.bound(||a||_F ||b||_F)``, not absorbed."""
+    is judged by the hypothesis' :func:`~absval.core.commutation`, not absorbed."""
     p = a @ b
-    asym = self_adjointness(p, pol)[1]
-    return symmetrize(p), asym <= pol.bound(frobenius(a) * frobenius(b)), asym
+    holds, asym = commutation(p - p.conj().swapaxes(-1, -2), a, b, pol)
+    return symmetrize(p), holds, asym
 
 
 def _concl_loewner(x, y, pol):
@@ -317,10 +317,8 @@ def _concl_fuglede(mats, pol):
     a, b = mats
     astar, bstar = adjoint(a), adjoint(b)
     pairs = (a, b), (astar, b), (a, bstar), (astar, bstar)
-    norms = _grouped(lambda x, y: frobenius(x @ y - y @ x), pairs)
+    flags, norms = zip(*_grouped(lambda x, y: commutation(x @ y - y @ x, a, b, pol), pairs))
     residuals = dict(zip(("comm", "comm_astar", "comm_bstar", "comm_both"), norms))
-    tol = pol.bound(frobenius(a) * frobenius(b))
-    flags = [r <= tol for r in residuals.values()]
     ok = _all(f == flags[0] for f in flags[1:])
     spread = trial_max(*residuals.values()) - trial_min(*residuals.values())
     return ok, select(ok, 0.0, spread), residuals
@@ -329,12 +327,6 @@ def _concl_fuglede(mats, pol):
 def _concl_abs_commute(mats, pol):
     aa, ab = _grouped(abs_value, zip(mats), pol)
     return *equality(aa @ ab, ab @ aa, pol), {}
-
-
-def _concl_abs_product(mats, pol):
-    a, b = mats
-    abs_ab, abs_a, abs_b = _grouped(abs_value, zip([a @ b, a, b]), pol)
-    return *equality(abs_ab, abs_a @ abs_b, pol), {}
 
 
 def _concl_prodsa_cor(mats, pol):
@@ -348,14 +340,13 @@ def _concl_prodsa_cor(mats, pol):
     extras = {"self_adjoint_residual": sa.residual}
     both_positive = is_positive(a, pol).holds & is_positive(b, pol).holds
     if np.any(both_positive):
-        # on a stack, trials outside the positive case keep their verdict
-        # and carry NaN in place of the product's lambda_min and asymmetry
-        prod, symmetric, asym = _commuting_product(a, b, pol)
-        pos = is_positive(prod, pol)
-        ok = ok & select(both_positive, pos.holds & symmetric, True)
-        residual = select(both_positive, trial_max(residual, -pos.residual), residual)
-        extras["product_lambda_min"] = select(both_positive, pos.residual, np.nan)
-        extras["product_asymmetry"] = select(both_positive, asym, np.nan)
+        # L-SQRT-PROD's conclusion; on a stack, trials outside the positive case
+        # keep their verdict and carry NaN in place of its lambda_min and asymmetry
+        holds, negated, product = _concl_product_positive(mats, pol)
+        ok = ok & select(both_positive, holds, True)
+        residual = select(both_positive, trial_max(residual, negated), residual)
+        extras["product_lambda_min"] = select(both_positive, product["lambda_min"], np.nan)
+        extras["product_asymmetry"] = select(both_positive, product["product_asymmetry"], np.nan)
     return ok, residual, extras
 
 
@@ -370,7 +361,7 @@ def _concl_eight_products(mats, pol):
 
 
 def _concl_inv_product(mats, pol):
-    return _concl_abs_product((mats[0], inverse(mats[1])), pol)
+    return _concl_nfold_product((mats[0], inverse(mats[1])), pol)
 
 
 def _concl_inverse_abs(mats, pol):
@@ -383,8 +374,8 @@ def _concl_inverse_abs(mats, pol):
     return r <= pol.bound(kappa), r / trial_max(1.0, kappa), extras
 
 
-def _concl_nfold_product(mats, pol):
-    *factors, whole = _grouped(abs_value, zip([*mats, reduce(operator.matmul, mats)]), pol)
+def _concl_nfold_product(mats, pol):  # |AB| = |A||B| at k = 2
+    whole, *factors = _grouped(abs_value, zip([reduce(operator.matmul, mats), *mats]), pol)
     return *equality(whole, reduce(operator.matmul, factors), pol), {}
 
 
@@ -422,12 +413,6 @@ def _concl_adjoint_product_hyponormal(mats, pol):
     return res.holds, -res.residual, {"witness_lambda_min": res.residual}
 
 
-def _concl_triangle_sum(mats, pol):
-    a, b = mats
-    whole, abs_a, abs_b = _grouped(abs_value, zip([a + b, a, b]), pol)
-    return _concl_loewner(whole, abs_a + abs_b, pol)
-
-
 def _concl_re_im_split(mats, pol):
     (t,) = mats
     re = symmetrize(t)
@@ -436,8 +421,8 @@ def _concl_re_im_split(mats, pol):
     return _concl_loewner(abs_t, abs_re + abs_im, pol)
 
 
-def _concl_triangle_n(mats, pol):
-    first, *rest, whole = _grouped(abs_value, zip([*mats, sum(mats[1:], start=mats[0])]), pol)
+def _concl_triangle_n(mats, pol):  # |A + B| <= |A| + |B| at k = 2
+    whole, first, *rest = _grouped(abs_value, zip([sum(mats[1:], start=mats[0]), *mats]), pol)
     return _concl_loewner(whole, sum(rest, start=first), pol)
 
 
@@ -466,7 +451,7 @@ def _concl_absdiff_plus(mats, pol):
 def _minus_form(conclusion):
     """The A - B form of an A + B conclusion: it runs on (A, -B), and |-B|
     and A + (-B) are bit for bit |B| and A - B.  ``plus_form`` is the A + B
-    conclusion, which the probe runs on the trials of both forms at once."""
+    conclusion (C-TRIN's for C-TRIMINUS), run by the probe on both forms' trials."""
     def minus(mats, pol):
         return conclusion((mats[0], -mats[1]), pol)
 
@@ -543,7 +528,7 @@ def catalog() -> dict[str, Claim]:
             2,
             EnsembleSpec("sa_pair_normal_product", dim=2),
             _SA_PAIR_NORMAL_PRODUCT,
-            _concl_abs_product,
+            _concl_nfold_product,
         ),
         Claim(
             "C-PRODSA-COR",
@@ -560,7 +545,7 @@ def catalog() -> dict[str, Claim]:
             2,
             EnsembleSpec("commuting_normal_family", k=2),
             _COMMUTING_NORMAL_A,
-            _concl_abs_product,
+            _concl_nfold_product,
         ),
         Claim(
             "C-EIGHT",
@@ -632,7 +617,7 @@ def catalog() -> dict[str, Claim]:
             2,
             EnsembleSpec("commuting_normal_family", k=2),
             _COMMUTING_NORMAL_A_HYPONORMAL_B,
-            _concl_triangle_sum,
+            _concl_triangle_n,
         ),
         Claim(
             "C-REIM",
@@ -648,7 +633,7 @@ def catalog() -> dict[str, Claim]:
             2,
             EnsembleSpec("commuting_normal_family", k=2),
             _COMMUTING_NORMAL_A_HYPONORMAL_B,
-            _minus_form(_concl_triangle_sum),
+            _minus_form(_concl_triangle_n),
         ),
         Claim(
             "C-TRIN",
@@ -725,7 +710,7 @@ def catalog() -> dict[str, Claim]:
             _conjunction(
                 _COMMUTES, _NORMAL_A, ("cross_nonpositive", loewner_leq, _cross_term)
             ),
-            _concl_triangle_sum,
+            _concl_triangle_n,
         ),
     ]
     table = {}

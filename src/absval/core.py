@@ -239,11 +239,29 @@ def positivity(w: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
     return lam_min >= -pol.bound(lam_max), lam_min
 
 
-def operator_norm(a: np.ndarray):
-    """Largest singular value, computed as sqrt(lambda_max(a* a))."""
+def commutation(gap, a, b, pol: TolerancePolicy = DEFAULT_POLICY):
+    """The one commutator rule, as ``(holds, residual)``: ``holds`` is
+    ``||gap||_F <= pol.bound(||a||_F ||b||_F)`` for a commutator ``gap`` of
+    ``a`` and ``b``, and ``residual`` is ``||gap||_F``."""
+    r = frobenius(gap)
+    return r <= pol.bound(frobenius(a) * frobenius(b)), r
+
+
+def _gram_extremes(a: np.ndarray):
+    """(lambda_min, lambda_max) of a* a by ``eigvalsh``, NaN for a trial whose
+    a* a is not finite: LAPACK may read it as finite numbers, NaN or an error."""
     gram = symmetrize(adjoint(a) @ a)
-    lam = extreme_eigenvalues(np.linalg.eigvalsh(gram))[1]
-    return trial_sqrt(trial_max(lam, 0.0))
+    if np.isfinite(gram).all():
+        return extreme_eigenvalues(np.linalg.eigvalsh(gram))
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    w = np.full(gram.shape[:-1], np.nan)
+    w[finite] = np.linalg.eigvalsh(gram[finite])
+    return extreme_eigenvalues(w)
+
+
+def operator_norm(a: np.ndarray):
+    """Largest singular value, sqrt(lambda_max(a* a)); NaN where a* a is not finite."""
+    return trial_sqrt(trial_max(_gram_extremes(a)[1], 0.0))
 
 
 def hermitian_eigen(h: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):

@@ -16,8 +16,8 @@ from .core import (
     PredicateResult,
     TolerancePolicy,
     adjoint,
+    commutation,
     eigh_exact,
-    frobenius,
     positivity,
     select,
     self_adjointness,
@@ -58,8 +58,7 @@ def is_anti_symmetric(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> P
 
 
 def commutes(a: np.ndarray, b: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
-    """a b == b a up to tolerance; residual is ||ab - ba||_F."""
+    """a b == b a by :func:`~absval.core.commutation`; residual is ||ab - ba||_F."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot compare commutation of shapes {a.shape} and {b.shape}")
-    r = frobenius(a @ b - b @ a)
-    return PredicateResult(r <= pol.bound(frobenius(a) * frobenius(b)), r)
+    return PredicateResult(*commutation(a @ b - b @ a, a, b, pol))

@@ -279,3 +279,16 @@ class TestGatesFailClosed:
             loewner_leq(bad, 2 * good)
         with pytest.raises(NotSelfAdjoint, match="nan"):
             psd_sqrt(bad)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("diagonal", ([1e200, 2, 3], [2, 1e200, 3]))
+    def test_a_gram_matrix_that_overflows_reads_nan(self, diagonal):
+        # LAPACK reads the overflowed a* a as finite numbers, NaN or an error,
+        # by where the overflow sits; both norms read NaN, alone and in a stack
+        bad = cm(np.diag(diagonal))
+        good = [gen_general(3, t) for t in (1, 2)]
+        for fn in (operator_norm, condition_estimate):
+            assert np.isnan(fn(bad))
+            stacked = fn(np.stack([good[0], bad, good[1]]))
+            assert np.isnan(stacked[1])
+            assert stacked[[0, 2]].tobytes() == np.array([fn(m) for m in good]).tobytes()

@@ -102,6 +102,11 @@ class TestCatalog:
             assert claim.note == ""  # C-TRI's collapse note stays with C-TRI
             assert claim.arity == len(inst.matrices)
             assert claim.description == inst.description
+        # the pair identities are the k = 2 cases of the n-fold conclusions
+        product, triangle = table["C-NFOLD"].conclusion, table["C-TRIN"].conclusion
+        assert table["C-PRODSA"].conclusion is table["C-PRODNORM"].conclusion is product
+        assert table["C-TRI"].conclusion is table["C-NEGCROSS"].conclusion is triangle
+        assert table["C-TRIMINUS"].conclusion.plus_form is triangle
 
     def test_collapse_note_attached(self):
         # a theorem claim carries the note if and only if one of its

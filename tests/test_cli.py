@@ -495,6 +495,18 @@ class TestNumericalErrorsExitOne:
         assert code == 1
         assert out == ""
         assert err == "absval: left operand is not self-adjoint: ||x - x*||_F = nan\n"
+        # -S <= T <= S holds, but T* T overflows: its norms read NaN, and the
+        # conclusion fails, wherever LAPACK would have met the overflow
+        for pair in (([1e200, 2, 3], [2e200, 3, 4]), ([2, 1e200, 3], [3, 2e200, 4])):
+            t, s = (as_matrix(np.diag(d)) for d in pair)
+            code, out, err = run_cli(
+                capsys, "--claims", "L-SANDWICH", "--format", "json",
+                "--matrix-file", write_matrix(tmp_path / "t.json", t),
+                "--matrix-file", write_matrix(tmp_path / "s.json", s),
+            )
+            assert code == 1 and err == ""
+            (violation,) = json.loads(out)["claims"][0]["violations"]
+            assert violation["residuals"]["lhs_norm"] == violation["residuals"]["rhs_norm"] == "nan"
 
     def test_convergence_error_exits_one(self, capsys, tmp_path, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -127,8 +127,8 @@ def inverse_abs(mats, pol):
 
 
 def nfold_product(mats, pol):
-    rhs = reduce(operator.matmul, [abs_value(m, pol) for m in mats])
-    return *equality(abs_value(reduce(operator.matmul, mats), pol), rhs, pol), {}
+    whole = abs_value(reduce(operator.matmul, mats), pol)
+    return *equality(whole, reduce(operator.matmul, [abs_value(m, pol) for m in mats]), pol), {}
 
 
 def integer_powers(mats, pol):
@@ -183,9 +183,9 @@ def re_im_split(mats, pol):
 
 
 def triangle_n(mats, pol):
-    total = sum(mats[1:], start=mats[0])
+    whole = abs_value(sum(mats[1:], start=mats[0]), pol)
     bound = sum((abs_value(m, pol) for m in mats[1:]), start=abs_value(mats[0], pol))
-    return _loewner(abs_value(total, pol), bound, pol)
+    return _loewner(whole, bound, pol)
 
 
 def normdiff_plus(mats, pol):
@@ -382,7 +382,8 @@ def test_integer_powers_factor_their_rows_in_one_call(depth, monkeypatch):
 @pytest.mark.parametrize("cid", sorted(REFERENCE))
 def test_non_finite_operands_raise_the_sequence_error(cid):
     """A trial with a NaN entry, or with entries whose products overflow,
-    raises the error of the per-operand sequence, alone and in a stack."""
+    raises the error of the per-operand sequence, alone and in a stack.
+    L-SANDWICH has no gate there: its norms read NaN instead."""
     raised = 0
     for n in (1, 2, 4):
         trials = general_trials(cid, n)
@@ -395,7 +396,7 @@ def test_non_finite_operands_raise_the_sequence_error(cid):
             trials[t] = tuple(bad)
         expected = check_trials(cid, trials, TolerancePolicy(), f"{cid} n={n}")
         raised += sum(isinstance(e, tuple) and isinstance(e[0], type) for e in expected)
-    assert raised
+    assert raised or cid == "L-SANDWICH"
 
 
 @pytest.mark.parametrize("cid", sorted(set(REFERENCE) - {"L-SANDWICH"}))  # no gate there

@@ -44,7 +44,7 @@ from absval import (
     symmetrize,
 )
 from absval import claims as claims_module, generators
-from absval.core import eigh_exact, equality, positivity
+from absval.core import commutation, eigh_exact, equality, positivity
 
 DIMS = (2, 3, 4, 8)
 DEPTH = 12
@@ -142,6 +142,8 @@ def _operands(n, depth=DEPTH):
         "is_anti_symmetric": (is_anti_symmetric, alternate(anti)),
         "commutes": (commutes, g, h),
         "commutes_normal": (commutes, normal, [x @ x for x in normal]),
+        "commutation": (commutation, [x @ y - y @ x for x, y in zip(g, h)], g, h),
+        "commutation_nan": (commutation, [x @ y - y @ x for x, y in zip(g, h)], g, with_nan),
     }
 
 
@@ -433,6 +435,20 @@ def test_prodsa_cor_records_keep_the_keys_of_their_trial(monkeypatch, stack_log)
     for count in ("passes", "hypothesis_failures"):
         assert getattr(stacked, count) == getattr(single, count)
     assert stacked.worst_residual_seed == single.worst_residual_seed
+    # on the A, B >= 0 trials the product's part is L-SQRT-PROD's conclusion,
+    # and the rest is the conclusion on (-A, B): |-A| is |A| bit for bit
+    violated = {v["trial"]: v["residuals"] for v in stacked.violations}
+    checked = 0
+    for t in range(0, depth, 2):
+        a, b = trials[t]
+        holds, _, product = claims_module._concl_product_positive((a, b), pol)
+        concluded = holds and claim.conclusion((-a, b), pol)[0]
+        assert (t in violated) == (claim.hypothesis((a, b), pol)[0] and not concluded)
+        if t in violated:
+            assert violated[t]["product_lambda_min"] == product["lambda_min"]
+            assert violated[t]["product_asymmetry"] == product["product_asymmetry"]
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize(
