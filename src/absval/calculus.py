@@ -27,6 +27,7 @@ from .core import (
     frobenius,
     hermitian_eigen,
     positivity,
+    require_same_shape,
     require_self_adjoint,
     select,
     symmetrize,
@@ -146,9 +147,10 @@ def loewner_leq(
 ) -> PredicateResult:
     """Decide a <= b in the semidefinite order; the residual is the witness
     eigenvalue lambda_min(b - a), held to ``-pol.bound(||a||_F, ||b||_F)``."""
+    require_same_shape(a, b, "loewner_leq")
     norm_a = require_self_adjoint(a, pol, "left operand")
     norm_b = require_self_adjoint(b, pol, "right operand")
-    witness = extreme_eigenvalues(np.linalg.eigvalsh(symmetrize(b - a)))[0]
+    witness = extreme_eigenvalues(eigh_exact(symmetrize(b - a), "eigvalsh"))[0]
     return PredicateResult(witness >= -pol.bound(norm_a, norm_b), witness)
 
 

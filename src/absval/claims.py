@@ -153,7 +153,7 @@ def _group_call(fn, group, args):
     if len(group) > 1:
         try:
             return _unstack(fn(*map(np.array, zip(*group)), *args))
-        except (NumericalError, ValueError):  # LinAlgError too
+        except (NumericalError, ValueError):  # an eigensolver's LinAlgError is a ConvergenceError
             pass  # row by row the sequence raises its own error
     return [fn(*row, *args) for row in group]
 
@@ -181,10 +181,11 @@ def _concl_loewner(x, y, pol):
     return v.holds, -v.residual, {"witness_lambda_min": v.residual}
 
 
-def _concl_opnorm_leq(x, y, pol, scale_of):
-    """Norm conclusion ||x|| <= ||y|| with additive slack tol*max(1, scales)."""
+def _concl_opnorm_leq(x, y, pol, *scale_of):
+    """Norm conclusion ||x|| <= ||y|| with additive slack tol*max(1, scales),
+    the scales being the norms of ``scale_of``, or else ||x|| and ||y||."""
     lhs, rhs, *scales = _grouped(operator_norm, zip([x, y, *scale_of]))
-    slack = pol.bound(*scales)
+    slack = pol.bound(*(scales or (lhs, rhs)))
     return lhs <= rhs + slack, lhs - rhs, {"lhs_norm": lhs, "rhs_norm": rhs}
 
 
@@ -435,11 +436,7 @@ def _concl_sum_normal(mats, pol):
 def _concl_normdiff_plus(mats, pol):
     a, b = mats
     abs_a, abs_b = _grouped(abs_value, zip(mats), pol)
-    return _concl_opnorm_leq(abs_a - abs_b, a + b, pol, mats)
-
-
-def _concl_sandwich_norm(mats, pol):
-    return _concl_opnorm_leq(*mats, pol, mats)
+    return _concl_opnorm_leq(abs_a - abs_b, a + b, pol, *mats)
 
 
 def _concl_absdiff_plus(mats, pol):
@@ -684,7 +681,7 @@ def catalog() -> dict[str, Claim]:
                 ("lower", loewner_leq, lambda mats: [-mats[1], mats[0]]),
                 ("upper", loewner_leq, _slots(0, 1)),
             ),
-            _concl_sandwich_norm,
+            lambda mats, pol: _concl_opnorm_leq(*mats, pol),
         ),
         Claim(
             "C-ABSDIFF-",

@@ -231,6 +231,12 @@ def require_self_adjoint(x: np.ndarray, pol: TolerancePolicy, what: str):
     return norm
 
 
+def require_same_shape(a: np.ndarray, b: np.ndarray, what: str):
+    """Raise :class:`DimensionMismatch` unless ``a`` and ``b`` have one shape."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"{what} takes operands of one shape, got {a.shape} and {b.shape}")
+
+
 def positivity(w: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY):
     """The one positive-semidefiniteness rule on ascending eigenvalues
     ``w[..., :]``, as ``(holds, lambda_min)``: ``holds`` is
@@ -252,10 +258,10 @@ def _gram_extremes(a: np.ndarray):
     a* a is not finite: LAPACK may read it as finite numbers, NaN or an error."""
     gram = symmetrize(adjoint(a) @ a)
     if np.isfinite(gram).all():
-        return extreme_eigenvalues(np.linalg.eigvalsh(gram))
+        return extreme_eigenvalues(eigh_exact(gram, "eigvalsh"))
     finite = np.isfinite(gram).all(axis=(-2, -1))
     w = np.full(gram.shape[:-1], np.nan)
-    w[finite] = np.linalg.eigvalsh(gram[finite])
+    w[finite] = eigh_exact(gram[finite], "eigvalsh")
     return extreme_eigenvalues(w)
 
 
@@ -283,11 +289,13 @@ def _from_spectrum(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (u * d[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-def eigh_exact(h: np.ndarray):
-    """Eigendecomposition ``(w, u)`` of input that is exactly Hermitian, such
-    as the output of :func:`symmetrize`; no gate, no further symmetrization."""
+def eigh_exact(h: np.ndarray, routine: str = "eigh"):
+    """Eigendecomposition ``(w, u)`` of exactly Hermitian input, such as the
+    output of :func:`symmetrize`, or ``w`` alone by ``routine="eigvalsh"``; no
+    gate, no further symmetrization.  The package's one eigensolver call, looked
+    up on ``np.linalg`` each time: a LAPACK failure is a :class:`ConvergenceError`."""
     try:
-        return np.linalg.eigh(h)
+        return getattr(np.linalg, routine)(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigensolver did not converge: {exc}", float(np.max(frobenius(h)))

@@ -39,7 +39,7 @@ from functools import cache
 import numpy as np
 
 from .core import _checked_int, _from_spectrum, _is_integer, adjoint, as_matrix
-from .core import operator_norm, symmetrize
+from .core import eigh_exact, operator_norm, symmetrize
 
 # ---------------------------------------------------------------------------
 # seed streams
@@ -432,7 +432,7 @@ def _build_sandwich(spec, g_re, g_im, c_re, c_im, top, slack):
     contraction, so -S <= T <= S exactly rather than by filtering."""
     g = _general(g_re, g_im)
     s = symmetrize(adjoint(g) @ g)
-    w, u = np.linalg.eigh(s)
+    w, u = eigh_exact(s)
     root = _from_spectrum(u, np.sqrt(np.clip(w, 0.0, None)))
     c = symmetrize(_general(c_re, c_im))
     squeeze = top > 0  # every C that is not 0
@@ -455,7 +455,7 @@ def _build_ordered_psd(spec, g, other):
     g = _general(*_pair(g))
     b = symmetrize(adjoint(g) @ g)
     if spec.commuting:
-        _, u = np.linalg.eigh(b)
+        _, u = eigh_exact(b)
         a = b + _from_spectrum(u, _uniform(other, 0.0, 1.0))
     else:
         h = _general(*_pair(other))

@@ -12,13 +12,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_POLICY,
-    DimensionMismatch,
     PredicateResult,
     TolerancePolicy,
     adjoint,
     commutation,
     eigh_exact,
     positivity,
+    require_same_shape,
     select,
     self_adjointness,
     symmetrize,
@@ -59,6 +59,5 @@ def is_anti_symmetric(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> P
 
 def commutes(a: np.ndarray, b: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> PredicateResult:
     """a b == b a by :func:`~absval.core.commutation`; residual is ||ab - ba||_F."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot compare commutation of shapes {a.shape} and {b.shape}")
+    require_same_shape(a, b, "commutes")
     return PredicateResult(*commutation(a @ b - b @ a, a, b, pol))

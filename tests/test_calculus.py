@@ -191,6 +191,14 @@ class TestLoewner:
         with pytest.raises(NotSelfAdjoint):
             loewner_leq(cm([[0, 1], [0, 0]]), np.eye(2, dtype=complex))
 
+    def test_rejects_operands_of_two_shapes(self):
+        # neither two sizes nor a stack against one matrix (which numpy
+        # would broadcast into two verdicts)
+        eye = np.eye(2, dtype=complex)
+        for a, b in ((eye, np.eye(3, dtype=complex)), (np.stack([eye, eye]), eye)):
+            with pytest.raises(DimensionMismatch, match="loewner_leq takes operands of one shape"):
+                loewner_leq(a, b)
+
 
 class TestInverse:
     def test_diagonal(self):

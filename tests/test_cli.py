@@ -521,6 +521,27 @@ class TestNumericalErrorsExitOne:
         )
         assert code == 1
         assert err.startswith("absval: eigensolver did not converge")
+        # loewner_leq's eigvalsh, in R-SQMONO's hypothesis, fails the same way
+        monkeypatch.undo()
+        ma, mb = sample(EnsembleSpec("ordered_psd_pair", commuting=True), 3, 5)
+        a = write_matrix(tmp_path / "a.json", ma)
+        b = write_matrix(tmp_path / "b.json", mb)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        code, out, err = run_cli(
+            capsys, "--claims", "R-SQMONO", "--matrix-file", a, "--matrix-file", b
+        )
+        assert code == 1
+        assert err.startswith("absval: eigensolver did not converge")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_order_operands_are_no_usage_error(self, capsys, tmp_path):
+        # B - A overflows in loewner_leq.  Whether LAPACK raises on it or
+        # returns NaN depends on the build: the run ends as a numerical
+        # error or a verdict, never as a usage error
+        a = write_matrix(tmp_path / "a.json", as_matrix(np.diag([1, 1e308, 2])))
+        b = write_matrix(tmp_path / "b.json", as_matrix(np.diag([1, -1e308, 2])))
+        code, _, _ = run_cli(capsys, "--claims", "R-SQMONO", "--matrix-file", a, "--matrix-file", b)
+        assert code in (0, 1)
 
 
 class TestParallelFlagAndEntryPoint:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absval import (
+    ConvergenceError,
     DimensionMismatch,
     EnsembleSpec,
     Seed,
@@ -15,6 +16,7 @@ from absval import (
     TolerancePolicy,
     adjoint,
     as_matrix,
+    condition_estimate,
     frobenius,
     hermitian_eigen,
     is_self_adjoint,
@@ -132,6 +134,25 @@ class TestHermitianEigen:
                 w, u = hermitian_eigen(h)
                 assert frobenius(u @ u.conj().T - np.eye(n)) <= 64 * n * EPS * np.sqrt(n)
                 assert frobenius((u * w) @ u.conj().T - h) <= 64 * n * EPS * frobenius(h)
+
+
+def no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+class TestEigenBoundary:
+    """Every eigensolver call goes through ``core.eigh_exact``, which looks
+    the routine up on ``np.linalg`` at each call, so a LAPACK failure is a
+    ConvergenceError (exit 1), never a bare LinAlgError (a ValueError, exit 2)."""
+
+    @pytest.mark.parametrize("depth", [None, 3])
+    def test_eigvalsh_failures_are_convergence_errors(self, depth, monkeypatch):
+        (h,) = sample(EnsembleSpec("self_adjoint"), 3, 7)
+        x = h if depth is None else np.stack([h] * depth)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        for call in (operator_norm, condition_estimate, lambda m: loewner_leq(m, m)):
+            with pytest.raises(ConvergenceError, match="eigensolver did not converge"):
+                call(x)
 
 
 @st.composite

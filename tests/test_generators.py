@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from absval import (
+    ConvergenceError,
     EnsembleSpec,
     Seed,
     TolerancePolicy,
@@ -185,6 +186,22 @@ class TestSandwichPair:
             assert is_positive(s)
             assert loewner_leq(-s, t).holds
             assert loewner_leq(t, s).holds
+
+
+@pytest.mark.parametrize(
+    "spec", [EnsembleSpec("sandwich_pair"), EnsembleSpec("ordered_psd_pair", commuting=True)]
+)
+def test_builds_that_diagonalize_raise_convergence_errors(spec, monkeypatch):
+    """The builds call the eigensolver through ``core.eigh_exact``, which looks
+    ``np.linalg.eigh`` up at each call, so a LAPACK failure there is a
+    ConvergenceError and a patched routine sees every build's call."""
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(ConvergenceError, match="eigensolver did not converge"):
+        sample(spec, 3, 5)
 
 
 class TestFugledePair:

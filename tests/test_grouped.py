@@ -378,6 +378,21 @@ def test_integer_powers_factor_their_rows_in_one_call(depth, monkeypatch):
     assert calls == [(depth, 4, 4), (7, depth, 4, 4)]
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+def test_sandwich_takes_each_norm_once(depth, monkeypatch):
+    """L-SANDWICH's slack is judged at the norms it compares, ||T|| and ||S||,
+    so its conclusion takes two ``operator_norm`` rows, in one call."""
+    claim = catalog()["L-SANDWICH"]
+    trials = [sample(claim.ensemble, 4, Seed(44, "L-SANDWICH:4", t)) for t in range(depth)]
+    stack = tuple(np.stack(slot) for slot in zip(*trials))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h.shape) or eigvalsh(h))
+    holds, _, _ = claim.conclusion(stack, TolerancePolicy())
+    assert holds.all()
+    assert calls == [(2, depth, 4, 4)]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cid", sorted(REFERENCE))
 def test_non_finite_operands_raise_the_sequence_error(cid):

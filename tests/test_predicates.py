@@ -169,6 +169,9 @@ class TestCommutes:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             commutes(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+        eye = np.eye(2, dtype=complex)  # a stack against one matrix
+        with pytest.raises(DimensionMismatch, match="commutes takes operands of one shape"):
+            commutes(np.stack([eye, eye]), eye)
 
 
 class TestFugledeEquivalences:

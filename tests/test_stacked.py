@@ -124,6 +124,7 @@ def _operands(n, depth=DEPTH):
         "operator_norm": (operator_norm, g),
         "hermitian_eigen": (hermitian_eigen, sa),
         "eigh_exact": (lambda x: eigh_exact(symmetrize(x)), g),
+        "eigh_exact_eigvalsh": (lambda x: eigh_exact(symmetrize(x), "eigvalsh"), g),
         "bound": (bound, g, h),
         "bound_nan": (bound, g, with_nan),
         "positivity_nan": (positivity, spectra),
