@@ -987,7 +987,11 @@ class SuiteReport:
     config: dict
     claims: list
     wall_time: float
-    verdict: str
+
+    @property
+    def verdict(self) -> str:
+        """``"fail"`` if any claim recorded a violation or an error."""
+        return "fail" if any(st.violations or st.errors for st in self.claims) else "pass"
 
     def to_dict(self) -> dict:
         return {
@@ -1171,11 +1175,10 @@ def run_suite(
             mismatches=list(reg.mismatches),
         )
 
-    for st in stats.values():
-        st.violations.sort(key=lambda v: (v["claim_tag"], v["dim"] if v["dim"] else 0, v["trial"]))
-        st.errors.sort(key=lambda v: (v["claim_tag"], v["dim"] if v["dim"] else 0, v["trial"]))
+    for st in stats.values():  # a record's tag holds its dim
+        for records in (st.violations, st.errors):
+            records.sort(key=lambda v: (v["claim_tag"], v["trial"]))
 
-    failed = any(st.violations or st.errors for st in stats.values())
     config = {
         "claims": list(claim_ids),
         "dims": list(dims),
@@ -1189,7 +1192,6 @@ def run_suite(
         config=config,
         claims=[stats[cid] for cid in claim_ids],
         wall_time=time.perf_counter() - started,
-        verdict="fail" if failed else "pass",
     )
 
 

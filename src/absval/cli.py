@@ -39,8 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, dest="master_seed", metavar="SEED",
         help="master seed for all ensembles",
     )
-    parser.add_argument("--tol-rel", type=float, default=None, help="relative tolerance override")
-    parser.add_argument("--tol-abs", type=float, default=None, help="absolute tolerance override")
+    parser.add_argument("--tol-rel", type=float, default=DEFAULT_POLICY.rel,
+                        help="relative tolerance override")
+    parser.add_argument("--tol-abs", type=float, default=DEFAULT_POLICY.abs,
+                        help="absolute tolerance override")
     parser.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     parser.add_argument(
         "--list", action="store_true", dest="list_only", help="print the claim catalog and exit"
@@ -85,10 +87,7 @@ def parse_config(argv) -> argparse.Namespace:
         parser.error("--matrix-file requires exactly one claim id in --claims")
     try:
         _checked_run(args.claims, args.dims, args.trials, args.master_seed, args.jobs)
-        args.policy = TolerancePolicy(
-            rel=args.tol_rel if args.tol_rel is not None else DEFAULT_POLICY.rel,
-            abs=args.tol_abs if args.tol_abs is not None else DEFAULT_POLICY.abs,
-        )
+        args.policy = TolerancePolicy(rel=args.tol_rel, abs=args.tol_abs)
     except (KeyError, ValueError) as exc:
         parser.error(exc.args[0])
     return args
@@ -155,9 +154,7 @@ def execute(cfg: argparse.Namespace) -> tuple[SuiteReport, int]:
             "tol_rel": cfg.policy.rel,
             "tol_abs": cfg.policy.abs,
         }
-        report = SuiteReport(
-            config, [stats], time.perf_counter() - started, "fail" if stats.violations else "pass"
-        )
+        report = SuiteReport(config, [stats], time.perf_counter() - started)
     else:
         report = run_suite(
             cfg.claims, cfg.dims, cfg.trials, cfg.master_seed, cfg.policy, jobs=cfg.jobs

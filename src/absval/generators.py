@@ -12,13 +12,13 @@ Every ensemble kind is two phases, ``draw(rngs, n, spec)`` and
 - a *draw* runs over a stack's generators, one per trial, and makes each
   trial's ``rng`` calls on its own generator, in a fixed order, into the
   stack's ``(B, ...)`` buffers with ``out=``: one call for all of a
-  trial's Gaussians and one for all of its uniforms (``integers``,
-  rejection loops and the sandwich's slack stay apart, as the stream or
-  the draw's own branching needs).  Draws that depend on earlier ones are
-  made in stages over the same generators.  A draw only calls its
-  generators and never raises; its row ``i`` is trial ``i``'s own draw;
+  trial's Gaussians and one for all of its uniforms (``integers`` and the
+  rejection loops stay apart, as the stream or the draw's own branching
+  needs).  Draws that depend on earlier ones are made in stages over the
+  same generators.  A draw only calls its generators and never raises;
+  its row ``i`` is trial ``i``'s own draw;
 - a shape-polymorphic *build* turns drawn arrays into matrices: the maps
-  of uniforms onto their ranges, the QR, phase normalization,
+  of uniforms onto their ranges, the QR, phase normalization, norms,
   eigendecompositions and products, and the checks that may raise.  It
   takes one trial's row of the draws, or a stack's, in one form (columns
   scale by ``x[..., None, :]``), so each slice of a stacked build is
@@ -381,16 +381,11 @@ def _build_one_nonnormal(spec, g, special, r):
     return tuple(out)
 
 
-def _plane_reflection(angle: float) -> np.ndarray:
-    c, s = np.cos(2 * angle), np.sin(2 * angle)
-    return np.array([[c, s], [s, -c]], dtype=complex)
-
-
 def _draw_sa_pair(rngs, n, spec):
-    """The unitary's Gaussians, then A and B before conjugation: real
-    multiples of plane reflections, drawn by rejection, trial by trial."""
+    """The unitary's Gaussians, then each trial's two reflection angles and
+    two magnitudes, each pair drawn by rejection, and its two signs."""
     g = _fill(rngs, "standard_normal", (2, 2, 2))
-    a, b = np.empty((2, len(rngs), 2, 2), dtype=complex)
+    drawn = np.empty((3, len(rngs), 2))
     for i, rng in enumerate(rngs):
         while True:
             phi, psi = rng.uniform(0.0, np.pi, 2)
@@ -400,44 +395,38 @@ def _draw_sa_pair(rngs, n, spec):
             mags = rng.uniform(0.1, 1.0, 2)
             if abs(mags[0] - mags[1]) >= 0.05:
                 break
-        signs = rng.choice([-1.0, 1.0], 2)
-        a[i] = signs[0] * mags[0] * _plane_reflection(phi)
-        b[i] = signs[1] * mags[1] * _plane_reflection(psi)
-    return g, a, b
+        drawn[:, i] = (phi, psi), mags, rng.choice([-1.0, 1.0], 2)
+    return g, *drawn
 
 
-def _build_sa_pair(spec, g, a, b):
-    """A and B conjugated by one random unitary.  The product of two
+def _build_sa_pair(spec, g, angles, mags, signs):
+    """A and B, signed real multiples of the plane reflections with the
+    drawn angles, conjugated by one random unitary.  The product of two
     reflections is a rotation, hence normal; it is neither self-adjoint nor
     commuting while the axes are neither aligned nor perpendicular."""
+    c, s = np.cos(2 * angles), np.sin(2 * angles)
+    reflections = np.stack((c, s, s, -c), -1).reshape(angles.shape + (2, 2)).astype(complex)
+    a, b = np.moveaxis((signs * mags)[..., None, None] * reflections, -3, 0)
     u = _unitary(g)
     adj = u.conj().swapaxes(-1, -2)
     return u @ a @ adj, u @ b @ adj
 
 
-def _draw_sandwich(rngs, n, spec):
-    """G's and C's Gaussians (one call a trial), ||C|| for the whole stack
-    in one call and, for each trial whose C != 0, the slack that squeezes C
-    into a contraction: whether that uniform is drawn depends on C."""
-    gc = _fill(rngs, "standard_normal", (4, n, n))
-    top = operator_norm(symmetrize(_general(gc[:, 2], gc[:, 3])))
-    slack = np.zeros(len(rngs))
-    for i in np.flatnonzero(top > 0):
-        slack[i] = rngs[i].uniform(0.05, 1.0)
-    return *gc.swapaxes(0, 1), top, slack
-
-
-def _build_sandwich(spec, g_re, g_im, c_re, c_im, top, slack):
+def _build_sandwich(spec, gc, r):
     """T = S^(1/2) C S^(1/2) with S = G* G >= 0 and C a Hermitian
-    contraction, so -S <= T <= S exactly rather than by filtering."""
+    contraction, so -S <= T <= S exactly rather than by filtering.  ``gc``
+    holds G's and C's Gaussians; C is squeezed into a contraction by
+    ||C|| (1 + slack), the slack on [0.05, 1) from ``r``, unless C is 0."""
+    g_re, g_im, c_re, c_im = np.moveaxis(gc, -3, 0)
     g = _general(g_re, g_im)
     s = symmetrize(adjoint(g) @ g)
     w, u = eigh_exact(s)
     root = _from_spectrum(u, np.sqrt(np.clip(w, 0.0, None)))
     c = symmetrize(_general(c_re, c_im))
+    top = np.asarray(operator_norm(c))  # a lone trial's norm is a float
     squeeze = top > 0  # every C that is not 0
-    denominator = np.where(squeeze, top * (1.0 + slack), 1.0)[..., None, None]
-    c = np.where(squeeze[..., None, None], c / denominator, c)
+    denominator = np.where(squeeze, top * (1.0 + _uniform(r[..., 0], 0.05, 1.0)), 1.0)
+    c = np.where(squeeze[..., None, None], c / denominator[..., None, None], c)
     return symmetrize(root @ c @ root), s
 
 
@@ -526,7 +515,12 @@ _KINDS = {
         _build_negative_cross,
     ),
     "ordered_psd_pair": (_draw_ordered_psd, _build_ordered_psd),
-    "sandwich_pair": (_draw_sandwich, _build_sandwich),
+    "sandwich_pair": (
+        lambda rngs, n, spec: (
+            _fill(rngs, "standard_normal", (4, n, n)), _fill(rngs, "random", (1,))
+        ),
+        _build_sandwich,
+    ),
     "fuglede_pair": (_draw_fuglede, _build_fuglede),
 }
 

@@ -23,6 +23,7 @@ from absval import (
     is_positive,
     is_self_adjoint,
     loewner_leq,
+    run_suite,
     sample,
 )
 from absval import claims as claims_module
@@ -566,8 +567,7 @@ def reference_draw(rng, n, spec):
             if abs(mags[0] - mags[1]) >= 0.05:
                 break
         signs = rng.choice([-1.0, 1.0], 2)
-        reflection = generators._plane_reflection
-        return out + [signs[0] * mags[0] * reflection(phi), signs[1] * mags[1] * reflection(psi)]
+        return out + [np.array([phi, psi]), mags, signs]
     if kind == "negative_cross_pair":
         out = gaussian() + diagonal(False)
         return out + [complex(-rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))]
@@ -686,31 +686,32 @@ class _ZeroC:
         x[2:] = 0
         return x
 
-    def uniform(self, *args):
-        self.calls.append("uniform")
-        return self.rng.uniform(*args)
+    def random(self, size=None, out=None):
+        self.calls.append("random")
+        return self.rng.random(size, out=out)
 
 
-def test_sandwich_draws_its_slack_only_for_nonzero_c():
+def test_sandwich_draws_its_slack_for_zero_c_too():
     spec = EnsembleSpec(kind="sandwich_pair")
     draw, build = generators._KINDS["sandwich_pair"]
     for n in BLOCK_DIMS:
         zero = _ZeroC(Seed(1, "zero").generator())
         drawn = draw([zero], n, spec)
-        assert zero.calls == ["standard_normal"]  # no slack drawn
+        assert zero.calls == ["standard_normal", "random"]  # the slack, as every trial draws it
         t, s = build(spec, *(x[0] for x in drawn))
         assert not t.any() and is_positive(s)
-        # a stack mixing both branches, drawn as one: the trial whose C = 0
-        # draws no slack and its generator stops where four separate
-        # Gaussian draws would leave it, and each slice is its one-trial build
+        # a stack with a trial whose C = 0, drawn as one: that trial's
+        # generator stops where four separate Gaussian draws and one uniform
+        # would leave it, and each slice is its one-trial build
         zero = _ZeroC(Seed(1, "zero").generator())
         rngs = [Seed(1, "mixed", trial).generator() for trial in range(5)]
         rngs.insert(2, zero)
         stacked = build(spec, *draw(rngs, n, spec))
-        assert zero.calls == ["standard_normal"]
+        assert zero.calls == ["standard_normal", "random"]
         alone = Seed(1, "zero").generator()
         for _ in range(4):
             alone.standard_normal((n, n))
+        alone.random()
         assert zero.rng.bit_generator.state == alone.bit_generator.state
         singles = [sample(spec, n, Seed(1, "mixed", trial)) for trial in range(5)]
         singles.insert(2, (t, s))
@@ -771,9 +772,16 @@ def test_a_stack_whose_build_raises_draws_no_trial_again(monkeypatch):
     assert block.errors and calls == [0]
 
 
-def test_draws_never_raise():
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_draws_never_raise(monkeypatch):
     # every catalog spec's draw only calls its generators, over a stack of
-    # trials or one, at every size (C-NFOLD's at n = 1 too, whose build raises)
+    # trials or one, at every size (C-NFOLD's at n = 1 too, whose build
+    # raises): no draw takes a factorization, a norm or a spectrum
+    for routine in ("eigh", "eigvalsh", "qr", "inv", "slogdet", "svd", "eig", "norm"):
+        monkeypatch.setattr(np.linalg, routine, _no_convergence)
     for spec in SPECS:
         draw, _ = generators._KINDS[spec.kind]
         for n in range(1, 9):
@@ -785,6 +793,18 @@ def test_draws_never_raise():
                 assert sorted(rows.tolist()) == list(range(depth)), (spec, n)
                 for r, drawn in groups:
                     assert all(len(x) == len(np.arange(depth)[r]) for x in drawn), (spec, n)
+
+
+def test_a_build_that_fails_gives_each_trial_an_error_record(monkeypatch):
+    # the sandwich's ||C|| is taken in its build, so a failing eigensolver
+    # there ends as each trial's own record, not as the suite's exception
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    report = run_suite(["L-SANDWICH"], [3], 4, 1)
+    (stats,) = report.claims
+    assert stats.trials == 4 and len(stats.errors) == 4
+    assert [r["trial"] for r in stats.errors] == [0, 1, 2, 3]
+    assert all(r["message"].startswith("eigensolver did not converge") for r in stats.errors)
+    assert report.verdict == "fail"
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
