@@ -5,6 +5,15 @@ ensemble it is exercised against.  Claims expected to hold always are run over
 many random trials; the five fixed counterexample instances live in a registry
 with their known verdict structure.  ``run_suite`` drives everything and
 aggregates a replayable report.
+
+A conclusion that calls ``abs_value``, ``loewner_leq``, ``equality`` or
+``operator_norm`` is a step function: it yields each such call as a request
+``(fn, rows, *args)`` and is sent the values.  Called plainly it is one run,
+each request answered by ``_grouped``.  ``probe_conclusions`` drives the runs
+of all its conclusions together in rounds, one stacked call per round of the
+requests of one primitive; each row's value is bit for bit its own call's,
+and a round that raises runs request by request, so an error reaches only
+the run whose request raised.
 """
 
 from __future__ import annotations
@@ -131,13 +140,14 @@ def _all(flags):
 
 
 def _grouped(fn, rows, *args):
-    """Yield ``fn(*row, *args)`` for each tuple of arrays in ``rows``, in
-    order, from calls on the stacked columns of consecutive rows, each call
-    within ``generators.STACK_BYTES // 4``: a trial's operands go as one
-    call, a sweep stack's rows one by one and none made early.  Results are
-    bit for bit the rows' own calls, one trial's scalars as Python scalars.
-    A group that raises runs row by row, so the first row to raise in the
-    conclusion's order (the n-fold ones put the whole first) names the error."""
+    """The one-run executor: yield ``fn(*row, *args)`` for each tuple of
+    arrays in ``rows``, in order, from calls on the stacked columns of
+    consecutive rows, each call within ``generators.STACK_BYTES // 4``: a
+    trial's operands go as one call, a sweep stack's rows one by one and
+    none made early.  Results are bit for bit the rows' own calls, one
+    trial's scalars as Python scalars.  A group that raises runs row by
+    row, so the first row to raise in the conclusion's order (the n-fold
+    ones put the whole first) names the error."""
     group = []
     for row in rows:
         group.append(row)
@@ -164,6 +174,107 @@ def _unstack(value):
     return value.tolist() if value.ndim == 1 else list(value)
 
 
+def _stepped(steps):
+    """The conclusion of a step function: ``steps`` yields each call
+    ``fn(*row, *args)`` it makes of a primitive as a request ``(fn, rows,
+    *args)`` and is sent the list of their values.  Called plainly it is one
+    run, each request answered by :func:`_grouped`; :func:`_lockstep` drives
+    many runs of ``.steps`` at once."""
+    def conclusion(mats, pol):
+        run, answer = steps(mats, pol), None
+        while True:
+            try:
+                fn, rows, *args = run.send(answer)
+            except StopIteration as done:
+                return done.value
+            if type(rows) is list and len(rows) == 1:  # _grouped's call of a lone row, made directly
+                answer = [fn(*rows[0], *args)]
+            else:
+                answer = list(_grouped(fn, rows, *args))
+
+    conclusion.steps = steps
+    return conclusion
+
+
+def _steps(conclusion, mats, pol):
+    """The run of ``conclusion`` on ``mats``; one of no requests if it has no steps."""
+    if hasattr(conclusion, "steps"):
+        return (yield from conclusion.steps(mats, pol))
+    return conclusion(mats, pol)
+
+
+def _lockstep(runs):
+    """The outcome of each of ``runs``: the value its conclusion returns or
+    the exception it raises.  Each round answers every waiting request of
+    one ``(fn, *args)``, the one the fewest runs wait on, so that a narrow
+    round moves its runs on to the wide rounds they join.  The round calls
+    ``fn`` on the matrices of consecutive rows, concatenated whatever the
+    runs' depths, each call within :func:`_grouped`'s byte cap, and gives
+    each row its part bit for bit as :func:`_grouped` would.  A round that
+    raises goes request by request through :func:`_grouped`, so each error
+    reaches only the run whose request raised."""
+    outcomes, waiting, answers = [None] * len(runs), {}, [(i, None) for i in range(len(runs))]
+    while True:
+        for i, answer in answers:
+            try:
+                step = runs[i].throw if isinstance(answer, Exception) else runs[i].send
+                fn, rows, *args = step(answer)
+                waiting.setdefault((fn, *args), []).append((i, [*rows]))
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except Exception as exc:  # its traceback's frames would hold the runs in a cycle
+                outcomes[i] = exc.with_traceback(None)
+        if not waiting:
+            return outcomes
+        batch = waiting.pop(key := min(waiting, key=lambda key: len(waiting[key])))
+        answers = zip([i for i, _ in batch], _round(key, [rows for _, rows in batch]))
+
+
+def _round(key, requests):
+    fn, *args = key
+    if len(requests) > 1:
+        try:
+            parts, group, size = [], [], 0
+            for row in chain(*requests):
+                if group and size + len(row) * row[0].nbytes > generators.STACK_BYTES // 4:
+                    parts += _flat_call(fn, group, args)
+                    group, size = [], 0
+                group.append(row)
+                size += len(row) * row[0].nbytes
+            parts = iter(parts + _flat_call(fn, group, args))
+            return [[next(parts) for _ in rows] for rows in requests]
+        except Exception:
+            pass
+    return [_answer(fn, rows, args) for rows in requests]
+
+
+def _flat_call(fn, group, args):
+    """``fn`` on the rows of ``group`` as one ``(m, n, n)`` stack per column,
+    cut back into rows: a lone trial's 2-D row as :func:`_unstack` cuts it."""
+    columns = [np.concatenate([m if m.ndim > 2 else m[None] for m in c]) for c in zip(*group)]
+    value = fn(*columns, *args)
+    return _cut(value, [len(row[0]) if row[0].ndim > 2 else 0 for row in group])
+
+
+def _cut(value, depths):
+    if isinstance(value, PredicateResult):
+        return [*map(PredicateResult, _cut(value.holds, depths), _cut(value.residual, depths))]
+    if isinstance(value, tuple):
+        return [*zip(*(_cut(v, depths) for v in value))]
+    items, at, parts = _unstack(value), 0, []
+    for depth in depths:
+        parts.append(value[at : at + depth] if depth else items[at])
+        at += depth or 1
+    return parts
+
+
+def _answer(fn, rows, args):
+    try:
+        return list(_grouped(fn, rows, *args))
+    except Exception as exc:
+        return exc
+
+
 def _commuting_product(a, b, pol):
     """``(sym(ab), holds, asymmetry)`` for operands whose hypothesis has them
     commute.  The product is symmetrized before any gate sees it, and its
@@ -177,14 +288,14 @@ def _commuting_product(a, b, pol):
 def _concl_loewner(x, y, pol):
     """Order conclusion x <= y; residual is the negated witness eigenvalue,
     so larger means closer to (or deeper into) violation."""
-    v = loewner_leq(x, y, pol)
+    v = (yield loewner_leq, [(x, y)], pol)[0]
     return v.holds, -v.residual, {"witness_lambda_min": v.residual}
 
 
 def _concl_opnorm_leq(x, y, pol, *scale_of):
     """Norm conclusion ||x|| <= ||y|| with additive slack tol*max(1, scales),
     the scales being the norms of ``scale_of``, or else ||x|| and ||y||."""
-    lhs, rhs, *scales = _grouped(operator_norm, zip([x, y, *scale_of]))
+    lhs, rhs, *scales = yield operator_norm, zip([x, y, *scale_of])
     slack = pol.bound(*(scales or (lhs, rhs)))
     return lhs <= rhs + slack, lhs - rhs, {"lhs_norm": lhs, "rhs_norm": rhs}
 
@@ -284,34 +395,41 @@ def _concl_product_positive(mats, pol):
     return res.holds & symmetric, -res.residual, extras
 
 
+@_stepped
 def _concl_sqrt_factor(mats, pol):
     a, b = mats
     roots = psd_sqrt(a, pol) @ psd_sqrt(b, pol)  # first: input that fails a gate fails cheaply
     p, symmetric, asym = _commuting_product(a, b, pol)
-    same, residual = equality(psd_sqrt(p, pol), roots, pol)
+    same, residual = (yield equality, [(psd_sqrt(p, pol), roots)], pol)[0]
     return same & symmetric, residual, {"product_asymmetry": asym}
 
 
+@_stepped
 def _concl_sqrt_sum(mats, pol):
     a, b = mats
-    return _concl_loewner(psd_sqrt(a + b, pol), psd_sqrt(a, pol) + psd_sqrt(b, pol), pol)
+    whole = psd_sqrt(a + b, pol)
+    return (yield from _concl_loewner(whole, psd_sqrt(a, pol) + psd_sqrt(b, pol), pol))
 
 
 _LH_ALPHAS = (0.25, 0.5, 0.75)
 
 
+@_stepped
 def _concl_loewner_heinz(mats, pol):
     a, b = mats
     lower, upper = psd_power(b, _LH_ALPHAS, pol), psd_power(a, _LH_ALPHAS, pol)
-    orders = [loewner_leq(x, y, pol) for x, y in zip(lower, upper)]
+    orders = []
+    for x, y in zip(lower, upper):  # a call each
+        orders += yield loewner_leq, [(x, y)], pol
     worst = trial_max(*(-v.residual for v in orders))
     extras = {f"witness_alpha_{t}": v.residual for t, v in zip(_LH_ALPHAS, orders)}
     return _all(v.holds for v in orders), worst, extras
 
 
+@_stepped
 def _concl_square_mono(mats, pol):
     a, b = mats
-    return _concl_loewner(b @ b, a @ a, pol)
+    return (yield from _concl_loewner(b @ b, a @ a, pol))
 
 
 def _concl_fuglede(mats, pol):
@@ -325,17 +443,19 @@ def _concl_fuglede(mats, pol):
     return ok, select(ok, 0.0, spread), residuals
 
 
+@_stepped
 def _concl_abs_commute(mats, pol):
-    aa, ab = _grouped(abs_value, zip(mats), pol)
-    return *equality(aa @ ab, ab @ aa, pol), {}
+    aa, ab = yield abs_value, zip(mats), pol
+    return *(yield equality, [(aa @ ab, ab @ aa)], pol)[0], {}
 
 
+@_stepped
 def _concl_prodsa_cor(mats, pol):
     a, b = mats
-    aa, ab = _grouped(abs_value, zip(mats), pol)
+    aa, ab = yield abs_value, zip(mats), pol
     p = aa @ ab
     sa = is_self_adjoint(p, pol)
-    commute_ok, commute_residual = equality(p, ab @ aa, pol)
+    commute_ok, commute_residual = (yield equality, [(p, ab @ aa)], pol)[0]
     ok = sa.holds & commute_ok
     residual = trial_max(sa.residual, commute_residual)
     extras = {"self_adjoint_residual": sa.residual}
@@ -351,39 +471,44 @@ def _concl_prodsa_cor(mats, pol):
     return ok, residual, extras
 
 
+@_stepped
 def _concl_eight_products(mats, pol):
     a, b = mats
     astar, bstar = adjoint(a), adjoint(b)
     pairs = (a, b), (astar, b), (a, bstar), (astar, bstar), (bstar, astar), (bstar, a)
     pairs += (b, astar), (b, a)
-    first, *rest = _grouped(lambda x, y: abs_value(x @ y, pol), pairs)
-    same, residuals = zip(*_grouped(equality, ((first, v) for v in rest), pol))
+    first, *rest = yield abs_value, ((x @ y,) for x, y in pairs), pol
+    same, residuals = zip(*(yield equality, ((first, v) for v in rest), pol))
     return _all(same), trial_max(0.0, *residuals), {}
 
 
+@_stepped
 def _concl_inv_product(mats, pol):
-    return _concl_nfold_product((mats[0], inverse(mats[1])), pol)
+    return (yield from _concl_nfold_product.steps((mats[0], inverse(mats[1])), pol))
 
 
+@_stepped
 def _concl_inverse_abs(mats, pol):
     (a,) = mats
     kappa = condition_estimate(a)  # the estimate inverse would compute again
-    abs_inv, abs_a = _grouped(abs_value, zip([_guarded_inverse(a, kappa), a]), pol)
+    abs_inv, abs_a = yield abs_value, zip([_guarded_inverse(a, kappa), a]), pol
     prod = abs_inv @ abs_a
     r = frobenius(prod - np.eye(a.shape[-1]))
     extras = {"identity_residual": r, "condition": kappa}
     return r <= pol.bound(kappa), r / trial_max(1.0, kappa), extras
 
 
+@_stepped
 def _concl_nfold_product(mats, pol):  # |AB| = |A||B| at k = 2
-    whole, *factors = _grouped(abs_value, zip([reduce(operator.matmul, mats), *mats]), pol)
-    return *equality(whole, reduce(operator.matmul, factors), pol), {}
+    whole, *factors = yield abs_value, zip([reduce(operator.matmul, mats), *mats]), pol
+    return *(yield equality, [(whole, reduce(operator.matmul, factors))], pol)[0], {}
 
 
+@_stepped
 def _concl_integer_powers(mats, pol):
     (a,) = mats
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)  # one shape per row
-    abs_a = abs_value(a, pol)
+    (abs_a,) = yield abs_value, [(a,)], pol
 
     def powers(b, c):  # (B^e, C^e), e = 1..3, from eye @ B: B alone may differ in a zero's sign
         pb, pc = eye, eye
@@ -391,21 +516,26 @@ def _concl_integer_powers(mats, pol):
             pb, pc = pb @ b, pc @ c
             yield pb, pc
 
-    # (A^e, |A|^e) for e = -3 .. 3 in turn, the positive powers made as they are asked for
+    # (A^e, |A|^e) for e = -3 .. 3 in turn
     rows = chain(reversed([*powers(inverse(a), inverse(abs_a))]), [(eye, eye)], powers(a, abs_a))
-    same, residuals = zip(*_grouped(lambda x, y: equality(abs_value(x, pol), y, pol), rows))
+    powers_a, powers_abs = zip(*rows)
+    abs_powers = yield abs_value, zip(powers_a), pol
+    same, residuals = zip(*(yield equality, zip(abs_powers, powers_abs), pol))
     return _all(same), trial_max(0.0, *residuals), {}
 
 
+@_stepped
 def _concl_square_nonpositive(mats, pol):
     (a,) = mats
     sq = a @ a
-    return _concl_loewner(sq, np.zeros_like(sq), pol)
+    return (yield from _concl_loewner(sq, np.zeros_like(sq), pol))
 
 
+@_stepped
 def _concl_re_below_abs(mats, pol):
     (t,) = mats
-    return _concl_loewner(symmetrize(t), abs_value(t, pol), pol)
+    (abs_t,) = yield abs_value, [(t,)], pol
+    return (yield from _concl_loewner(symmetrize(t), abs_t, pol))
 
 
 def _concl_adjoint_product_hyponormal(mats, pol):
@@ -414,17 +544,19 @@ def _concl_adjoint_product_hyponormal(mats, pol):
     return res.holds, -res.residual, {"witness_lambda_min": res.residual}
 
 
+@_stepped
 def _concl_re_im_split(mats, pol):
     (t,) = mats
     re = symmetrize(t)
     im = (t - adjoint(t)) / 2j
-    abs_t, abs_re, abs_im = _grouped(abs_value, zip([t, re, im]), pol)
-    return _concl_loewner(abs_t, abs_re + abs_im, pol)
+    abs_t, abs_re, abs_im = yield abs_value, zip([t, re, im]), pol
+    return (yield from _concl_loewner(abs_t, abs_re + abs_im, pol))
 
 
+@_stepped
 def _concl_triangle_n(mats, pol):  # |A + B| <= |A| + |B| at k = 2
-    whole, first, *rest = _grouped(abs_value, zip([sum(mats[1:], start=mats[0]), *mats]), pol)
-    return _concl_loewner(whole, sum(rest, start=first), pol)
+    whole, first, *rest = yield abs_value, zip([sum(mats[1:], start=mats[0]), *mats]), pol
+    return (yield from _concl_loewner(whole, sum(rest, start=first), pol))
 
 
 def _concl_sum_normal(mats, pol):
@@ -433,16 +565,19 @@ def _concl_sum_normal(mats, pol):
     return res.holds, res.residual, {"normality_residual": res.residual}
 
 
+@_stepped
 def _concl_normdiff_plus(mats, pol):
     a, b = mats
-    abs_a, abs_b = _grouped(abs_value, zip(mats), pol)
-    return _concl_opnorm_leq(abs_a - abs_b, a + b, pol, *mats)
+    abs_a, abs_b = yield abs_value, zip(mats), pol
+    return (yield from _concl_opnorm_leq(abs_a - abs_b, a + b, pol, *mats))
 
 
+@_stepped
 def _concl_absdiff_plus(mats, pol):
     a, b = mats
-    abs_a, abs_b = _grouped(abs_value, zip(mats), pol)
-    return _concl_loewner(*_grouped(abs_value, zip([abs_a - abs_b, a + b]), pol), pol)
+    abs_a, abs_b = yield abs_value, zip(mats), pol
+    gap, total = yield abs_value, zip([abs_a - abs_b, a + b]), pol
+    return (yield from _concl_loewner(gap, total, pol))
 
 
 def _minus_form(conclusion):
@@ -681,7 +816,7 @@ def catalog() -> dict[str, Claim]:
                 ("lower", loewner_leq, lambda mats: [-mats[1], mats[0]]),
                 ("upper", loewner_leq, _slots(0, 1)),
             ),
-            lambda mats, pol: _concl_opnorm_leq(*mats, pol),
+            _stepped(lambda mats, pol: _concl_opnorm_leq(*mats, pol)),
         ),
         Claim(
             "C-ABSDIFF-",
@@ -1252,6 +1387,26 @@ def _split_on_raise(evaluate, stack: tuple, size: int):
         yield i, value
 
 
+def _probe_runs(runs, verdicts, pol):
+    """Record the verdicts of ``runs``, ``(conclusion, at, stack)`` each, all
+    evaluated by one :func:`_lockstep`, a lone trial on its 2-D row, then
+    split by :func:`_split_on_raise`, whose first evaluation is that outcome."""
+    operands = [s if len(s[0]) > 1 else tuple(m[0] for m in s) for _, _, s in runs]
+    outcomes = _lockstep([_steps(c, m, pol) for (c, _, _), m in zip(runs, operands)])
+    for (conclusion, at, stack), outcome in zip(runs, outcomes):
+        first = [outcome]  # the first evaluation, of the stack or of its lone trial
+        evaluate = lambda m: _raised(first.pop() if first else conclusion(m, pol))[0]
+        for i, ok in _split_on_raise(evaluate, stack, len(stack[0])):
+            where = slice(at, at + len(stack[0])) if i is None else at + i
+            verdicts[where] = -1 if isinstance(ok, Exception) else ok
+
+
+def _raised(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def probe_conclusions(
     claim_ids,
     dim: int,
@@ -1272,7 +1427,9 @@ def probe_conclusions(
     from one :func:`sample_block` call of the ``general`` kind, so in stacks
     :func:`stack_depth` trials deep as the suite's; claims that share a
     conclusion share its stacks, an A - B form on the negated second
-    operand (:func:`_minus_form`).  A stack that raises is split by
+    operand (:func:`_minus_form`).  The runs of a stack's depth of trials
+    go through :func:`_lockstep` together, every conclusion's requests of
+    one primitive in one round; a stack that raises is split by
     :func:`_split_on_raise`, so each trial counts as it would alone.
     ``dim``, ``count`` and the master seed must be integers (not bools or
     floats) in range, as in :func:`run_suite`, and are used as ints.
@@ -1283,6 +1440,7 @@ def probe_conclusions(
     order, tags, plan = _probe_plan(tuple(claim_ids), dim, count)
     rngs = _block_generators(master_seed, tags, 0, count)
     verdicts = np.empty(len(order) * count, dtype=np.int8)  # 1 holds, 0 fails, -1 raised
+    runs = []  # (conclusion, at, stack), driven together once they hold a stack's depth
     for spec, rows, parts, minus in plan:
         for trials, drawn in sample_block(spec, dim, rngs, rows):
             lo, hi = int(trials[0]), int(trials[-1]) + 1
@@ -1291,12 +1449,12 @@ def probe_conclusions(
                 drawn[1][minus[lo:hi]] = -drawn[1][minus[lo:hi]]
             for conclusion, at, stop in parts:
                 at, stop = max(at, lo), min(stop, hi)
-                if at >= stop:  # a run outside this stack
-                    continue
-                stack = tuple(m[at - lo : stop - lo] for m in drawn)
-                for i, ok in _split_on_raise(lambda m: conclusion(m, pol)[0], stack, stop - at):
-                    where = slice(at, stop) if i is None else at + i
-                    verdicts[where] = -1 if isinstance(ok, Exception) else ok
+                if at < stop:  # a run inside this stack
+                    runs.append((conclusion, at, tuple(m[at - lo : stop - lo] for m in drawn)))
+            if hi - runs[0][1] >= generators.stack_depth(dim):
+                _probe_runs(runs, verdicts, pol)
+                runs = []
+    _probe_runs(runs, verdicts, pol)
     found = verdicts.reshape(len(order), count)
     failures = found == 0
     columns = failures.sum(1).tolist(), (found < 0).sum(1).tolist(), failures.argmax(1).tolist()

@@ -8,6 +8,8 @@ share a conclusion as one stack.
 general draws and one conclusion per trial.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from absval import (
     gen_general,
     probe_conclusions,
 )
+from absval import calculus, generators, predicates
 from absval import claims as claims_module
-from absval import generators
 
 THEOREM_IDS = [cid for cid, c in catalog().items() if c.expect == "ALWAYS_HOLDS"]
 MASTERS = (20170228, 2**64, 2**70 + 3)  # one 32-bit word; two wider than 64 bits
@@ -116,10 +118,21 @@ def _poisoned(m):
     return m
 
 
+TRIANGLES = ["C-TRIMINUS", "C-ABSDIFF+", "C-TRI", "C-NEGCROSS", "C-ABSDIFF-"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "claim_ids, count",
+    ((TRIANGLES, 40), (THEOREM_IDS, 1), (THEOREM_IDS, 40)),
+    ids=("triangles", "theorems-1", "theorems-40"),
+)
 @pytest.mark.parametrize("dim", (1, 2, 3))
-def test_a_shared_stack_that_raises_counts_each_trial_alone(monkeypatch, stack_sizes, dim):
-    claim_ids = ["C-TRIMINUS", "C-ABSDIFF+", "C-TRI", "C-NEGCROSS", "C-ABSDIFF-"]
+def test_a_shared_stack_that_raises_counts_each_trial_alone(
+    monkeypatch, stack_sizes, dim, claim_ids, count
+):
+    # the theorems' conclusions share their rounds, so a poisoned trial
+    # raises in a round that clean runs of other conclusions share
     real = claims_module.build
 
     def poisoned(spec, drawn):
@@ -127,11 +140,42 @@ def test_a_shared_stack_that_raises_counts_each_trial_alone(monkeypatch, stack_s
 
     monkeypatch.setattr(claims_module, "build", poisoned)
     expected = reference_probe(
-        claim_ids, dim, 40, 13, draw=lambda n, rng: _poisoned(gen_general(n, rng).copy())
+        claim_ids, dim, count, 13, draw=lambda n, rng: _poisoned(gen_general(n, rng).copy())
     )
-    assert all(ps.errors and ps.evaluated for ps in expected)
-    assert probe_conclusions(claim_ids, dim, 40, 13) == expected
-    assert max(stack_sizes) == 3 * 40
+    if claim_ids is TRIANGLES:
+        assert all(ps.errors and ps.evaluated for ps in expected)
+    else:
+        assert any(ps.errors and ps.evaluated for ps in expected) or count == 1
+        assert any(ps.errors for ps in expected) and any(ps.evaluated for ps in expected)
+    assert probe_conclusions(claim_ids, dim, count, 13) == expected
+    assert max(stack_sizes) == 3 * count
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", (2, 4, 8))
+def test_a_one_trial_probe_calls_each_primitive_in_rounds(monkeypatch, dim):
+    """A one-trial probe drives every conclusion together: the requests of
+    one primitive go as one call per round (within the byte cap), and those
+    calls go through the bindings a tracer patches."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("abs_value", "loewner_leq"):
+        fn = getattr(calculus, name)
+        for module in (claims_module, calculus, predicates):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    expected = reference_probe(THEOREM_IDS, dim, 1, 5)
+    calls.clear()
+    assert probe_conclusions(THEOREM_IDS, dim, 1, 5) == expected
+    assert calls["abs_value"] <= 6  # 16 one conclusion at a time
+    assert calls["loewner_leq"] <= 5  # 8 one conclusion at a time
 
 
 FORCED = TolerancePolicy(rel=1e-15, abs=1e-300)
