@@ -121,18 +121,9 @@ def _poisoned(m):
 TRIANGLES = ["C-TRIMINUS", "C-ABSDIFF+", "C-TRI", "C-NEGCROSS", "C-ABSDIFF-"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "claim_ids, count",
-    ((TRIANGLES, 40), (THEOREM_IDS, 1), (THEOREM_IDS, 40)),
-    ids=("triangles", "theorems-1", "theorems-40"),
-)
-@pytest.mark.parametrize("dim", (1, 2, 3))
-def test_a_shared_stack_that_raises_counts_each_trial_alone(
-    monkeypatch, stack_sizes, dim, claim_ids, count
-):
-    # the theorems' conclusions share their rounds, so a poisoned trial
-    # raises in a round that clean runs of other conclusions share
+def _probe_poisoned(monkeypatch, claim_ids, dim, count):
+    """The reference probe's stats for ``claim_ids`` with every built
+    matrix poisoned, after checking the stacked probe gives the same."""
     real = claims_module.build
 
     def poisoned(spec, drawn):
@@ -142,12 +133,29 @@ def test_a_shared_stack_that_raises_counts_each_trial_alone(
     expected = reference_probe(
         claim_ids, dim, count, 13, draw=lambda n, rng: _poisoned(gen_general(n, rng).copy())
     )
-    if claim_ids is TRIANGLES:
-        assert all(ps.errors and ps.evaluated for ps in expected)
-    else:
-        assert any(ps.errors and ps.evaluated for ps in expected) or count == 1
-        assert any(ps.errors for ps in expected) and any(ps.evaluated for ps in expected)
     assert probe_conclusions(claim_ids, dim, count, 13) == expected
+    return expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_a_shared_stack_that_raises_counts_each_trial_alone(monkeypatch, stack_sizes, dim):
+    expected = _probe_poisoned(monkeypatch, TRIANGLES, dim, 40)
+    assert all(ps.errors and ps.evaluated for ps in expected)
+    assert max(stack_sizes) == 3 * 40
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("count", (1, 40))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_a_shared_round_that_raises_counts_each_trial_alone(
+    monkeypatch, stack_sizes, dim, count
+):
+    # the theorems' conclusions share their rounds, so a poisoned trial
+    # raises in a round that clean runs of other conclusions share
+    expected = _probe_poisoned(monkeypatch, THEOREM_IDS, dim, count)
+    assert any(ps.errors and ps.evaluated for ps in expected) or count == 1
+    assert any(ps.errors for ps in expected) and any(ps.evaluated for ps in expected)
     assert max(stack_sizes) == 3 * count
 
 
