@@ -10,10 +10,10 @@ A conclusion that calls ``abs_value``, ``loewner_leq``, ``equality`` or
 ``operator_norm`` is a step function: it yields each such call as a request
 ``(fn, rows, *args)`` and is sent the values.  Called plainly it is one run,
 each request answered by ``_grouped``.  ``probe_conclusions`` drives the runs
-of all its conclusions together in rounds, one stacked call per round of the
-requests of one primitive; each row's value is bit for bit its own call's,
-and a round that raises runs request by request, so an error reaches only
-the run whose request raised.
+of all its conclusions together in rounds, one stacked call (within
+``_grouped``'s byte cap) per round of the requests of one primitive; each
+row's value is bit for bit its own call's, and a round that raises runs
+request by request, so an error reaches only the run whose request raised.
 """
 
 from __future__ import annotations
@@ -141,34 +141,48 @@ def _all(flags):
 
 def _grouped(fn, rows, *args):
     """The one-run executor: yield ``fn(*row, *args)`` for each tuple of
-    arrays in ``rows``, in order, from calls on the stacked columns of
-    consecutive rows, each call within ``generators.STACK_BYTES // 4``: a
-    trial's operands go as one call, a sweep stack's rows one by one and
-    none made early.  Results are bit for bit the rows' own calls, one
-    trial's scalars as Python scalars.  A group that raises runs row by
+    arrays in ``rows``, in order, from one call on the stacked columns of
+    each of :func:`_groups`.  Results are bit for bit the rows' own calls,
+    one trial's scalars as Python scalars.  A group that raises runs row by
     row, so the first row to raise in the conclusion's order (the n-fold
     ones put the whole first) names the error."""
-    group = []
-    for row in rows:
-        group.append(row)
-        room = generators.STACK_BYTES // 4 // (len(row) * row[0].nbytes)  # one shape per row
-        del row  # a called row is freed before the next one is made
-        if len(group) >= room:
-            yield from _group_call(fn, group, args)
-            group = []
-    yield from _group_call(fn, group, args)
+    for group in _groups(rows):
+        yield from _group_call(fn, group, args)
+        del group  # a called group is freed before the next one is made
 
 
 def _group_call(fn, group, args):
     if len(group) > 1:
         try:
-            return _unstack(fn(*map(np.array, zip(*group)), *args))
+            return _stack_call(fn, group, args)
         except (NumericalError, ValueError):  # an eigensolver's LinAlgError is a ConvergenceError
             pass  # row by row the sequence raises its own error
     return [fn(*row, *args) for row in group]
 
 
+def _groups(rows):
+    """``rows`` in consecutive groups, each within ``generators.STACK_BYTES
+    // 4``: a trial's operands go as one group, a sweep stack's rows one by
+    one and none made early."""
+    group = []
+    for row in rows:
+        group.append(row)
+        room = generators.STACK_BYTES // 4 // (len(row) * row[0].nbytes)  # one shape per row
+        del row  # a grouped row is held by its group alone
+        if len(group) >= room:
+            yield group
+            group = []
+    if group:
+        yield group
+
+
+def _stack_call(fn, group, args):
+    return _unstack(fn(*map(np.array, zip(*group)), *args))
+
+
 def _unstack(value):
+    if isinstance(value, PredicateResult):
+        return [*map(PredicateResult, _unstack(value.holds), _unstack(value.residual))]
     if isinstance(value, tuple):
         return list(zip(*map(_unstack, value)))
     return value.tolist() if value.ndim == 1 else list(value)
@@ -182,15 +196,12 @@ def _stepped(steps):
     many runs of ``.steps`` at once."""
     def conclusion(mats, pol):
         run, answer = steps(mats, pol), None
-        while True:
-            try:
+        try:
+            while True:
                 fn, rows, *args = run.send(answer)
-            except StopIteration as done:
-                return done.value
-            if type(rows) is list and len(rows) == 1:  # _grouped's call of a lone row, made directly
-                answer = [fn(*rows[0], *args)]
-            else:
                 answer = list(_grouped(fn, rows, *args))
+        except StopIteration as done:
+            return done.value
 
     conclusion.steps = steps
     return conclusion
@@ -207,12 +218,7 @@ def _lockstep(runs):
     """The outcome of each of ``runs``: the value its conclusion returns or
     the exception it raises.  Each round answers every waiting request of
     one ``(fn, *args)``, the one the fewest runs wait on, so that a narrow
-    round moves its runs on to the wide rounds they join.  The round calls
-    ``fn`` on the matrices of consecutive rows, concatenated whatever the
-    runs' depths, each call within :func:`_grouped`'s byte cap, and gives
-    each row its part bit for bit as :func:`_grouped` would.  A round that
-    raises goes request by request through :func:`_grouped`, so each error
-    reaches only the run whose request raised."""
+    round moves its runs on to the wide rounds they join."""
     outcomes, waiting, answers = [None] * len(runs), {}, [(i, None) for i in range(len(runs))]
     while True:
         for i, answer in answers:
@@ -231,48 +237,37 @@ def _lockstep(runs):
 
 
 def _round(key, requests):
+    """The values of ``requests``, the row lists of one round: one call on
+    the stacked columns of each of :func:`_groups` of their trials' rows, a
+    stack's row cut into its trials and its values stacked back, so each
+    value is bit for bit its own call's.  A lone request, or each request
+    of a round that raises, goes through :func:`_grouped` alone, so each
+    error is its own request's."""
     fn, *args = key
     if len(requests) > 1:
+        trials = (t for rows in requests for row in rows for t in (zip(*row) if row[0].ndim > 2 else [row]))
+        take = lambda row: _stacked([next(values) for _ in row[0]]) if row[0].ndim > 2 else next(values)
         try:
-            parts, group, size = [], [], 0
-            for row in chain(*requests):
-                if group and size + len(row) * row[0].nbytes > generators.STACK_BYTES // 4:
-                    parts += _flat_call(fn, group, args)
-                    group, size = [], 0
-                group.append(row)
-                size += len(row) * row[0].nbytes
-            parts = iter(parts + _flat_call(fn, group, args))
-            return [[next(parts) for _ in rows] for rows in requests]
+            values = iter([v for group in _groups(trials) for v in _stack_call(fn, group, args)])
+            return [[take(row) for row in rows] for rows in requests]
         except Exception:
-            pass
-    return [_answer(fn, rows, args) for rows in requests]
+            pass  # out of this handler, so that no request's error holds this one
+    answers = []
+    for rows in requests:
+        try:
+            answers.append(list(_grouped(fn, rows, *args)))
+        except Exception as exc:
+            answers.append(exc.with_traceback(None))
+    return answers
 
 
-def _flat_call(fn, group, args):
-    """``fn`` on the rows of ``group`` as one ``(m, n, n)`` stack per column,
-    cut back into rows: a lone trial's 2-D row as :func:`_unstack` cuts it."""
-    columns = [np.concatenate([m if m.ndim > 2 else m[None] for m in c]) for c in zip(*group)]
-    value = fn(*columns, *args)
-    return _cut(value, [len(row[0]) if row[0].ndim > 2 else 0 for row in group])
-
-
-def _cut(value, depths):
-    if isinstance(value, PredicateResult):
-        return [*map(PredicateResult, _cut(value.holds, depths), _cut(value.residual, depths))]
-    if isinstance(value, tuple):
-        return [*zip(*(_cut(v, depths) for v in value))]
-    items, at, parts = _unstack(value), 0, []
-    for depth in depths:
-        parts.append(value[at : at + depth] if depth else items[at])
-        at += depth or 1
-    return parts
-
-
-def _answer(fn, rows, args):
-    try:
-        return list(_grouped(fn, rows, *args))
-    except Exception as exc:
-        return exc
+def _stacked(values):
+    """The value of a stack's call from those of its trials, as :func:`_unstack` cut it."""
+    if isinstance(values[0], PredicateResult):
+        return PredicateResult(*map(_stacked, zip(*((v.holds, v.residual) for v in values))))
+    if isinstance(values[0], tuple):
+        return tuple(map(_stacked, zip(*values)))
+    return np.array(values)
 
 
 def _commuting_product(a, b, pol):
@@ -516,12 +511,15 @@ def _concl_integer_powers(mats, pol):
             pb, pc = pb @ b, pc @ c
             yield pb, pc
 
-    # (A^e, |A|^e) for e = -3 .. 3 in turn
+    # (A^e, |A|^e) for e = -3 .. 3 in turn, the positive powers made as they are asked for
     rows = chain(reversed([*powers(inverse(a), inverse(abs_a))]), [(eye, eye)], powers(a, abs_a))
-    powers_a, powers_abs = zip(*rows)
-    abs_powers = yield abs_value, zip(powers_a), pol
-    same, residuals = zip(*(yield equality, zip(abs_powers, powers_abs), pol))
+    same, residuals = zip(*(yield _abs_equals, rows, pol))
     return _all(same), trial_max(0.0, *residuals), {}
+
+
+def _abs_equals(x, y, pol):
+    """Whether |x| = y, one call of each primitive for a row of C-POWZ."""
+    return equality(abs_value(x, pol), y, pol)
 
 
 @_stepped
@@ -1382,8 +1380,8 @@ def _split_on_raise(evaluate, stack: tuple, size: int):
     for i in range(size):
         try:
             value = evaluate(tuple([m[i] for m in stack]))
-        except Exception as exc:
-            value = exc
+        except Exception as exc:  # its traceback's frames would hold the stack in a cycle
+            value = exc.with_traceback(None)
         yield i, value
 
 
@@ -1395,16 +1393,15 @@ def _probe_runs(runs, verdicts, pol):
     outcomes = _lockstep([_steps(c, m, pol) for (c, _, _), m in zip(runs, operands)])
     for (conclusion, at, stack), outcome in zip(runs, outcomes):
         first = [outcome]  # the first evaluation, of the stack or of its lone trial
-        evaluate = lambda m: _raised(first.pop() if first else conclusion(m, pol))[0]
+
+        def evaluate(m):
+            if first and isinstance(first[0], Exception):
+                raise first.pop()
+            return (first.pop() if first else conclusion(m, pol))[0]
+
         for i, ok in _split_on_raise(evaluate, stack, len(stack[0])):
             where = slice(at, at + len(stack[0])) if i is None else at + i
             verdicts[where] = -1 if isinstance(ok, Exception) else ok
-
-
-def _raised(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def probe_conclusions(

@@ -200,3 +200,71 @@ def test_a_reused_plan_counts_what_the_loop_counts(dim, pol):
             assert probe_conclusions(THEOREM_IDS, dim, count, 5, pol) == expected
     info = claims_module._probe_plan.cache_info()
     assert (info.misses, info.hits) == (3, 3)
+
+
+def _same(value, own):
+    """``value`` is ``own`` bit for bit: its type, dtype, shape and bytes."""
+    if isinstance(own, (tuple, claims_module.PredicateResult)):
+        parts = vars(own).values() if not isinstance(own, tuple) else own
+        mine = vars(value).values() if not isinstance(value, tuple) else value
+        return type(value) is type(own) and all(map(_same, mine, parts))
+    if isinstance(own, np.ndarray):
+        return (own.dtype, own.shape, own.tobytes()) == (value.dtype, value.shape, value.tobytes())
+    return type(value) is type(own) and np.array(value).tobytes() == np.array(own).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+def test_a_round_gives_each_row_its_own_calls_value(dim):
+    """One round's call on the rows of runs of different depths (lone 2-D
+    trials and stacks of 2 and 5) hands each row what its own call returns:
+    Python scalars for a 2-D row, arrays for a stack's row; a request that
+    raises gets its own error and the others their values."""
+    rng = np.random.default_rng(dim)
+    general = lambda *shape: rng.standard_normal((*shape, dim, dim)) + 1j * rng.standard_normal((*shape, dim, dim))
+    hermitian = lambda *shape: (lambda g: g + np.conj(np.swapaxes(g, -1, -2)))(general(*shape))
+    pol = DEFAULT_POLICY
+    cases = [
+        (claims_module.abs_value, lambda *s: (general(*s),)),
+        (claims_module.loewner_leq, lambda *s: (hermitian(*s), hermitian(*s))),
+        (claims_module.equality, lambda *s: (general(*s), general(*s))),
+    ]
+    for fn, row in cases:
+        requests = [[row(), row()], [row(2)], [row(), row(5), row()], [row(5)]]
+        calls = []
+        values = claims_module._round((lambda *a: calls.append(a) or fn(*a), pol), requests)
+        assert len(calls) <= 2  # one stacked call per STACK_BYTES // 4 of trials
+        for rows, got in zip(requests, values):
+            assert len(got) == len(rows)
+            for r, value in zip(rows, got):
+                assert _same(value, fn(*r, pol))
+    norms = [[(general(),), (general(),)], [(general(2),)]]
+    for rows, got in zip(norms, claims_module._round((claims_module.operator_norm,), norms)):
+        assert all(_same(value, claims_module.operator_norm(*r)) for r, value in zip(rows, got))
+    bad = general(2)  # not self-adjoint: its loewner_leq request raises
+    requests = [[(hermitian(), hermitian())], [(bad, hermitian(2))], [(hermitian(3), hermitian(3))]]
+    first, error, last = claims_module._round((claims_module.loewner_leq, pol), requests)
+    assert isinstance(error, claims_module.NumericalError)
+    assert _same(first[0], claims_module.loewner_leq(*requests[0][0], pol))
+    assert _same(last[0], claims_module.loewner_leq(*requests[2][0], pol))
+
+
+def test_grouped_frees_a_called_row_before_it_makes_the_next():
+    """The one-run executor the rounds share keeps no called row alive: a
+    row too big to group with another is freed before the next is made."""
+    import weakref
+
+    made, alive = [], []
+
+    def rows():
+        for k in range(4):
+            alive.append(sum(ref() is not None for ref in made))
+            m = np.full((300, 8, 8), k, dtype=complex)  # over STACK_BYTES // 4 alone
+            made.append(weakref.ref(m))
+            yield (m,)
+            del m
+
+    assert list(claims_module._grouped(lambda m: float(m.real.sum()), rows())) == [
+        300 * 64 * k for k in range(4)
+    ]
+    assert alive == [0, 0, 0, 0]
